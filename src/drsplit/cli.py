@@ -3,9 +3,9 @@
 A problem file is a JSON document pairing two set descriptors (or a list of
 sets to lift) with methods, a start (single point or square grid), stopping
 parameters, and output paths.  Sweeps run every declared method from every
-start and emit one CSV row per (start, method), with deterministic float
-formatting (17 significant digits) and fixed row order: row-major grid,
-method order as declared.
+start, stepping all starts of a method together, and emit one CSV row per
+(start, method), with deterministic float formatting (17 significant
+digits) and fixed row order: row-major grid, method order as declared.
 """
 
 from __future__ import annotations
@@ -22,7 +22,17 @@ import numpy as np
 from .epigraph import WitnessFamily, luque_witness
 from .functions import function_from_name
 from .lifting import lift
-from .methods import MethodKind, dra_step, map_step, mrp_step, run
+# dra_step, map_step and mrp_step are unused here but stay importable from
+# this module: perfbench/tracing.py looks them up on it by name
+from .methods import (  # noqa: F401
+    InvalidSubspaceError,
+    MethodKind,
+    _linearize,
+    dra_step,
+    map_step,
+    mrp_step,
+    run,
+)
 from .sets import (
     Affine,
     Ball,
@@ -37,9 +47,9 @@ from .sets import (
     Product,
 )
 from .trace import (
+    DEFAULT_ETA,
     ExactFixedPoint,
     Feasibility,
-    IterationTrace,
     MaxIter,
     Monitor,
     Reason,
@@ -219,20 +229,28 @@ def _method_from_name(name: str) -> MethodKind:
         raise ValidationError(f"unknown method {name!r}")
 
 
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse and validate a problem file.
-
-    Raises ParseError for malformed documents (with line/field context) and
-    ValidationError for semantic problems: rank-deficient affine matrices,
-    grids in dimensions other than 2, unknown methods, and the like.
-    """
+def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from e
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
+    return doc
 
+
+def parse_problem(text: str) -> ProblemSpec:
+    """Parse and validate a problem file.
+
+    Raises ParseError for malformed documents (with line/field context) and
+    ValidationError for semantic problems: rank-deficient affine matrices,
+    grids in dimensions other than 2, unknown methods, Spingarn's method on
+    a first set that is no affine subspace, and the like.
+    """
+    return _spec_from_document(_load_document(text))
+
+
+def _spec_from_document(doc: dict) -> ProblemSpec:
     def need(key, obj=doc):
         if key not in obj:
             raise ParseError("missing required field", fieldname=key)
@@ -279,6 +297,11 @@ def parse_problem(text: str) -> ProblemSpec:
     methods = [_method_from_name(m) for m in need("methods")]
     if not methods:
         raise ValidationError("'methods' must name at least one method")
+    if MethodKind.SPINGARN in methods and set_a is not None:
+        try:
+            _linearize(set_a, set_b)
+        except InvalidSubspaceError as e:
+            raise ValidationError(str(e)) from e
 
     start = need("start")
     start_point = None
@@ -345,9 +368,13 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def load_problem(path) -> ProblemSpec:
+def _read_document(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        return _load_document(fh.read())
+
+
+def load_problem(path) -> ProblemSpec:
+    return _spec_from_document(_read_document(path))
 
 
 def builtin_problem_path(name: str):
@@ -377,49 +404,6 @@ def _shadow_monitored(method: MethodKind) -> bool:
     return method in (MethodKind.DRA, MethodKind.SPINGARN)
 
 
-def _advance(set_a, set_b, method, z):
-    if method in (MethodKind.DRA, MethodKind.SPINGARN):
-        # Spingarn's pair iteration generates the same governing sequence
-        return dra_step(set_a, set_b, z)[0]
-    if method is MethodKind.MAP:
-        return map_step(set_a, set_b, z)
-    return mrp_step(set_a, set_b, z)
-
-
-class _MonitoredRun:
-    """Lazily extends a finished run so distances can be read at iteration
-    indices past its termination."""
-
-    def __init__(self, set_a, set_b, method, trace: IterationTrace):
-        if trace.steps != tuple(range(len(trace))):
-            raise ValueError("monitored runs need unthinned traces")
-        self.set_a = set_a
-        self.set_b = set_b
-        self.method = method
-        self.shadow = _shadow_monitored(method)
-        self._d = []
-        for k in range(len(trace)):
-            point = trace.a[k] if self.shadow else trace.z[k]
-            d = self.set_b.distance(point) if self.shadow else trace.d_b[k]
-            self._d.append(d)
-        self._z = trace.z[-1]
-
-    def distance_at(self, n: int, cap: int) -> float:
-        if n > cap:
-            return float("nan")
-        while n >= len(self._d):
-            self._z = _advance(self.set_a, self.set_b, self.method, self._z)
-            point = self.set_a.project(self._z) if self.shadow else self._z
-            self._d.append(self.set_b.distance(point))
-        return self._d[n]
-
-    def first_below(self, tol: float, cap: int) -> int:
-        for n in range(cap + 1):
-            if self.distance_at(n, cap) < tol:
-                return n
-        return NOT_REACHED
-
-
 def _resolve_sets(spec: ProblemSpec):
     if spec.lift_sets is not None:
         lp = lift(spec.lift_sets)
@@ -440,43 +424,153 @@ def _rules_for(method: MethodKind, spec: ProblemSpec):
     return [Feasibility(spec.tol, spec.monitor), MaxIter(spec.max_iter)]
 
 
+_REASONS = (Reason.FEASIBILITY, Reason.EXACT_FIXED_POINT, Reason.MAX_ITER)
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    return np.sqrt((D * D).sum(axis=1))
+
+
+def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
+    """Run one method from every row of Z at once, as ``run`` would with
+    ``_rules_for(method, spec)`` from each row alone.
+
+    Rows step together while a mask tracks which of them are still
+    running.  Every row also records its monitored distance: the distance
+    to B of the shadow P_A z_n for DRA and SPINGARN, of z_n itself for MAP
+    and MRP.  It is kept at each index in ``record_at`` and scanned for
+    the first index below each of FIRST_N_TOLS.  A row keeps stepping
+    after its rules fire (SPINGARN rows then take the DRA step, which
+    drives the same governing sequence) until both are known or n reaches
+    ``max_iter``; a row leaves the batch once it needs no more steps.
+
+    Returns per-row arrays under the names of the SweepRow fields, with
+    ``reason`` as an index into _REASONS.
+    """
+    shadow = _shadow_monitored(method)
+    # MAP and MRP rules carry no eta; ``run`` then reports ``exact`` by
+    # DEFAULT_ETA
+    eta = spec.eta if shadow else DEFAULT_ETA
+    cap = spec.max_iter
+    last_record = max((n for n in spec.record_at if n <= cap), default=0)
+    tols = np.array(FIRST_N_TOLS)
+    count = Z.shape[0]
+    out = {
+        "iterations": np.zeros(count, dtype=int),
+        "exact": np.zeros(count, dtype=bool),
+        "reason": np.zeros(count, dtype=int),
+        "final": np.empty_like(Z),
+        "d_b_at": np.full((count, len(spec.record_at)), np.nan),
+        "first_n": np.full((count, len(tols)), NOT_REACHED),
+    }
+    rows = np.arange(count)              # output index of each batch row
+    running = np.ones(count, dtype=bool)
+    hit = np.zeros(count, dtype=bool)    # last step passed the exact test
+    first = out["first_n"].copy()
+    spingarn = method is MethodKind.SPINGARN
+    if spingarn:
+        lin_a, lin_b, shift = _linearize(set_a, set_b)
+        W = Z - shift if shift is not None else Z
+        SA = lin_a.project_rows(W)
+        SB = SA - W
+    n = 0
+    while True:
+        A = set_a.project_rows(Z)
+        point = A if shadow else Z
+        PB = set_b.project_rows(point)
+        d = _norms(point - PB)
+        for j, m in enumerate(spec.record_at):
+            if m == n:
+                out["d_b_at"][rows, j] = d
+        first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
+
+        if shadow:
+            feasible, fixed = np.zeros_like(running), hit
+        else:
+            if spec.monitor is Monitor.SHADOW:
+                gap = np.maximum(_norms(A - set_a.project_rows(A)),
+                                 _norms(A - set_b.project_rows(A)))
+            else:
+                gap = np.maximum(_norms(Z - A), d)
+            feasible, fixed = gap < spec.tol, np.zeros_like(running)
+        stop = running & (feasible | fixed | (n >= cap))
+        if stop.any():
+            i = rows[stop]
+            out["iterations"][i] = n
+            out["exact"][i] = hit[stop]
+            out["reason"][i] = np.where(feasible[stop], 0, np.where(fixed[stop], 1, 2))
+            out["final"][i] = Z[stop]
+            running &= ~stop
+        done = ~running & (
+            (n >= cap) | ((n >= last_record) & (first != NOT_REACHED).all(axis=1))
+        )
+        if done.any():
+            out["first_n"][rows[done]] = first[done]
+            keep = ~done
+            rows, running, hit, first, Z, A, PB = (
+                v[keep] for v in (rows, running, hit, first, Z, A, PB)
+            )
+            if spingarn:
+                SA, SB = SA[keep], SB[keep]
+            if not rows.size:
+                return out
+
+        if method is MethodKind.MAP:
+            Z_next = set_a.project_rows(PB)
+        elif method is MethodKind.MRP:
+            Z_next = set_a.project_rows(2.0 * PB - Z)
+        else:
+            Z_next = Z - A + set_b.project_rows(2.0 * A - Z)
+            if spingarn and running.any():
+                S = SA + SB
+                a_mid = lin_b.project_rows(S)
+                b_mid = S - a_mid
+                SA = lin_a.project_rows(a_mid)
+                SB = b_mid - lin_a.project_rows(b_mid)
+                Z_pair = SA - SB if shift is None else SA - SB + shift
+                Z_next = np.where(running[:, None], Z_pair, Z_next)
+        hit = _norms(Z_next - Z) <= eta * (1.0 + _norms(Z))
+        Z = Z_next
+        n += 1
+
+
 def sweep(spec: ProblemSpec, keep_traces: bool = False):
     """Run every method from every start point.
 
-    Returns the rows, plus a {(start index, method): trace} dict when
-    ``keep_traces`` is set.  Rows that hit the iteration cap are flagged
-    by their termination reason, never dropped.
+    Returns the rows, plus a {(start index, method): trace} dict from
+    ``run`` when ``keep_traces`` is set, which needs a point start.  Rows
+    that hit the iteration cap are flagged by their termination reason,
+    never dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
     embed = lp.embed if lp is not None else (lambda x: x)
     restrict = lp.restrict if lp is not None else (lambda x: x)
+    starts = _starts(spec)
+    if keep_traces and len(starts) != 1:
+        raise ValueError("trace output requires a point start")
+    Z = np.array([embed(z0) for z0 in starts])
     rows = []
-    traces = {}
-    for i, z0 in enumerate(_starts(spec)):
-        for method in spec.methods:
-            trace = run(set_a, set_b, method, embed(z0), _rules_for(method, spec))
-            mon = _MonitoredRun(set_a, set_b, method, trace)
-            d_b_at = tuple(
-                mon.distance_at(n, spec.max_iter) for n in spec.record_at
-            )
-            first_n = tuple(
-                mon.first_below(tol, spec.max_iter) for tol in FIRST_N_TOLS
-            )
+    results = [(m, _sweep_method(set_a, set_b, m, Z, spec)) for m in spec.methods]
+    for i, z0 in enumerate(starts):
+        for method, res in results:
             rows.append(
                 SweepRow(
                     z0=z0,
                     method=method,
-                    iterations=trace.iterations,
-                    exact=trace.termination.exact,
-                    final=restrict(trace.final_point),
-                    d_b_at=d_b_at,
-                    first_n=first_n,
-                    reason=trace.termination.reason,
+                    iterations=int(res["iterations"][i]),
+                    exact=bool(res["exact"][i]),
+                    final=restrict(res["final"][i]),
+                    d_b_at=tuple(res["d_b_at"][i].tolist()),
+                    first_n=tuple(res["first_n"][i].tolist()),
+                    reason=_REASONS[res["reason"][i]],
                 )
             )
-            if keep_traces:
-                traces[(i, method)] = trace
-    return (rows, traces) if keep_traces else rows
+    if not keep_traces:
+        return rows
+    traces = {
+        (0, m): run(set_a, set_b, m, Z[0], _rules_for(m, spec)) for m in spec.methods
+    }
+    return rows, traces
 
 
 # ---------------------------------------------------------------------------
@@ -567,44 +661,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
+def _apply_overrides(doc: dict, args) -> dict:
+    """Write the command-line overrides into a problem document, so that
+    parsing checks the combined problem exactly as it checks a file."""
+    doc = dict(doc)
+
+    def put(section, key, value):
+        doc[section] = {**doc.get(section, {}), key: value}
+
     if args.method:
-        spec.methods = [_method_from_name(m) for m in args.method.split(",")]
+        doc["methods"] = args.method.split(",")
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ValidationError("--tol must be positive")
-        spec.tol = args.tol
+        put("stopping", "tol", args.tol)
     if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise ValidationError("--max-iter must be at least 1")
-        spec.max_iter = args.max_iter
+        put("stopping", "max_iter", args.max_iter)
     if args.grid:
         try:
             lo, hi, steps = args.grid.split(",")
-            grid = GridSpec(lo=float(lo), hi=float(hi), steps=int(steps))
+            grid = {"lo": float(lo), "hi": float(hi), "steps": int(steps)}
         except ValueError as e:
             raise ValidationError("--grid expects lo,hi,steps") from e
-        if spec.dim != 2:
-            raise ValidationError("grid starts are only valid for dim = 2")
-        if grid.steps < 1 or grid.lo > grid.hi:
-            raise ValidationError("grid needs lo <= hi and steps >= 1")
-        spec.grid = grid
-        spec.start_point = None
+        doc["start"] = {"grid": grid}
     if args.record_at:
         try:
             record_at = [int(n) for n in args.record_at.split(",")]
         except ValueError as e:
             raise ValidationError("--record-at expects integers") from e
-        if record_at != sorted(record_at) or any(n < 0 for n in record_at):
-            raise ValidationError("record_at must be sorted, nonnegative")
-        spec.record_at = record_at
+        put("outputs", "record_at", record_at)
     if args.out:
-        spec.csv_path = args.out
+        put("outputs", "csv_path", args.out)
     if args.trace:
-        if spec.grid is not None:
-            raise ValidationError("trace output requires a point start")
-        spec.trace_path = args.trace
-    return spec
+        put("outputs", "trace_path", args.trace)
+    return doc
 
 
 def _run_witness(args) -> int:
@@ -633,7 +721,8 @@ def main(argv=None) -> int:
         if not args.problem:
             print("error: --problem or --witness is required", file=sys.stderr)
             return 2
-        spec = _apply_overrides(load_problem(args.problem), args)
+        doc = _apply_overrides(_read_document(args.problem), args)
+        spec = _spec_from_document(doc)
         if spec.csv_path is None:
             raise ValidationError("no CSV output path (use --out or outputs.csv_path)")
         keep = spec.trace_path is not None

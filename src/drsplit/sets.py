@@ -1,9 +1,14 @@
 """Convex set descriptors with exact, closed-form projectors.
 
 Every descriptor knows its ambient dimension and provides ``project``,
-``reflect`` (2 P - Id) and ``distance``.  All projectors are nearest-point
-maps computed in closed form; none runs an inner optimization loop.  All
-operations are pure functions of immutable inputs.
+``reflect`` (2 P - Id) and ``distance``, plus ``project_rows`` for a stack
+of points, one per row.  All projectors are nearest-point maps computed in
+closed form; none runs an inner optimization loop.  All operations are pure
+functions of immutable inputs.
+
+Row-wise projectors use elementwise arithmetic only, never a matrix
+product over the stack, so each row's result is the same bits whichever
+other rows share the stack.
 """
 
 from __future__ import annotations
@@ -43,6 +48,18 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_rows(X, dim: int) -> np.ndarray:
+    """Coerce to a finite (N, dim) float array of points, one per row."""
+    R = np.asarray(X, dtype=float)
+    if R.ndim != 2:
+        raise ValueError(f"expected an (N, {dim}) array, got shape {R.shape}")
+    if R.shape[1] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {R.shape[1]}")
+    if not np.isfinite(R).all():
+        raise ValueError("vector coordinates must be finite")
+    return R
+
+
 class ConvexSet:
     """Base class: a closed convex subset of R^dim with a nearest-point map."""
 
@@ -51,8 +68,20 @@ class ConvexSet:
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        # descriptors without a row-wise closed form project row by row
+        out = np.empty((X.shape[0], self.dim))
+        for i, x in enumerate(X):
+            out[i] = self._project(x)
+        return out
+
     def project(self, x) -> np.ndarray:
         return self._project(as_vector(x, self.dim))
+
+    def project_rows(self, X) -> np.ndarray:
+        """Project each row of an (N, dim) array; row i of the result is
+        the nearest point of the set to X[i]."""
+        return self._project_rows(as_rows(X, self.dim))
 
     def reflect(self, x) -> np.ndarray:
         x = as_vector(x, self.dim)
@@ -104,6 +133,9 @@ class Affine(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return self._P @ x + self._q
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        return (X[:, None, :] * self._P).sum(axis=-1) + self._q
+
     def is_linear(self) -> bool:
         return bool(np.all(self.a == 0.0))
 
@@ -122,6 +154,10 @@ class Hyperplane(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x - ((self.normal @ x - self.offset) / self._nn) * self.normal
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        t = ((X * self.normal).sum(axis=1) - self.offset) / self._nn
+        return X - t[:, None] * self.normal
 
     def is_linear(self) -> bool:
         return self.offset == 0.0
@@ -145,6 +181,11 @@ class Halfspace(ConvexSet):
             return x.copy()
         return x - (excess / self._nn) * self.normal
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        excess = (X * self.normal).sum(axis=1) - self.offset
+        moved = X - (excess / self._nn)[:, None] * self.normal
+        return np.where((excess > 0.0)[:, None], moved, X)
+
 
 class Box(ConvexSet):
     """{x : lo <= x <= hi} componentwise, with finite bounds."""
@@ -159,6 +200,8 @@ class Box(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lo, self.hi)
 
+    _project_rows = _project
+
 
 class Orthant(ConvexSet):
     """The nonnegative orthant of R^dim."""
@@ -171,6 +214,8 @@ class Orthant(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
+
+    _project_rows = _project
 
 
 class Ball(ConvexSet):
@@ -189,6 +234,13 @@ class Ball(ConvexSet):
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        D = X - self.center
+        nd = np.sqrt((D * D).sum(axis=1))
+        outside = nd > self.radius
+        scale = self.radius / np.where(outside, nd, 1.0)
+        return np.where(outside[:, None], self.center + scale[:, None] * D, X)
 
 
 class Polygon2D(ConvexSet):
@@ -268,6 +320,14 @@ class Diagonal(ConvexSet):
         mean = x.reshape(self.copies, self.base_dim).mean(axis=0)
         return np.tile(mean, self.copies)
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        # block by block, in the order ``mean(axis=0)`` adds them
+        b = self.base_dim
+        total = X[:, :b].copy()
+        for k in range(1, self.copies):
+            total += X[:, k * b : (k + 1) * b]
+        return np.tile(total / self.copies, (1, self.copies))
+
     def is_linear(self) -> bool:
         return True
 
@@ -294,6 +354,14 @@ class Product(ConvexSet):
             [c._project(b) for c, b in zip(self.components, self.blocks(x))]
         )
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        o = self._offsets
+        return np.concatenate(
+            [c._project_rows(X[:, o[i] : o[i + 1]])
+             for i, c in enumerate(self.components)],
+            axis=1,
+        )
+
 
 class Shifted(ConvexSet):
     """base - shift, i.e. {y : y + shift in base}.
@@ -309,6 +377,9 @@ class Shifted(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return self.base._project(x + self.shift) - self.shift
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.base._project_rows(X + self.shift) - self.shift
 
 
 def is_linear_subspace(s: ConvexSet) -> bool:

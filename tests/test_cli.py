@@ -221,6 +221,159 @@ def test_sweep_flags_max_iter_rows(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# lockstep sweeps against the one-start-at-a-time reference
+
+
+class _MonitoredRun:
+    """Reference monitoring of one finished run: distances read from its
+    trace, and past its termination by extending it one step at a time."""
+
+    def __init__(self, set_a, set_b, method, trace):
+        self.set_a, self.set_b = set_a, set_b
+        self.method = method
+        self.shadow = method in (d.MethodKind.DRA, d.MethodKind.SPINGARN)
+        self._d = [
+            set_b.distance(trace.a[k]) if self.shadow else trace.d_b[k]
+            for k in range(len(trace))
+        ]
+        self._z = trace.z[-1]
+
+    def _advance(self, z):
+        if self.shadow:
+            return d.dra_step(self.set_a, self.set_b, z)[0]
+        if self.method is d.MethodKind.MAP:
+            return d.map_step(self.set_a, self.set_b, z)
+        return d.mrp_step(self.set_a, self.set_b, z)
+
+    def distance_at(self, n, cap):
+        if n > cap:
+            return float("nan")
+        while n >= len(self._d):
+            self._z = self._advance(self._z)
+            point = self.set_a.project(self._z) if self.shadow else self._z
+            self._d.append(self.set_b.distance(point))
+        return self._d[n]
+
+    def first_below(self, tol, cap):
+        for n in range(cap + 1):
+            if self.distance_at(n, cap) < tol:
+                return n
+        return cli.NOT_REACHED
+
+
+def reference_sweep(spec):
+    """The sweep one start and one method at a time, through ``run``."""
+    if spec.lift_sets is not None:
+        lp = d.lift(spec.lift_sets)
+        set_a, set_b, embed, restrict = lp.set_a, lp.set_b, lp.embed, lp.restrict
+    else:
+        set_a, set_b = spec.set_a, spec.set_b
+        embed = restrict = np.asarray
+    if spec.grid is None:
+        starts = [spec.start_point]
+    else:
+        axis = np.linspace(spec.grid.lo, spec.grid.hi, spec.grid.steps)
+        starts = [np.array([x, y]) for x in axis for y in axis]
+    rows = []
+    for z0 in starts:
+        for method in spec.methods:
+            if method in (d.MethodKind.DRA, d.MethodKind.SPINGARN):
+                rules = [d.ExactFixedPoint(spec.eta), d.MaxIter(spec.max_iter)]
+            else:
+                rules = [d.Feasibility(spec.tol, spec.monitor), d.MaxIter(spec.max_iter)]
+            trace = d.run(set_a, set_b, method, embed(z0), rules)
+            mon = _MonitoredRun(set_a, set_b, method, trace)
+            rows.append(cli.SweepRow(
+                z0=z0,
+                method=method,
+                iterations=trace.iterations,
+                exact=trace.termination.exact,
+                final=restrict(trace.final_point),
+                d_b_at=tuple(mon.distance_at(n, spec.max_iter) for n in spec.record_at),
+                first_n=tuple(mon.first_below(t, spec.max_iter) for t in cli.FIRST_N_TOLS),
+                reason=trace.termination.reason,
+            ))
+    return rows
+
+
+LIFTED_SETS = [
+    {"type": "halfspace", "normal": [-1, -1], "offset": 0},
+    {"type": "halfspace", "normal": [1, 0], "offset": 2},
+    {"type": "box", "lo": [-5, -5], "hi": [5, 5]},
+    {"type": "ball", "center": [1, 1], "radius": 3},
+    {"type": "polygon", "vertices": [[2, -2], [2, 10], [-10, 10]]},
+]
+ALL_METHODS = ["DRA", "MAP", "MRP", "SPINGARN"]
+
+
+def oracle_problems(tmp_path):
+    line = small_problem(tmp_path, methods=ALL_METHODS)
+    line["outputs"]["record_at"] = [0, 5, 10]
+    shadow = small_problem(tmp_path, methods=ALL_METHODS)
+    shadow["stopping"]["monitor"] = "shadow"
+    capped = small_problem(tmp_path, methods=ALL_METHODS)
+    capped["stopping"]["max_iter"] = 8
+    capped["outputs"]["record_at"] = [5, 8, 9]
+    lifted = small_problem(tmp_path, steps=3, methods=ALL_METHODS,
+                           start={"grid": {"lo": -10, "hi": 10, "steps": 3}})
+    del lifted["set_a"], lifted["set_b"]
+    lifted.update(sets=LIFTED_SETS, lift=True)
+    epigraph = small_problem(tmp_path, methods=ALL_METHODS,
+                             start={"grid": {"lo": -10, "hi": 10, "steps": 5}})
+    epigraph["set_a"] = {"type": "hyperplane", "normal": [0, 1], "offset": 0}
+    epigraph["set_b"] = {"type": "epigraph", "f": "quadratic(1,0,-1)"}
+    # x + 5y = -6 misses the orthant: every run meets the cap, and MAP's
+    # steps shrink until the exact test passes at its last one
+    infeasible = small_problem(tmp_path, steps=3, methods=ALL_METHODS)
+    infeasible["set_a"]["a"] = [-6]
+    infeasible["stopping"]["max_iter"] = 200
+    return {"line": line, "shadow": shadow, "capped": capped,
+            "infeasible": infeasible, "lifted": lifted, "epigraph": epigraph}
+
+
+def assert_rows_match(rows, expected, rtol):
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        exact_fields = ("method", "iterations", "exact", "first_n", "reason")
+        assert [getattr(got, f) for f in exact_fields] == [
+            getattr(want, f) for f in exact_fields
+        ], (want.z0, want.method)
+        assert np.array_equal(got.z0, want.z0)
+        for a, b in ((got.final, want.final), (got.d_b_at, want.d_b_at)):
+            np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["line", "shadow", "capped", "infeasible", "lifted", "epigraph"]
+)
+def test_sweep_matches_reference_sweep(tmp_path, name):
+    spec = cli.parse_problem(json.dumps(oracle_problems(tmp_path)[name]))
+    rows = cli.sweep(spec)
+    assert_rows_match(rows, reference_sweep(spec), rtol=1e-12)
+    if name == "infeasible":
+        assert all(r.reason is d.Reason.MAX_ITER for r in rows)
+        assert any(r.exact for r in rows if r.method is d.MethodKind.MAP)
+    if name == "capped":
+        # the cap truncates some runs before either tolerance is reached,
+        # and an index past the cap has no distance
+        assert any(r.first_n[1] == cli.NOT_REACHED for r in rows)
+        assert any(r.reason is d.Reason.MAX_ITER for r in rows)
+        assert all(np.isnan(r.d_b_at[2]) and not np.isnan(r.d_b_at[1]) for r in rows)
+
+
+@pytest.mark.parametrize("name", ["line", "lifted", "epigraph"])
+def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
+    doc = oracle_problems(tmp_path)[name]
+    spec = cli.parse_problem(json.dumps(doc))
+    rows = cli.sweep(spec)
+    by_start = len(spec.methods)
+    for k, z0 in enumerate(cli._starts(spec)):
+        doc["start"] = {"point": z0.tolist()}
+        alone = cli.sweep(cli.parse_problem(json.dumps(doc)))
+        assert_rows_match(rows[k * by_start : (k + 1) * by_start], alone, rtol=0)
+
+
+# ---------------------------------------------------------------------------
 # CSV emission
 
 
@@ -330,6 +483,30 @@ def test_main_point_run_with_trace(tmp_path):
     assert any(line.split(",")[1] == "MAP" for line in trace_lines[1:])
     first = trace_lines[1].split(",")
     assert first[0] == "0" and float(first[2]) == 100.0
+
+
+def test_main_grid_override_with_file_trace_rejected(tmp_path):
+    doc = small_problem(tmp_path, start={"point": [100.0, -100.0]})
+    doc["outputs"]["trace_path"] = str(tmp_path / "trace.csv")
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path), "--grid=-10,10,3"]) == 2
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_spingarn_needs_an_affine_first_set(tmp_path):
+    doc = small_problem(tmp_path, methods=["SPINGARN"])
+    doc["set_a"], doc["set_b"] = doc["set_b"], doc["set_a"]
+    with pytest.raises(cli.ValidationError):
+        cli.parse_problem(json.dumps(doc))
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path)]) == 2
+    doc["methods"] = ["DRA"]
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path), "--method", "MAP,SPINGARN"]) == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_main_errors(tmp_path, capsys):

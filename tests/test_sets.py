@@ -213,6 +213,34 @@ def test_variational_inequality(s):
             assert float((x - px) @ (c - px)) <= 1e-10
 
 
+@pytest.mark.parametrize("count", [0, 1, 64])
+@pytest.mark.parametrize("s", zoo_params())
+def test_project_rows_matches_project(s, count):
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-8, 8, (count, s.dim))
+    for i in range(1, count, 2):
+        X[i] = s.project(X[i])  # every other point lies in the set
+    rows = s.project_rows(X)
+    assert rows.shape == (count, s.dim)
+    for i, x in enumerate(X):
+        np.testing.assert_allclose(rows[i], s.project(x), rtol=1e-13, atol=1e-13)
+        # a row's bits do not depend on the other rows of the stack
+        assert np.array_equal(s.project_rows(X[i : i + 1])[0], rows[i])
+
+
+@pytest.mark.parametrize("s", zoo_params())
+def test_project_rows_rejects_bad_input(s):
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((3, s.dim))
+        X[1, -1] = bad
+        with pytest.raises(ValueError):
+            s.project_rows(X)
+    with pytest.raises(d.DimensionMismatchError):
+        s.project_rows(np.zeros((3, s.dim + 1)))
+    with pytest.raises(ValueError):
+        s.project_rows(np.zeros(s.dim))
+
+
 def test_reflector_involution_on_affine_classes():
     rng = np.random.default_rng(13)
     for name, s in descriptor_zoo():
