@@ -86,67 +86,65 @@ def _fmt(value: float) -> str:
 # set descriptor <-> config dict
 
 
+# type tag -> (class, fields); each field is a constructor argument, in
+# order, and an attribute of the same name
+_DESCRIPTORS = {
+    "affine": (Affine, ("L", "a")),
+    "hyperplane": (Hyperplane, ("normal", "offset")),
+    "halfspace": (Halfspace, ("normal", "offset")),
+    "box": (Box, ("lo", "hi")),
+    "orthant": (Orthant, ("dim",)),
+    "ball": (Ball, ("center", "radius")),
+    "polygon": (Polygon2D, ("vertices",)),
+    "epigraph": (Epigraph1D, ("f",)),
+    "diagonal": (Diagonal, ("copies", "base_dim")),
+    "product": (Product, ("components",)),
+}
+
+
 def set_from_config(cfg: dict, ambient_dim: Optional[int] = None) -> ConvexSet:
     """Build a descriptor from its tagged dict form."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ParseError("set descriptor must be an object with a 'type' tag")
     kind = cfg["type"]
-    try:
-        if kind == "affine":
-            return Affine(cfg["L"], cfg["a"])
-        if kind == "hyperplane":
-            return Hyperplane(cfg["normal"], cfg["offset"])
-        if kind == "halfspace":
-            return Halfspace(cfg["normal"], cfg["offset"])
-        if kind == "box":
-            return Box(cfg["lo"], cfg["hi"])
-        if kind == "orthant":
-            dim = cfg.get("dim", ambient_dim)
-            if dim is None:
-                raise ParseError("orthant needs a 'dim'", fieldname="dim")
-            return Orthant(dim)
-        if kind == "ball":
-            return Ball(cfg["center"], cfg["radius"])
-        if kind == "polygon":
-            return Polygon2D(cfg["vertices"])
-        if kind == "epigraph":
-            return Epigraph1D(function_from_name(cfg["f"]))
-        if kind == "diagonal":
-            return Diagonal(cfg["copies"], cfg["base_dim"])
-        if kind == "product":
-            # block dims differ from the ambient dim, so components must
-            # spell out their own dimensions
-            return Product([set_from_config(c, None) for c in cfg["components"]])
-    except KeyError as e:
-        raise ParseError(f"missing key for {kind!r} descriptor", fieldname=str(e))
-    raise ValidationError(f"unknown set type {kind!r}")
+    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
+        raise ValidationError(f"unknown set type {kind!r}")
+    cls, fields = _DESCRIPTORS[kind]
+    if kind == "orthant":
+        cfg = {**cfg, "dim": cfg.get("dim", ambient_dim)}
+        if cfg["dim"] is None:
+            raise ParseError("orthant needs a 'dim'", fieldname="dim")
+    for key in fields:
+        if key not in cfg:
+            raise ParseError(f"missing key for {kind!r} descriptor", fieldname=key)
+    if kind == "epigraph":
+        args = [function_from_name(cfg["f"])]
+    elif kind == "product":
+        # block dims differ from the ambient dim, so components must
+        # spell out their own dimensions
+        args = [[set_from_config(c, None) for c in cfg["components"]]]
+    else:
+        args = [cfg[key] for key in fields]
+    return cls(*args)
 
 
 def set_to_config(s: ConvexSet) -> dict:
-    if isinstance(s, Affine):
-        return {"type": "affine", "L": s.L.tolist(), "a": s.a.tolist()}
-    if isinstance(s, Hyperplane):
-        return {"type": "hyperplane", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Halfspace):
-        return {"type": "halfspace", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Box):
-        return {"type": "box", "lo": s.lo.tolist(), "hi": s.hi.tolist()}
-    if isinstance(s, Orthant):
-        return {"type": "orthant", "dim": s.dim}
-    if isinstance(s, Ball):
-        return {"type": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Polygon2D):
-        return {"type": "polygon", "vertices": s.vertices.tolist()}
-    if isinstance(s, Epigraph1D):
-        return {"type": "epigraph", "f": s.f.spec_name()}
-    if isinstance(s, Diagonal):
-        return {"type": "diagonal", "copies": s.copies, "base_dim": s.base_dim}
-    if isinstance(s, Product):
-        return {
-            "type": "product",
-            "components": [set_to_config(c) for c in s.components],
-        }
-    raise ValidationError(f"{type(s).__name__} has no problem-file form")
+    for kind, (cls, fields) in _DESCRIPTORS.items():
+        if isinstance(s, cls):
+            break
+    else:
+        raise ValidationError(f"{type(s).__name__} has no problem-file form")
+    cfg = {"type": kind}
+    for key in fields:
+        value = getattr(s, key)
+        if kind == "epigraph":
+            value = value.spec_name()
+        elif kind == "product":
+            value = [set_to_config(c) for c in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        cfg[key] = value
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +227,14 @@ def _method_from_name(name: str) -> MethodKind:
         raise ValidationError(f"unknown method {name!r}")
 
 
+def _checked(value, kinds, fieldname: str):
+    """Return value if it is an instance of ``kinds``; booleans do not
+    count as numbers."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ParseError(f"wrong type {type(value).__name__}", fieldname=fieldname)
+    return value
+
+
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -260,8 +266,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError("'dim' must be a positive integer")
 
-    set_a = set_b = lift_sets = None
-    if "sets" in doc:
+    lifted = "sets" in doc
+    if lifted:
         if "set_a" in doc or "set_b" in doc:
             raise ValidationError("give either 'sets' or 'set_a'/'set_b', not both")
         if not doc.get("lift", False):
@@ -269,32 +275,27 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raw_sets = doc["sets"]
         if not isinstance(raw_sets, list) or not raw_sets:
             raise ParseError("'sets' must be a nonempty list", fieldname="sets")
-        try:
-            lift_sets = [set_from_config(c, dim) for c in raw_sets]
-        except (ValueError, TypeError) as e:
-            if isinstance(e, ParseError):
-                raise
-            raise ValidationError(str(e)) from e
-        for s in lift_sets:
-            if s.dim != dim:
-                raise ValidationError(
-                    f"lifted set has dimension {s.dim}, expected {dim}"
-                )
+        configs = [("lifted set", c) for c in raw_sets]
     else:
+        configs = [("set_a", need("set_a")), ("set_b", need("set_b"))]
+    sets = []
+    for name, cfg in configs:
         try:
-            set_a = set_from_config(need("set_a"), dim)
-            set_b = set_from_config(need("set_b"), dim)
+            s = set_from_config(cfg, dim)
+        except (ParseError, ValidationError):
+            raise
         except (ValueError, TypeError) as e:
-            if isinstance(e, (ParseError, ValidationError)):
-                raise
             raise ValidationError(str(e)) from e
-        for name, s in (("set_a", set_a), ("set_b", set_b)):
-            if s.dim != dim:
-                raise ValidationError(
-                    f"{name} has dimension {s.dim}, expected {dim}"
-                )
+        if s.dim != dim:
+            raise ValidationError(f"{name} has dimension {s.dim}, expected {dim}")
+        sets.append(s)
+    set_a = set_b = lift_sets = None
+    if lifted:
+        lift_sets = sets
+    else:
+        set_a, set_b = sets
 
-    methods = [_method_from_name(m) for m in need("methods")]
+    methods = [_method_from_name(m) for m in _checked(need("methods"), list, "methods")]
     if not methods:
         raise ValidationError("'methods' must name at least one method")
     if MethodKind.SPINGARN in methods and set_a is not None:
@@ -303,7 +304,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         except InvalidSubspaceError as e:
             raise ValidationError(str(e)) from e
 
-    start = need("start")
+    start = _checked(need("start"), dict, "start")
     start_point = None
     grid = None
     if "grid" in start:
@@ -329,24 +330,30 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     else:
         raise ParseError("start must contain 'point' or 'grid'", fieldname="start")
 
-    stopping = doc.get("stopping", {})
-    eta = float(stopping.get("eta", 1e-14))
-    tol = float(stopping.get("tol", 1e-4))
-    max_iter = int(stopping.get("max_iter", 100_000))
+    stopping = _checked(doc.get("stopping", {}), dict, "stopping")
+    eta = float(_checked(stopping.get("eta", 1e-14), (int, float), "stopping.eta"))
+    tol = float(_checked(stopping.get("tol", 1e-4), (int, float), "stopping.tol"))
+    max_iter = _checked(stopping.get("max_iter", 100_000), int, "stopping.max_iter")
     try:
         monitor = Monitor(stopping.get("monitor", "iterate"))
     except ValueError:
         raise ValidationError(f"unknown monitor {stopping.get('monitor')!r}")
-    if eta <= 0 or tol <= 0 or max_iter < 1:
+    # written so that NaN fails too
+    if not (eta > 0 and tol > 0 and max_iter >= 1):
         raise ValidationError("stopping parameters must be positive")
 
-    outputs = doc.get("outputs", {})
-    record_at = list(outputs.get("record_at", [5, 10]))
+    outputs = _checked(doc.get("outputs", {}), dict, "outputs")
+    record_at = list(_checked(outputs.get("record_at", [5, 10]), list, "outputs.record_at"))
     if any((not isinstance(n, int)) or n < 0 for n in record_at):
         raise ValidationError("record_at must contain nonnegative integers")
     if record_at != sorted(record_at):
         raise ValidationError("record_at must be sorted ascending")
+    csv_path = outputs.get("csv_path")
     trace_path = outputs.get("trace_path")
+    for key, path in (("csv_path", csv_path), ("trace_path", trace_path)):
+        # an integer would be taken by open() as a file descriptor
+        if path is not None:
+            _checked(path, str, f"outputs.{key}")
     if trace_path is not None and grid is not None:
         raise ValidationError("trace output requires a point start")
 
@@ -362,7 +369,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         tol=tol,
         monitor=monitor,
         max_iter=max_iter,
-        csv_path=outputs.get("csv_path"),
+        csv_path=csv_path,
         trace_path=trace_path,
         record_at=record_at,
     )
@@ -667,7 +674,9 @@ def _apply_overrides(doc: dict, args) -> dict:
     doc = dict(doc)
 
     def put(section, key, value):
-        doc[section] = {**doc.get(section, {}), key: value}
+        # a section that is no object is left for parsing to reject
+        if isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), key: value}
 
     if args.method:
         doc["methods"] = args.method.split(",")

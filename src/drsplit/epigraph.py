@@ -3,19 +3,22 @@
 Works in the plane: points are (x, rho), the first set is the x-axis, the
 second is epi f = {(x, rho) : f(x) <= rho} for a scalar convex f.  The DR
 step here is a closed-form case analysis on the region of the input point;
-it agrees with the generic two-set step on the same pair of sets.
+it agrees with the generic two-set step on the same pair of sets.  Full
+runs (``run_epi``) go through the generic driver ``methods.run``, and their
+region tags are computed from the trace.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .functions import ConvexFunction1D, FunctionKind, absshift, quadratic
-from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, IterationTrace, Reason, Termination
+from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, ExactFixedPoint, IterationTrace, MaxIter
 
 # Membership at machine-boundary points: residuals within this of zero on
 # both sides classify as IN_BOTH (the benign terminal region).
@@ -221,62 +224,28 @@ def run_epi(
     eta: float = DEFAULT_ETA,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> IterationTrace:
-    """Iterate the closed-form DR step until an exact fixed point.
+    """Iterate DR on (x-axis, epi f) until an exact fixed point.
 
     Requires inf f < 0 (the epigraph then meets the open lower halfplane,
-    which makes the iteration finitely convergent).  The trace records the
-    region tag of every visited point.
+    which makes the iteration finitely convergent).  The run goes through
+    ``methods.run`` on (Hyperplane([0, 1], 0), Epigraph1D(f)), whose step
+    is the closed form of ``dr_step_epi``; the region tag of every visited
+    point is then computed from the trace with ``classify_region``.
     """
+    # methods and sets import this module, so import them on first use
+    from .methods import MethodKind, run
+    from .sets import Epigraph1D, Hyperplane
+
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
-    z = _as_point(z0)
-    zs, cases = [z], []
-    a_list, r_list, pbr_list, d_a, d_b = [], [], [], [], []
-
-    def record(pt: EpiPoint) -> None:
-        a_list.append(np.array([pt.x, 0.0]))
-        r_list.append(np.array([pt.x, -pt.rho]))
-        pbr_list.append(np.asarray(project_epigraph(f, (pt.x, -pt.rho))))
-        px, pfx = project_epigraph(f, pt)
-        d_a.append(abs(pt.rho))
-        d_b.append(math.hypot(pt.x - px, pt.rho - pfx))
-
-    record(z)
-    n = 0
-    reason = Reason.MAX_ITER
-    residual = None
-    exact = False
-    while n < max_iter:
-        z_next, region = dr_step_epi(f, z)
-        cases.append(region)
-        zs.append(z_next)
-        record(z_next)
-        n += 1
-        residual = math.hypot(z_next.x - z.x, z_next.rho - z.rho)
-        if residual <= eta * (1.0 + math.hypot(z.x, z.rho)):
-            reason = Reason.EXACT_FIXED_POINT
-            exact = True
-            z = z_next
-            break
-        z = z_next
-    cases.append(classify_region(f, z))
-    return IterationTrace(
-        z=tuple(np.asarray(p) for p in zs),
-        a=tuple(a_list),
-        r=tuple(r_list),
-        pbr=tuple(pbr_list),
-        d_a=tuple(d_a),
-        d_b=tuple(d_b),
-        steps=tuple(range(len(zs))),
-        termination=Termination(
-            reason=reason,
-            iterations=n,
-            final_point=np.asarray(z),
-            exact=exact,
-            step_residual=residual,
-        ),
-        cases=tuple(cases),
+    trace = run(
+        Hyperplane([0.0, 1.0], 0.0),
+        Epigraph1D(f),
+        MethodKind.DRA,
+        z0,
+        [ExactFixedPoint(eta), MaxIter(max_iter)],
     )
+    return replace(trace, cases=tuple(classify_region(f, z) for z in trace.z))
 
 
 def _fix_segment_distance(pt: EpiPoint) -> float:

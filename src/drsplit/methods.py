@@ -146,6 +146,8 @@ def run(
     checked at each iterate before stepping (including z0); the exact
     fixed-point rule compares consecutive iterates.  Exceeding the
     iteration cap is recorded as the termination reason, not raised.
+    z0 is checked once; an iterate that is not finite (an overflow)
+    raises ValueError.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -167,52 +169,46 @@ def run(
         a0 = lin_a.project(w)
         state = SpingarnState(a=a0, b=a0 - w)
 
-    z_list, a_list, r_list, pbr_list, da_list, db_list, steps = (
-        [], [], [], [], [], [], [],
-    )
-
+    columns = ([], [], [], [], [], [], [])  # z, a, r, pbr, d_a, d_b, n
     n = 0
-    reason = None
     exact_hit = False
     last_residual = None
     last_scale = None
     while True:
-        a = set_a.project(z)
+        a = set_a._project(z)
         r = 2.0 * a - z
-        pbr = set_b.project(r)
-        pbz = set_b.project(z)
+        pbr = set_b._project(r)
+        pbz = set_b._project(z)
         d_a = float(np.linalg.norm(z - a))
         d_b = float(np.linalg.norm(z - pbz))
-        if n % stride == 0 or exact_hit:
-            z_list.append(z)
-            a_list.append(a)
-            r_list.append(r)
-            pbr_list.append(pbr)
-            da_list.append(d_a)
-            db_list.append(d_b)
-            steps.append(n)
 
-        if feas is not None:
-            if feas.monitor is Monitor.SHADOW:
-                gap = max(set_a.distance(a), set_b.distance(a))
-            else:
-                gap = max(d_a, d_b)
-            if gap < feas.tol:
-                reason = Reason.FEASIBILITY
-                break
-        if exact_hit:
+        if feas is None:
+            feasible = False
+        elif feas.monitor is Monitor.SHADOW:
+            feasible = max(float(np.linalg.norm(a - set_a._project(a))),
+                           float(np.linalg.norm(a - set_b._project(a)))) < feas.tol
+        else:
+            feasible = max(d_a, d_b) < feas.tol
+        if feasible:
+            reason = Reason.FEASIBILITY
+        elif exact_hit:
             reason = Reason.EXACT_FIXED_POINT
-            break
-        if n >= n_max:
+        elif n >= n_max:
             reason = Reason.MAX_ITER
+        else:
+            reason = None
+        if n % stride == 0 or reason is not None:
+            for column, value in zip(columns, (z, a, r, pbr, d_a, d_b, n)):
+                column.append(value)
+        if reason is not None:
             break
 
         if method is MethodKind.DRA:
             z_next = z - a + pbr
         elif method is MethodKind.MAP:
-            z_next = set_a.project(pbz)
+            z_next = set_a._project(pbz)
         elif method is MethodKind.MRP:
-            z_next = set_a.project(2.0 * pbz - z)
+            z_next = set_a._project(2.0 * pbz - z)
         elif method is MethodKind.SPINGARN:
             state = spingarn_step(lin_a, lin_b, state)
             z_next = state.a - state.b
@@ -220,6 +216,10 @@ def run(
                 z_next = z_next + translation
         else:
             raise ValueError(f"unknown method {method!r}")
+        # z0 was checked once; the projectors above take unchecked input,
+        # so an overflow shows up here
+        if not np.isfinite(z_next).all():
+            raise ValueError("vector coordinates must be finite")
 
         last_residual = float(np.linalg.norm(z_next - z))
         last_scale = 1.0 + float(np.linalg.norm(z))
@@ -228,27 +228,19 @@ def run(
         z = z_next
         n += 1
 
-    if steps[-1] != n:
-        z_list.append(z)
-        a_list.append(a)
-        r_list.append(r)
-        pbr_list.append(pbr)
-        da_list.append(d_a)
-        db_list.append(d_b)
-        steps.append(n)
-
+    z_list, a_list, r_list, pbr_list, da_list, db_list, steps = map(tuple, columns)
     exact = (
         last_residual is not None
         and last_residual <= (eta if eta is not None else DEFAULT_ETA) * last_scale
     )
     return IterationTrace(
-        z=tuple(z_list),
-        a=tuple(a_list),
-        r=tuple(r_list),
-        pbr=tuple(pbr_list),
-        d_a=tuple(da_list),
-        d_b=tuple(db_list),
-        steps=tuple(steps),
+        z=z_list,
+        a=a_list,
+        r=r_list,
+        pbr=pbr_list,
+        d_a=da_list,
+        d_b=db_list,
+        steps=steps,
         termination=Termination(
             reason=reason,
             iterations=n,

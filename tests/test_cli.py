@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import drsplit as d
+from conftest import descriptor_zoo
 from drsplit import cli
 
 
@@ -124,6 +126,17 @@ def test_epigraph_descriptor_roundtrip():
     s = cli.set_from_config(cfg)
     assert isinstance(s, d.Epigraph1D)
     assert cli.set_to_config(s) == cfg
+    rng = np.random.default_rng(31)
+    for name, s in descriptor_zoo():
+        if name == "shifted":
+            with pytest.raises(cli.ValidationError):
+                cli.set_to_config(s)
+            continue
+        cfg = cli.set_to_config(s)
+        rebuilt = cli.set_from_config(json.loads(json.dumps(cfg)))
+        assert type(rebuilt) is type(s) and cli.set_to_config(rebuilt) == cfg
+        for x in rng.uniform(-8, 8, (5, s.dim)):
+            assert np.array_equal(rebuilt.project(x), s.project(x))
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +532,39 @@ def test_main_errors(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["--problem", str(path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param(None, "stopping", 5, id="stopping-number"),
+        pytest.param(None, "outputs", [1], id="outputs-list"),
+        pytest.param(None, "start", 5, id="start-number"),
+        pytest.param(None, "methods", "DRA", id="methods-string"),
+        pytest.param("outputs", "record_at", 5, id="record_at-number"),
+        pytest.param("outputs", "csv_path", 1, id="csv_path-number"),
+        pytest.param("stopping", "tol", "abc", id="tol-string"),
+        pytest.param("stopping", "max_iter", 2.7, id="max_iter-fraction"),
+        pytest.param("stopping", "max_iter", True, id="max_iter-bool"),
+        pytest.param("stopping", "eta", float("nan"), id="eta-nan"),
+    ],
+)
+def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, value):
+    doc = small_problem(tmp_path, steps=2)
+    (doc if section is None else doc[section])[key] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_reference_sweep_csv_is_golden(tmp_path):
+    # SHA-256 of the 5,043-row CSV of the shipped reference problem
+    # (recorded on x86_64 with numpy 2.4); refactors must keep it
+    # byte-identical, and a change that moves it names every changed cell
+    out = tmp_path / "ref.csv"
+    path = cli.builtin_problem_path("line_orthant.json")
+    assert cli.main(["--problem", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "45071547f81a729afcb6089daffe1f67cf1a744ca3265cef5e91ffb22c751901"

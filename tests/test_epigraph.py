@@ -279,6 +279,42 @@ def test_run_epi_case_automaton():
                     assert f(z_next[0]) <= z_next[1] + 1e-12
 
 
+def _plw(x):  # piecewise-linear, minimum -1 at x = 1
+    return max(-0.5 * (x - 1), 0.25 * (x - 1), x - 3) - 1.0
+
+
+def _plw_sub(x):
+    if x < 1:
+        return -0.5
+    if x == 1:
+        return 0.0
+    return 0.25 if x < 11 / 3 else 1.0
+
+
+def test_run_epi_follows_the_closed_form_case_analysis():
+    """Every step of a run is ``dr_step_epi`` exactly, and every region tag
+    is the closed-form tag of the point it belongs to."""
+    quartic = d.custom(lambda x: (x - 2) ** 4 - 1, lambda x: 4 * (x - 2) ** 3, 2.0)
+    rng = np.random.default_rng(28)
+    for f in (QUAD, ABS, d.custom(_plw, _plw_sub, 1.0), quartic):
+        for z0 in rng.uniform(-20, 20, (100, 2)):
+            tr = d.run_epi(f, z0)
+            assert len(tr.cases) == len(tr.z) == tr.iterations + 1
+            for n in range(tr.iterations):
+                z_next, region = d.dr_step_epi(f, tr.z[n])
+                assert np.array_equal(tr.z[n + 1], z_next)
+                assert tr.cases[n] is region
+            assert tr.cases[-1] is d.classify_region(f, tr.z[-1])
+
+
+@pytest.mark.parametrize(
+    "eta, max_iter", [(float("nan"), 100), (-1.0, 100), (1e-14, 0)]
+)
+def test_run_epi_rejects_bad_stopping_parameters(eta, max_iter):
+    with pytest.raises(ValueError):
+        d.run_epi(QUAD, (5.0, 3.0), eta, max_iter)
+
+
 # ---------------------------------------------------------------------------
 # witnesses
 

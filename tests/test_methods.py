@@ -272,6 +272,18 @@ def test_run_dimension_mismatch():
         d.run(d.Orthant(2), d.Orthant(3), d.MethodKind.MAP, [0.0, 0.0])
 
 
+def test_run_overflow_fails_loudly():
+    # the start is finite, but the first step overflows
+    cases = [
+        (d.Hyperplane([1.0, 1.0], 0.0), d.MethodKind.MRP, [1e308, -1e308]),
+        (d.Hyperplane([1.0, -1.0], 0.0), d.MethodKind.DRA, [-1.7e308, 1.7e308]),
+    ]
+    for set_a, method, z0 in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                d.run(set_a, d.Orthant(2), method, z0, d.MaxIter(50))
+
+
 def test_trace_consistency_invariants(line_orthant):
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.DRA, [-70.0, 30.0], d.ExactFixedPoint())
