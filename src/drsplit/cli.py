@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -235,6 +236,14 @@ def _checked(value, kinds, fieldname: str):
     return value
 
 
+def _finite(value, fieldname: str) -> float:
+    """Return a JSON number as a finite float; an integer beyond the float
+    range fails, since int-float comparison is exact."""
+    if not abs(_checked(value, (int, float), fieldname)) <= sys.float_info.max:
+        raise ValidationError(f"{fieldname!r} must be a finite number")
+    return float(value)
+
+
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -262,15 +271,15 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
             raise ParseError("missing required field", fieldname=key)
         return obj[key]
 
-    dim = need("dim")
-    if not isinstance(dim, int) or dim < 1:
+    dim = _checked(need("dim"), int, "dim")
+    if dim < 1:
         raise ValidationError("'dim' must be a positive integer")
 
     lifted = "sets" in doc
     if lifted:
         if "set_a" in doc or "set_b" in doc:
             raise ValidationError("give either 'sets' or 'set_a'/'set_b', not both")
-        if not doc.get("lift", False):
+        if doc.get("lift") is not True:
             raise ValidationError("'sets' requires \"lift\": true")
         raw_sets = doc["sets"]
         if not isinstance(raw_sets, list) or not raw_sets:
@@ -284,7 +293,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
             s = set_from_config(cfg, dim)
         except (ParseError, ValidationError):
             raise
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ValidationError(str(e)) from e
         if s.dim != dim:
             raise ValidationError(f"{name} has dimension {s.dim}, expected {dim}")
@@ -310,19 +319,17 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     if "grid" in start:
         if dim != 2:
             raise ValidationError("grid starts are only valid for dim = 2")
-        g = start["grid"]
-        try:
-            grid = GridSpec(lo=float(g["lo"]), hi=float(g["hi"]),
-                            steps=int(g["steps"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError("grid needs numeric lo, hi and integer steps",
-                             fieldname="start.grid") from e
-        if grid.steps < 1 or grid.lo > grid.hi:
+        g = _checked(start["grid"], dict, "start.grid")
+        lo = _finite(need("lo", g), "start.grid.lo")
+        hi = _finite(need("hi", g), "start.grid.hi")
+        steps = _checked(need("steps", g), int, "start.grid.steps")
+        if not (lo <= hi and steps >= 1):
             raise ValidationError("grid needs lo <= hi and steps >= 1")
+        grid = GridSpec(lo=lo, hi=hi, steps=steps)
     elif "point" in start:
         try:
             start_point = np.asarray(start["point"], dtype=float)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError("start point must be a numeric list",
                              fieldname="start.point") from e
         if start_point.shape != (dim,) or not np.all(np.isfinite(start_point)):
@@ -331,20 +338,20 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raise ParseError("start must contain 'point' or 'grid'", fieldname="start")
 
     stopping = _checked(doc.get("stopping", {}), dict, "stopping")
-    eta = float(_checked(stopping.get("eta", 1e-14), (int, float), "stopping.eta"))
-    tol = float(_checked(stopping.get("tol", 1e-4), (int, float), "stopping.tol"))
+    eta = _finite(stopping.get("eta", 1e-14), "stopping.eta")
+    tol = _finite(stopping.get("tol", 1e-4), "stopping.tol")
     max_iter = _checked(stopping.get("max_iter", 100_000), int, "stopping.max_iter")
     try:
         monitor = Monitor(stopping.get("monitor", "iterate"))
     except ValueError:
         raise ValidationError(f"unknown monitor {stopping.get('monitor')!r}")
-    # written so that NaN fails too
     if not (eta > 0 and tol > 0 and max_iter >= 1):
         raise ValidationError("stopping parameters must be positive")
 
     outputs = _checked(doc.get("outputs", {}), dict, "outputs")
-    record_at = list(_checked(outputs.get("record_at", [5, 10]), list, "outputs.record_at"))
-    if any((not isinstance(n, int)) or n < 0 for n in record_at):
+    record_at = _checked(outputs.get("record_at", [5, 10]), list, "outputs.record_at")
+    record_at = [_checked(n, int, "outputs.record_at") for n in record_at]
+    if any(n < 0 for n in record_at):
         raise ValidationError("record_at must contain nonnegative integers")
     if record_at != sorted(record_at):
         raise ValidationError("record_at must be sorted ascending")
@@ -541,20 +548,16 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         n += 1
 
 
-def sweep(spec: ProblemSpec, keep_traces: bool = False):
-    """Run every method from every start point.
+def sweep(spec: ProblemSpec) -> list:
+    """Run every method from every start point and return the rows.
 
-    Returns the rows, plus a {(start index, method): trace} dict from
-    ``run`` when ``keep_traces`` is set, which needs a point start.  Rows
-    that hit the iteration cap are flagged by their termination reason,
-    never dropped.
+    Rows that hit the iteration cap are flagged by their termination
+    reason, never dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
     embed = lp.embed if lp is not None else (lambda x: x)
     restrict = lp.restrict if lp is not None else (lambda x: x)
     starts = _starts(spec)
-    if keep_traces and len(starts) != 1:
-        raise ValueError("trace output requires a point start")
     Z = np.array([embed(z0) for z0 in starts])
     rows = []
     results = [(m, _sweep_method(set_a, set_b, m, Z, spec)) for m in spec.methods]
@@ -572,12 +575,7 @@ def sweep(spec: ProblemSpec, keep_traces: bool = False):
                     reason=_REASONS[res["reason"][i]],
                 )
             )
-    if not keep_traces:
-        return rows
-    traces = {
-        (0, m): run(set_a, set_b, m, Z[0], _rules_for(m, spec)) for m in spec.methods
-    }
-    return rows, traces
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -619,24 +617,22 @@ def emit_csv(rows: Sequence[SweepRow], path, record_at: Sequence[int]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_trace(traces: dict, spec: ProblemSpec, path) -> None:
-    """Write per-iterate data (z, a, r, P_B r, distances) for point runs."""
+def emit_trace(traces: dict, path) -> None:
+    """Write per-iterate data (z, a, r, P_B r, distances) of a
+    {method: trace} dict, in its order."""
     dim = next(iter(traces.values())).z[0].shape[0]
     cols = ["n", "method"]
     for prefix in ("z", "a", "r", "pbr"):
         cols += _coord_names(prefix, dim)
     cols += ["d_A", "d_B"]
     lines = [",".join(cols)]
-    for method in spec.methods:
-        for key, trace in traces.items():
-            if key[1] is not method:
-                continue
-            for k, n in enumerate(trace.steps):
-                cells = [str(n), method.value]
-                for seq in (trace.z, trace.a, trace.r, trace.pbr):
-                    cells += [_fmt(c) for c in seq[k]]
-                cells += [_fmt(trace.d_a[k]), _fmt(trace.d_b[k])]
-                lines.append(",".join(cells))
+    for method, trace in traces.items():
+        for k, n in enumerate(trace.steps):
+            cells = [str(n), method.value]
+            for seq in (trace.z, trace.a, trace.r, trace.pbr):
+                cells += [_fmt(c) for c in seq[k]]
+            cells += [_fmt(trace.d_a[k]), _fmt(trace.d_b[k])]
+            lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -734,12 +730,15 @@ def main(argv=None) -> int:
         spec = _spec_from_document(doc)
         if spec.csv_path is None:
             raise ValidationError("no CSV output path (use --out or outputs.csv_path)")
-        keep = spec.trace_path is not None
-        result = sweep(spec, keep_traces=keep)
-        rows, traces = result if keep else (result, None)
+        rows = sweep(spec)
         emit_csv(rows, spec.csv_path, spec.record_at)
-        if traces:
-            emit_trace(traces, spec, spec.trace_path)
+        if spec.trace_path is not None:
+            # parsing allows a trace only with a point start
+            set_a, set_b, lp = _resolve_sets(spec)
+            z0 = spec.start_point if lp is None else lp.embed(spec.start_point)
+            traces = {m: run(set_a, set_b, m, z0, _rules_for(m, spec))
+                      for m in spec.methods}
+            emit_trace(traces, spec.trace_path)
         print(f"wrote {len(rows)} rows to {spec.csv_path}")
         return 0
     except (ParseError, ValidationError) as e:

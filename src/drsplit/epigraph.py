@@ -15,8 +15,6 @@ from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple, Tuple
 
-import numpy as np
-
 from .functions import ConvexFunction1D, FunctionKind, absshift, quadratic
 from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, ExactFixedPoint, IterationTrace, MaxIter
 
@@ -114,40 +112,41 @@ def _bisect_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
 
 
 def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
-    """Closed-form root for builtin quadratics: the projection equation is
-    a cubic in p; pick the real root in the bracket with f(p) >= rho and
-    polish it with one Newton step."""
-    q2, q1, _ = f.params
+    """Projection abscissa for a builtin quadratic f with f(x) > rho: the
+    root of g(p) = p + (f(p) - rho) f'(p) - x between x and u = argmin f,
+    by Newton's method from p = x.
+
+    g'(p) = 1 + f'(p)^2 + 2 q2 (f(p) - rho) and g''(p) = 6 q2 f'(p), so g
+    is convex on [u, inf) and concave on (-inf, u].  g(u) = u - x and
+    g(x) = (f(x) - rho) f'(x) have opposite signs, so g has exactly one
+    root in the bracket, and g' > 0 there.  Newton from x therefore moves
+    monotonically toward u onto that root without leaving the bracket
+    (Fourier's condition); the first step that does not move strictly
+    toward u ends the loop.  Raises OverflowError where f(x) - rho, f'(x)
+    or 2 q2 is beyond the float range.
+    """
+    q2 = f.params[0]
     if q2 == 0.0:
         # constant f: the epigraph is a halfplane, abscissa unchanged
         return x
-    c = f(0.0) - rho
-    coeffs = [
-        2.0 * q2 * q2,
-        3.0 * q1 * q2,
-        q1 * q1 + 2.0 * c * q2 + 1.0,
-        c * q1 - x,
-    ]
-    u = f.minimizer
-    lo, hi = (u, x) if x >= u else (x, u)
-    span = max(hi - lo, 1.0)
-    best = None
-    for root in np.roots(coeffs):
-        if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
-            continue
-        p = float(root.real)
-        if lo - 1e-9 * span <= p <= hi + 1e-9 * span and f(p) >= rho - 1e-9:
-            if best is None or abs(_residual(f, x, rho, p)) < abs(
-                _residual(f, x, rho, best)
-            ):
-                best = p
-    if best is None:
-        return _bisect_projection(f, x, rho)
-    # Newton polish; the derivative is >= 1 where f >= rho
-    slope = 1.0 + f.subgrad(best) ** 2 + 2.0 * q2 * (f(best) - rho)
-    if slope > 0:
-        best -= _residual(f, x, rho, best) / slope
-    return min(max(best, lo), hi)
+    side = 1.0 if x > f.minimizer else -1.0
+    # g and g' are divided by c and c^2, c = 2^k above |f'| and sqrt(q2 (f - rho))
+    # at x, where both are largest: exact scalings, so the step keeps the bits
+    # of g/g' but cannot overflow ((f - rho) f' alone overflows from |x| ~ 1e103)
+    k = max(0, math.frexp(f.subgrad(x))[1],
+            (math.frexp(q2)[1] + math.frexp(f(x) - rho)[1]) // 2)
+    inv = math.ldexp(1.0, -k)
+    p = x
+    while True:
+        excess = f(p) - rho
+        slope = f.subgrad(p) * inv
+        dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
+        p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
+        if not side * (p - p_next) > 0:
+            if not math.isfinite(dg):  # then the first step is 0 or NaN
+                raise OverflowError(f"projecting ({x!r}, {rho!r}) overflows")
+            return p
+        p = p_next
 
 
 def _absshift_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
@@ -165,7 +164,11 @@ def project_epigraph(f: ConvexFunction1D, z) -> Tuple[float, float]:
 
     Points already in the epigraph are their own projection and are
     returned unchanged.  Otherwise the result lies on the boundary graph
-    of f, with abscissa between x and the minimizer of f.
+    of f, with abscissa p between x and the minimizer of f: the root of
+    p + (f(p) - rho) f'(p) = x, found by Newton's method from x for
+    quadratics, in closed form for absshift, and by bisection for custom
+    functions.  For a quadratic whose f(x) - rho overflows a float this
+    raises OverflowError.
     """
     x, rho = _as_point(z)
     if f(x) <= rho:

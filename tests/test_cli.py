@@ -547,14 +547,39 @@ def test_main_errors(tmp_path, capsys):
         pytest.param("stopping", "max_iter", 2.7, id="max_iter-fraction"),
         pytest.param("stopping", "max_iter", True, id="max_iter-bool"),
         pytest.param("stopping", "eta", float("nan"), id="eta-nan"),
+        pytest.param("start.grid", "steps", 2.7, id="steps-fraction"),
+        pytest.param("start.grid", "steps", True, id="steps-bool"),
+        pytest.param("start.grid", "lo", "-10", id="lo-string"),
+        pytest.param("start.grid", "lo", float("nan"), id="lo-nan"),
+        pytest.param("start.grid", "hi", float("inf"), id="hi-inf"),
+        pytest.param("start.grid", "lo", -10 ** 400, id="lo-huge-int"),
+        pytest.param("stopping", "tol", 10 ** 400, id="tol-huge-int"),
+        pytest.param("set_a", "a", [10 ** 400], id="affine-a-huge-int"),
+        pytest.param("outputs", "record_at", [True, 5], id="record_at-bool"),
+        pytest.param(None, "dim", True, id="dim-bool"),
+        pytest.param(None, "lift", 1, id="lift-number"),
+        pytest.param(None, "--grid", "nan,1,3", id="grid-flag-nan"),
     ],
 )
 def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, value):
     doc = small_problem(tmp_path, steps=2)
-    (doc if section is None else doc[section])[key] = value
+    flags = []
+    if key.startswith("--"):
+        flags.append(f"{key}={value}")
+    else:
+        if key == "lift":
+            doc["sets"] = [doc.pop("set_a"), doc.pop("set_b")]
+        if key == "dim":
+            # a 1-D problem, so that true (== 1) is its only fault
+            doc.update(set_a={"type": "hyperplane", "normal": [1], "offset": 0},
+                       set_b={"type": "orthant", "dim": 1}, start={"point": [1.0]})
+        target = doc
+        for name in section.split(".") if section else ():
+            target = target[name]
+        target[key] = value
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["--problem", str(path)]) == 2
+    assert cli.main(["--problem", str(path), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.csv").exists()
 

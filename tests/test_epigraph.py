@@ -103,6 +103,74 @@ def test_closed_forms_agree_with_bisection():
             assert abs(p_fast - p_slow) <= 1e-9 * (1 + abs(x))
 
 
+QUADRATICS = (QUAD, d.quadratic(0.5, 1.0, -3.0), d.quadratic(2.0, -3.0, 0.25))
+
+
+def test_quadratic_projection_recovers_exact_roots():
+    # x = p + (f(p) - rho) f'(p) in rationals makes p the exact projection
+    # abscissa of (x, rho); keep the cases where x is a float
+    cases = 0
+    for f in QUADRATICS:
+        q2, q1, q0 = (Fraction(c) for c in f.params)
+        u = Fraction(f.minimizer)
+        for k in [*range(-64, 0), *range(1, 65)]:
+            p = u + Fraction(k, 8)
+            fp = (q2 * p + q1) * p + q0
+            for rho in map(Fraction, (-4, -1, -0.25, 0, 0.5)):
+                x = p + (fp - rho) * (2 * q2 * p + q1)
+                if fp <= rho or Fraction(float(x)) != x:
+                    continue
+                got, _ = d.project_epigraph(f, (float(x), float(rho)))
+                assert abs(got - float(p)) <= 2 * np.spacing(max(abs(float(p)), abs(float(u))))
+                cases += 1
+    assert cases > 1000
+
+
+def test_quadratic_projection_across_magnitudes():
+    mags = np.logspace(-8, 8, 16 * 40 + 1)
+    for f in QUADRATICS:
+        plain = d.custom(f.fn, f.subgrad, f.minimizer)  # routes to bisection
+        u = f.minimizer
+        for m in mags:
+            for x in (m, -m):
+                for rho in (-m, m, -1.0 / m):
+                    if f(x) <= rho:
+                        continue
+                    p, _ = d.project_epigraph(f, (x, rho))
+                    assert min(x, u) <= p <= max(x, u)
+                    p_slow, _ = d.project_epigraph(plain, (x, rho))
+                    assert abs(p - p_slow) <= 1e-9 * (1 + abs(x))
+
+
+@pytest.mark.parametrize("x", [1e103, -1e120, 1e150, 8e153, -1.3e154])
+def test_quadratic_projection_does_not_overflow(x):
+    # for f = x^2 - 1 and rho = 0 the projection equation is 2 p^3 - p = x,
+    # so p is the cube root of x / 2 up to rounding; from |x| of about
+    # 6.7e153 on, f'(x)^2 is beyond the float range while f(x) is not
+    p, fp = d.project_epigraph(QUAD, (x, 0.0))
+    assert p == pytest.approx(math.copysign(abs(x / 2) ** (1 / 3), x), rel=1e-14)
+    assert math.isfinite(fp)
+
+
+def test_quadratic_projection_with_a_huge_leading_coefficient():
+    # f = 1e150 x^2 and rho = 0: 2e300 p^3 + p = 1e5, so p = (5e-296)^(1/3)
+    # to within 1e-100 relative; f'(x)^2 = 4e310 and 2 q2 f(x) = 2e310 at
+    # the start both overflow
+    p, fp = d.project_epigraph(d.quadratic(1e150, 0.0, 0.0), (1e5, 0.0))
+    assert p == pytest.approx(5e-296 ** (1 / 3), rel=1e-14)
+    assert fp == pytest.approx(1e150 * p * p, rel=1e-14)
+
+
+@pytest.mark.parametrize("f, z", [
+    (QUAD, (1e160, 0.0)),  # f(x) overflows
+    (d.quadratic(1.0, 0.0, 0.0), (1e154, -1.7e308)),  # f(x) - rho overflows
+    (d.quadratic(1e308, 0.0, 0.0), (1.0, 0.0)),  # 2 q2 overflows
+])
+def test_quadratic_projection_out_of_float_range_raises(f, z):
+    with pytest.raises(OverflowError):
+        d.project_epigraph(f, z)
+
+
 def test_subgradient_inequality_of_projection():
     rng = np.random.default_rng(23)
     for f in (QUAD, ABS):

@@ -284,6 +284,19 @@ def test_run_overflow_fails_loudly():
                 d.run(set_a, d.Orthant(2), method, z0, d.MaxIter(50))
 
 
+@pytest.mark.parametrize("method", list(d.MethodKind))
+def test_run_norms_equal_numpy_norms(line_orthant, method):
+    set_a, set_b = line_orthant
+    for z0 in ([100.0, -100.0], [-7.5, 3.25], [0.1, 40.0]):
+        trace = d.run(set_a, set_b, method, z0, [d.ExactFixedPoint(), d.MaxIter(300)])
+        assert trace.iterations >= 1
+        for z, a, d_a, d_b in zip(trace.z, trace.a, trace.d_a, trace.d_b):
+            assert d_a == float(np.linalg.norm(z - a))
+            assert d_b == float(np.linalg.norm(z - set_b.project(z)))
+        step = trace.z[-1] - trace.z[-2]
+        assert trace.termination.step_residual == float(np.linalg.norm(step))
+
+
 def test_trace_consistency_invariants(line_orthant):
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.DRA, [-70.0, 30.0], d.ExactFixedPoint())
