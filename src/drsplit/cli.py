@@ -46,6 +46,7 @@ from .sets import (
     Orthant,
     Polygon2D,
     Product,
+    as_rows,
 )
 from .trace import (
     DEFAULT_ETA,
@@ -458,9 +459,13 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     drives the same governing sequence) until both are known or n reaches
     ``max_iter``; a row leaves the batch once it needs no more steps.
 
+    Z is checked once; the projectors take unchecked input, so, as in
+    ``run``, an overflow shows up in the next Z and raises ValueError.
+
     Returns per-row arrays under the names of the SweepRow fields, with
     ``reason`` as an index into _REASONS.
     """
+    Z = as_rows(Z, set_a.dim)
     shadow = _shadow_monitored(method)
     # MAP and MRP rules carry no eta; ``run`` then reports ``exact`` by
     # DEFAULT_ETA
@@ -485,13 +490,13 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     if spingarn:
         lin_a, lin_b, shift = _linearize(set_a, set_b)
         W = Z - shift if shift is not None else Z
-        SA = lin_a.project_rows(W)
+        SA = lin_a._project_rows(W)
         SB = SA - W
     n = 0
     while True:
-        A = set_a.project_rows(Z)
+        A = set_a._project_rows(Z)
         point = A if shadow else Z
-        PB = set_b.project_rows(point)
+        PB = set_b._project_rows(point)
         d = _norms(point - PB)
         for j, m in enumerate(spec.record_at):
             if m == n:
@@ -502,8 +507,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             feasible, fixed = np.zeros_like(running), hit
         else:
             if spec.monitor is Monitor.SHADOW:
-                gap = np.maximum(_norms(A - set_a.project_rows(A)),
-                                 _norms(A - set_b.project_rows(A)))
+                gap = np.maximum(_norms(A - set_a._project_rows(A)),
+                                 _norms(A - set_b._project_rows(A)))
             else:
                 gap = np.maximum(_norms(Z - A), d)
             feasible, fixed = gap < spec.tol, np.zeros_like(running)
@@ -530,19 +535,21 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 return out
 
         if method is MethodKind.MAP:
-            Z_next = set_a.project_rows(PB)
+            Z_next = set_a._project_rows(PB)
         elif method is MethodKind.MRP:
-            Z_next = set_a.project_rows(2.0 * PB - Z)
+            Z_next = set_a._project_rows(2.0 * PB - Z)
         else:
-            Z_next = Z - A + set_b.project_rows(2.0 * A - Z)
+            Z_next = Z - A + set_b._project_rows(2.0 * A - Z)
             if spingarn and running.any():
                 S = SA + SB
-                a_mid = lin_b.project_rows(S)
+                a_mid = lin_b._project_rows(S)
                 b_mid = S - a_mid
-                SA = lin_a.project_rows(a_mid)
-                SB = b_mid - lin_a.project_rows(b_mid)
+                SA = lin_a._project_rows(a_mid)
+                SB = b_mid - lin_a._project_rows(b_mid)
                 Z_pair = SA - SB if shift is None else SA - SB + shift
                 Z_next = np.where(running[:, None], Z_pair, Z_next)
+        if not np.isfinite(Z_next).all():
+            raise ValueError("vector coordinates must be finite")
         hit = _norms(Z_next - Z) <= eta * (1.0 + _norms(Z))
         Z = Z_next
         n += 1

@@ -15,6 +15,8 @@ from dataclasses import replace
 from enum import Enum
 from typing import NamedTuple, Tuple
 
+import numpy as np
+
 from .functions import ConvexFunction1D, FunctionKind, absshift, quadratic
 from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, ExactFixedPoint, IterationTrace, MaxIter
 
@@ -23,7 +25,10 @@ from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, ExactFixedPoint, IterationTrac
 BOUNDARY_TIE = 1e-14
 
 _BISECT_TOL = 1e-12
-_BISECT_MAX_STEPS = 200
+# a finite bracket is narrower than 2^1025 and _BISECT_TOL is above 2^-40,
+# so halving reaches the tolerance, or adjacent floats, within about 1,065
+# steps; the cap only guards against a loop that does not halve
+_BISECT_MAX_STEPS = 1100
 
 
 class NoConvergenceError(RuntimeError):
@@ -149,6 +154,42 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
         p = p_next
 
 
+def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray,
+                               rho: np.ndarray) -> np.ndarray:
+    """``_quadratic_projection`` on arrays of points with f(x) > rho and
+    x != u: the same Newton steps in the same elementwise arithmetic, so
+    each entry has the bits of the scalar rule.  All entries step in
+    lockstep, and each leaves at its own first step that does not move
+    strictly toward u."""
+    q2 = f.params[0]
+    if q2 == 0.0:
+        return x.copy()
+    side = np.where(x > f.minimizer, 1.0, -1.0)
+    k = np.maximum(np.maximum(0, np.frexp(f.subgrad(x))[1]),
+                   (np.frexp(q2)[1] + np.frexp(f(x) - rho)[1]) // 2)
+    inv = np.ldexp(1.0, -k)
+    out = np.empty_like(x)
+    live = np.arange(x.size)  # index into ``out`` of each entry still stepping
+    p = x
+    while live.size:
+        # an overflow here is silent, as in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess = f(p) - rho
+            slope = f.subgrad(p) * inv
+            dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
+            p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
+        moved = side * (p - p_next) > 0
+        bad = ~moved & ~np.isfinite(dg)
+        if bad.any():
+            j = np.flatnonzero(bad)[0]
+            raise OverflowError(f"projecting ({float(x[j])!r}, {float(rho[j])!r}) overflows")
+        out[live[~moved]] = p[~moved]
+        live, p, x, rho, side, inv = (
+            v[moved] for v in (live, p_next, x, rho, side, inv)
+        )
+    return out
+
+
 def _absshift_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
     """Closed-form projection abscissa for f = alpha|x| + beta: project
     onto the active branch line, clamped at the kink."""
@@ -157,6 +198,15 @@ def _absshift_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
     if x >= 0:
         return max((x + alpha * (rho - beta)) / denom, 0.0)
     return min((x - alpha * (rho - beta)) / denom, 0.0)
+
+
+def _absshift_projection_rows(f: ConvexFunction1D, x: np.ndarray,
+                              rho: np.ndarray) -> np.ndarray:
+    """``_absshift_projection`` on arrays, entry by entry."""
+    alpha, beta = f.params
+    denom = 1.0 + alpha * alpha
+    return np.where(x >= 0, np.maximum((x + alpha * (rho - beta)) / denom, 0.0),
+                    np.minimum((x - alpha * (rho - beta)) / denom, 0.0))
 
 
 def project_epigraph(f: ConvexFunction1D, z) -> Tuple[float, float]:

@@ -2,13 +2,17 @@
 
 Every descriptor knows its ambient dimension and provides ``project``,
 ``reflect`` (2 P - Id) and ``distance``, plus ``project_rows`` for a stack
-of points, one per row.  All projectors are nearest-point maps computed in
-closed form; none runs an inner optimization loop.  All operations are pure
-functions of immutable inputs.
+of points, one per row.  All projectors are exact nearest-point maps,
+in closed form except ``Epigraph1D``, which finds the boundary abscissa by
+Newton's method (quadratics) or bisection (custom functions).  All
+operations are pure functions of immutable inputs.
 
 Row-wise projectors use elementwise arithmetic only, never a matrix
 product over the stack, so each row's result is the same bits whichever
-other rows share the stack.
+other rows share the stack.  Every descriptor projects a stack at once
+except an epigraph of a custom function, whose ``fn`` and ``subgrad`` take
+one float, so its rows are projected one by one.  Polygon and epigraph
+rows have the bits of ``project`` on that row.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import epigraph as _epigraph
-from .functions import ConvexFunction1D
+from .functions import ConvexFunction1D, FunctionKind
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -69,7 +73,7 @@ class ConvexSet:
         raise NotImplementedError
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # descriptors without a row-wise closed form project row by row
+        # row by row; only an epigraph of a custom function still needs this
         out = np.empty((X.shape[0], self.dim))
         for i, x in enumerate(X):
             out[i] = self._project(x)
@@ -289,6 +293,25 @@ class Polygon2D(ConvexSet):
         dists = np.einsum("ij,ij->i", candidates - x, candidates - x)
         return candidates[int(np.argmin(dists))]
 
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        # ``_project`` over an (N, edges) array; its einsum sums start from
+        # +0.0, which turns a -0.0 sum into +0.0, and so does ``+ 0.0``
+        v, e = self.vertices, self._edges
+        rel_x = X[:, :1] - v[:, 0]
+        rel_y = X[:, 1:] - v[:, 1]
+        inside = (e[:, 0] * rel_y - e[:, 1] * rel_x >= 0.0).all(axis=1)
+        t = rel_x * e[:, 0] + rel_y * e[:, 1] + 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.clip(np.where(self._edge_sq > 0, t / self._edge_sq, 0.0), 0.0, 1.0)
+        cand_x = v[:, 0] + t * e[:, 0]
+        cand_y = v[:, 1] + t * e[:, 1]
+        dx, dy = cand_x - X[:, :1], cand_y - X[:, 1:]
+        k = np.argmin(dx * dx + dy * dy, axis=1)
+        rows = np.arange(X.shape[0])
+        out = np.stack([cand_x[rows, k], cand_y[rows, k]], axis=1)
+        out[inside] = X[inside]
+        return out
+
 
 class Epigraph1D(ConvexSet):
     """{(x, rho) : f(x) <= rho} for a scalar convex f."""
@@ -300,6 +323,26 @@ class Epigraph1D(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(_epigraph.project_epigraph(self.f, (x[0], x[1])))
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        # ``project_epigraph`` on every row at once
+        f = self.f
+        if f.kind is FunctionKind.CUSTOM:
+            return super()._project_rows(X)
+        if not np.isfinite(X).all():
+            raise ValueError("epigraph points must have finite coordinates")
+        i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
+        x, rho = X[i, 0], X[i, 1]
+        p = x.copy()
+        move = x != f.minimizer
+        if f.kind is FunctionKind.QUADRATIC:
+            p[move] = _epigraph._quadratic_projection_rows(f, x[move], rho[move])
+        else:
+            p[move] = _epigraph._absshift_projection_rows(f, x[move], rho[move])
+        out = X.copy()
+        out[i, 0] = p
+        out[i, 1] = f(p)
+        return out
 
 
 class Diagonal(ConvexSet):

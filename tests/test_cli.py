@@ -335,13 +335,16 @@ def oracle_problems(tmp_path):
                              start={"grid": {"lo": -10, "hi": 10, "steps": 5}})
     epigraph["set_a"] = {"type": "hyperplane", "normal": [0, 1], "offset": 0}
     epigraph["set_b"] = {"type": "epigraph", "f": "quadratic(1,0,-1)"}
+    epigraph_abs = dict(epigraph, set_b={"type": "epigraph", "f": "absshift(1,-1)"})
+    epigraph_quad = dict(epigraph, set_b={"type": "epigraph", "f": "quadratic(0.5,1,-3)"})
     # x + 5y = -6 misses the orthant: every run meets the cap, and MAP's
     # steps shrink until the exact test passes at its last one
     infeasible = small_problem(tmp_path, steps=3, methods=ALL_METHODS)
     infeasible["set_a"]["a"] = [-6]
     infeasible["stopping"]["max_iter"] = 200
     return {"line": line, "shadow": shadow, "capped": capped,
-            "infeasible": infeasible, "lifted": lifted, "epigraph": epigraph}
+            "infeasible": infeasible, "lifted": lifted, "epigraph": epigraph,
+            "epigraph_abs": epigraph_abs, "epigraph_quad": epigraph_quad}
 
 
 def assert_rows_match(rows, expected, rtol):
@@ -357,7 +360,8 @@ def assert_rows_match(rows, expected, rtol):
 
 
 @pytest.mark.parametrize(
-    "name", ["line", "shadow", "capped", "infeasible", "lifted", "epigraph"]
+    "name", ["line", "shadow", "capped", "infeasible", "lifted", "epigraph",
+             "epigraph_abs", "epigraph_quad"]
 )
 def test_sweep_matches_reference_sweep(tmp_path, name):
     spec = cli.parse_problem(json.dumps(oracle_problems(tmp_path)[name]))
@@ -374,7 +378,9 @@ def test_sweep_matches_reference_sweep(tmp_path, name):
         assert all(np.isnan(r.d_b_at[2]) and not np.isnan(r.d_b_at[1]) for r in rows)
 
 
-@pytest.mark.parametrize("name", ["line", "lifted", "epigraph"])
+@pytest.mark.parametrize(
+    "name", ["line", "lifted", "epigraph", "epigraph_abs", "epigraph_quad"]
+)
 def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
     doc = oracle_problems(tmp_path)[name]
     spec = cli.parse_problem(json.dumps(doc))
@@ -384,6 +390,18 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
         doc["start"] = {"point": z0.tolist()}
         alone = cli.sweep(cli.parse_problem(json.dumps(doc)))
         assert_rows_match(rows[k * by_start : (k + 1) * by_start], alone, rtol=0)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_sweep_overflow_fails_loudly(tmp_path, method):
+    # starts near the largest float: the line's projector or the step
+    # overflows within the first steps
+    doc = small_problem(tmp_path, steps=3, methods=[method],
+                        start={"grid": {"lo": -1.7e308, "hi": 1.7e308, "steps": 3}})
+    spec = cli.parse_problem(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="vector coordinates must be finite"):
+            cli.sweep(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,16 @@ def test_invalid_subgradient_selection_raises():
         d.project_epigraph(bad, (3.0, -2.0))
 
 
+@pytest.mark.parametrize("x", [1e100, 1e120])
+def test_bisection_projection_of_huge_points(x):
+    # halving [0, x] down to the 1e-12 tolerance or to adjacent floats near
+    # p = (x / 2)^(1/3) takes about 280 (1e100) and 320 (1e120) steps
+    plain = d.custom(QUAD.fn, QUAD.subgrad, QUAD.minimizer)
+    p, _ = d.project_epigraph(plain, (x, 0.0))
+    p_newton, _ = d.project_epigraph(QUAD, (x, 0.0))
+    assert abs(p - p_newton) <= 1e-9 * (1 + abs(p_newton))
+
+
 # ---------------------------------------------------------------------------
 # region classification
 

@@ -241,6 +241,64 @@ def test_project_rows_rejects_bad_input(s):
         s.project_rows(np.zeros(s.dim))
 
 
+def _signed_magnitudes():
+    m = np.logspace(-8, 8, 17)
+    return np.concatenate([-m[::-1], [-0.0, 0.0], m])
+
+
+def _polygon_probes(vertices):
+    """Vertices, edge midpoints, the integer grid (where the nearest
+    candidates of two edges tie) and far points, and their negatives (so
+    that -0.0 coordinates occur)."""
+    v = np.asarray(vertices, float)
+    mids = 0.5 * (v + np.roll(v, -1, axis=0))
+    grid = np.stack(np.meshgrid(np.arange(-12.0, 13.0), np.arange(-12.0, 13.0)), -1)
+    ring = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1]])
+    X = np.concatenate([v, mids, grid.reshape(-1, 2), 1e8 * ring, 1e8 * ring + 3.0])
+    return np.concatenate([X, -X])
+
+
+def _epigraph_probes(f):
+    """Points on the graph of f, inside and outside its epigraph, at x == u
+    and at magnitudes from 1e-8 to 1e8."""
+    xs = np.append(_signed_magnitudes(), f.minimizer)
+    return np.array([(x, f(x) + r) for x in xs for r in _signed_magnitudes()])
+
+
+BIT_CASES = [
+    ("desk", d.Polygon2D(DESK_POLYGON)),
+    # (-0.0, -1.0) projects onto the -0.0 vertex, whose y sign then follows
+    # the sign of the edge parameter t, +0.0 in ``project``
+    ("zero_edge", d.Polygon2D([(0.0, -0.0), (4, 0), (4, 0), (4, 3), (0, 3)])),
+    ("quad", d.Epigraph1D(d.quadratic(1, 0, -1))),
+    ("quad_shifted", d.Epigraph1D(d.quadratic(0.5, 1, -3))),
+    ("constant", d.Epigraph1D(d.quadratic(0, 0, -1))),
+    ("absshift", d.Epigraph1D(d.absshift(1, -1))),
+]
+
+
+@pytest.mark.parametrize("s", [pytest.param(s, id=name) for name, s in BIT_CASES])
+def test_project_rows_bits_equal_project(s):
+    if isinstance(s, d.Polygon2D):
+        X = _polygon_probes(s.vertices)
+    else:
+        X = _epigraph_probes(s.f)
+    rows = s.project_rows(X)
+    for x, row in zip(X, rows):
+        assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
+
+
+@pytest.mark.parametrize("f, z", [
+    (d.quadratic(1.0, 0.0, -1.0), (1e160, 0.0)),
+    (d.quadratic(1.0, 0.0, 0.0), (1e154, -1.7e308)),
+    (d.quadratic(1e308, 0.0, 0.0), (1.0, 0.0)),
+])
+def test_project_rows_out_of_float_range_raises(f, z):
+    # the inputs of the scalar rule's test, among rows that project normally
+    with pytest.raises(OverflowError):
+        d.Epigraph1D(f).project_rows([(0.0, 5.0), z, (3.0, -2.0)])
+
+
 def test_reflector_involution_on_affine_classes():
     rng = np.random.default_rng(13)
     for name, s in descriptor_zoo():
