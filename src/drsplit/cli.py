@@ -3,9 +3,11 @@
 A problem file is a JSON document pairing two set descriptors (or a list of
 sets to lift) with methods, a start (single point or square grid), stopping
 parameters, and output paths.  Sweeps run every declared method from every
-start, stepping all starts of a method together, and emit one CSV row per
-(start, method), with deterministic float formatting (17 significant
-digits) and fixed row order: row-major grid, method order as declared.
+start, stepping all starts of a method together as one (N, dim) array, and
+build one row per (start, method) from the result columns.  The CSV has a
+fixed row order (row-major grid, method order as declared) and writes each
+line with one format string, floats with 17 significant digits, so equal
+specs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -426,11 +428,12 @@ def _resolve_sets(spec: ProblemSpec):
     return spec.set_a, spec.set_b, None
 
 
-def _starts(spec: ProblemSpec):
+def _starts(spec: ProblemSpec) -> np.ndarray:
+    """The starts as one (N, dim) array, a grid's in row-major order."""
     if spec.grid is None:
-        return [np.asarray(spec.start_point, dtype=float)]
+        return np.asarray(spec.start_point, dtype=float).reshape(1, -1)
     axis = np.linspace(spec.grid.lo, spec.grid.hi, spec.grid.steps)
-    return [np.array([x, y]) for x in axis for y in axis]
+    return np.column_stack((np.repeat(axis, axis.size), np.tile(axis, axis.size)))
 
 
 def _rules_for(method: MethodKind, spec: ProblemSpec):
@@ -558,31 +561,29 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
 def sweep(spec: ProblemSpec) -> list:
     """Run every method from every start point and return the rows.
 
-    Rows that hit the iteration cap are flagged by their termination
-    reason, never dropped.
+    Each method steps the whole start stack at once; lifted final points
+    are restricted to their mean blocks in one array operation, and each
+    result column becomes Python values once.  Rows that hit the
+    iteration cap are flagged by their termination reason, never dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
-    embed = lp.embed if lp is not None else (lambda x: x)
-    restrict = lp.restrict if lp is not None else (lambda x: x)
     starts = _starts(spec)
-    Z = np.array([embed(z0) for z0 in starts])
-    rows = []
-    results = [(m, _sweep_method(set_a, set_b, m, Z, spec)) for m in spec.methods]
-    for i, z0 in enumerate(starts):
-        for method, res in results:
-            rows.append(
-                SweepRow(
-                    z0=z0,
-                    method=method,
-                    iterations=int(res["iterations"][i]),
-                    exact=bool(res["exact"][i]),
-                    final=restrict(res["final"][i]),
-                    d_b_at=tuple(res["d_b_at"][i].tolist()),
-                    first_n=tuple(res["first_n"][i].tolist()),
-                    reason=_REASONS[res["reason"][i]],
-                )
-            )
-    return rows
+    Z = starts if lp is None else np.tile(starts, (1, lp.copies))
+    columns = []
+    for method in spec.methods:
+        res = _sweep_method(set_a, set_b, method, Z, spec)
+        final = res["final"]
+        if lp is not None:
+            final = final.reshape(len(starts), lp.copies, lp.base_dim).mean(axis=1)
+        columns.append((method, res["iterations"].tolist(), res["exact"].tolist(),
+                        final, res["d_b_at"].tolist(), res["first_n"].tolist(),
+                        [_REASONS[k] for k in res["reason"].tolist()]))
+    return [
+        SweepRow(z0, method, iterations[i], exact[i], final[i], tuple(d_b_at[i]),
+                 tuple(first_n[i]), reason[i])
+        for i, z0 in enumerate(starts)
+        for method, iterations, exact, final, d_b_at, first_n, reason in columns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -605,41 +606,39 @@ def csv_header(dim: int, record_at: Sequence[int]) -> str:
 
 
 def emit_csv(rows: Sequence[SweepRow], path, record_at: Sequence[int]) -> None:
-    """Write one line per row under the fixed header; floats carry 17
-    significant digits so identical specs yield byte-identical files."""
+    """Write one line per row under the fixed header, each as one ``%``
+    format; floats carry 17 significant digits (``%.17g`` prints as
+    ``format(v, '.17g')``, nan and -0 included), so identical specs yield
+    byte-identical files."""
     if not rows:
         raise ValueError("no rows to write")
     dim = len(rows[0].z0)
+    fmt = ",".join(["%.17g"] * dim + ["%s,%d,%s"] + ["%.17g"] * (dim + len(record_at))
+                   + ["%d"] * len(FIRST_N_TOLS) + ["%s"])
     lines = [csv_header(dim, record_at)]
-    for row in rows:
-        cells = [_fmt(c) for c in row.z0]
-        cells += [row.method.value, str(row.iterations),
-                  "true" if row.exact else "false"]
-        cells += [_fmt(c) for c in row.final]
-        cells += [_fmt(d) for d in row.d_b_at]
-        cells += [str(n) for n in row.first_n]
-        cells.append(row.reason.value)
-        lines.append(",".join(cells))
+    lines += [
+        fmt % (*row.z0, row.method.value, row.iterations,
+               "true" if row.exact else "false", *row.final, *row.d_b_at,
+               *row.first_n, row.reason.value)
+        for row in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def emit_trace(traces: dict, path) -> None:
     """Write per-iterate data (z, a, r, P_B r, distances) of a
-    {method: trace} dict, in its order."""
+    {method: trace} dict, in its order, one ``%`` format per line."""
     dim = next(iter(traces.values())).z[0].shape[0]
     cols = ["n", "method"]
     for prefix in ("z", "a", "r", "pbr"):
         cols += _coord_names(prefix, dim)
     cols += ["d_A", "d_B"]
+    fmt = ",".join(["%d,%s"] + ["%.17g"] * (4 * dim + 2))
     lines = [",".join(cols)]
-    for method, trace in traces.items():
-        for k, n in enumerate(trace.steps):
-            cells = [str(n), method.value]
-            for seq in (trace.z, trace.a, trace.r, trace.pbr):
-                cells += [_fmt(c) for c in seq[k]]
-            cells += [_fmt(trace.d_a[k]), _fmt(trace.d_b[k])]
-            lines.append(",".join(cells))
+    for method, t in traces.items():
+        lines += [fmt % (n, method.value, *t.z[k], *t.a[k], *t.r[k], *t.pbr[k],
+                         t.d_a[k], t.d_b[k]) for k, n in enumerate(t.steps)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -127,8 +127,11 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
     root in the bracket, and g' > 0 there.  Newton from x therefore moves
     monotonically toward u onto that root without leaving the bracket
     (Fourier's condition); the first step that does not move strictly
-    toward u ends the loop.  Raises OverflowError where f(x) - rho, f'(x)
-    or 2 q2 is beyond the float range.
+    toward u ends the loop.  When rho lies far below f(x) the first step
+    lands within rounding of u and can pass it, so a step that would cross
+    u stops at u, and the next step, which moves back toward x, ends the
+    loop there.  Raises OverflowError where f(x) - rho, f'(x) or 2 q2 is
+    beyond the float range.
     """
     q2 = f.params[0]
     if q2 == 0.0:
@@ -147,6 +150,8 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
         slope = f.subgrad(p) * inv
         dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
         p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
+        if side * (p_next - f.minimizer) < 0:
+            p_next = f.minimizer
         if not side * (p - p_next) > 0:
             if not math.isfinite(dg):  # then the first step is 0 or NaN
                 raise OverflowError(f"projecting ({x!r}, {rho!r}) overflows")
@@ -157,10 +162,10 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
 def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray,
                                rho: np.ndarray) -> np.ndarray:
     """``_quadratic_projection`` on arrays of points with f(x) > rho and
-    x != u: the same Newton steps in the same elementwise arithmetic, so
-    each entry has the bits of the scalar rule.  All entries step in
-    lockstep, and each leaves at its own first step that does not move
-    strictly toward u."""
+    x != u: the same Newton steps in the same elementwise arithmetic, and
+    the same stop at u, so each entry has the bits of the scalar rule.  All
+    entries step in lockstep, and each leaves at its own first step that
+    does not move strictly toward u."""
     q2 = f.params[0]
     if q2 == 0.0:
         return x.copy()
@@ -178,6 +183,7 @@ def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray,
             slope = f.subgrad(p) * inv
             dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
             p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
+            p_next = np.where(side * (p_next - f.minimizer) < 0, f.minimizer, p_next)
         moved = side * (p - p_next) > 0
         bad = ~moved & ~np.isfinite(dg)
         if bad.any():

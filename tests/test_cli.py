@@ -456,6 +456,83 @@ def test_emit_csv_rejects_empty(tmp_path):
         cli.emit_csv([], tmp_path / "x.csv", [])
 
 
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def per_cell_csv(rows, record_at):
+    """The CSV as written one ``_fmt`` call per float cell."""
+    lines = [cli.csv_header(len(rows[0].z0), record_at)]
+    for row in rows:
+        cells = [_fmt(c) for c in row.z0]
+        cells += [row.method.value, str(row.iterations),
+                  "true" if row.exact else "false"]
+        cells += [_fmt(c) for c in row.final]
+        cells += [_fmt(v) for v in row.d_b_at]
+        cells += [str(n) for n in row.first_n]
+        cells.append(row.reason.value)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_trace(traces):
+    """The trace CSV as written one ``_fmt`` call per float cell."""
+    dim = next(iter(traces.values())).z[0].shape[0]
+    cols = ["n", "method"]
+    for prefix in ("z", "a", "r", "pbr"):
+        cols += cli._coord_names(prefix, dim)
+    lines = [",".join(cols + ["d_A", "d_B"])]
+    for method, trace in traces.items():
+        for k, n in enumerate(trace.steps):
+            cells = [str(n), method.value]
+            for seq in (trace.z, trace.a, trace.r, trace.pbr):
+                cells += [_fmt(c) for c in seq[k]]
+            cells += [_fmt(trace.d_a[k]), _fmt(trace.d_b[k])]
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-300, 3 / 13, -1e-5, 123456789.125]
+
+
+@pytest.mark.parametrize("dim, record_at", [(2, [5, 10, 200]), (3, [0]), (2, [])])
+def test_emit_csv_matches_per_cell_writer(tmp_path, dim, record_at):
+    def cells(start, n):
+        return [EDGE_FLOATS[(start + j) % len(EDGE_FLOATS)] for j in range(n)]
+
+    rows = []
+    for k, method in enumerate(d.MethodKind):
+        for j, first_n in enumerate([(3, 17), (0, cli.NOT_REACHED),
+                                     (cli.NOT_REACHED, cli.NOT_REACHED)]):
+            i = 3 * k + j
+            rows.append(cli.SweepRow(
+                z0=np.array(cells(i, dim)), method=method, iterations=1000 * i,
+                exact=bool(i % 2), final=np.array(cells(i + 5, dim)),
+                # an index in record_at past the cap has no distance: nan
+                d_b_at=tuple(float("nan") if n > 100 else v
+                             for n, v in zip(record_at, cells(i + 7, len(record_at)))),
+                first_n=first_n, reason=list(d.Reason)[i % len(d.Reason)],
+            ))
+    out = tmp_path / "rows.csv"
+    cli.emit_csv(rows, out, record_at)
+    assert out.read_bytes() == per_cell_csv(rows, record_at).encode()
+
+
+@pytest.mark.parametrize("name", ["line", "lifted"])
+def test_emit_trace_matches_per_cell_writer(tmp_path, name):
+    doc = oracle_problems(tmp_path)[name]
+    doc["start"] = {"point": [100.0, -100.0] if name == "line" else [7.5, -3.25]}
+    spec = cli.parse_problem(json.dumps(doc))
+    set_a, set_b, lp = cli._resolve_sets(spec)
+    z0 = spec.start_point if lp is None else lp.embed(spec.start_point)
+    traces = {m: d.run(set_a, set_b, m, z0, cli._rules_for(m, spec))
+              for m in (d.MethodKind.DRA, d.MethodKind.MAP, d.MethodKind.MRP)}
+    out = tmp_path / "trace.csv"
+    cli.emit_trace(traces, out)
+    assert out.read_bytes() == per_cell_trace(traces).encode()
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -611,3 +688,56 @@ def test_reference_sweep_csv_is_golden(tmp_path):
     assert cli.main(["--problem", str(path), "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "45071547f81a729afcb6089daffe1f67cf1a744ca3265cef5e91ffb22c751901"
+
+
+def test_batched_restriction_equals_restrict(tmp_path):
+    # sweep restricts every lifted final point at once, as the mean over
+    # the copies axis of the (N, copies, base_dim) stack; int64 views make
+    # the sign of zero count.  Converged rows end on the diagonal, where
+    # every block is the mean; a cap of 3 leaves DRA and SPINGARN rows off it
+    doc = oracle_problems(tmp_path)["lifted"]
+    capped = json.loads(json.dumps(doc))
+    capped["stopping"]["max_iter"] = 3
+    lp = d.lift(cli.parse_problem(json.dumps(doc)).lift_sets)
+    for spec in map(cli.parse_problem, map(json.dumps, (doc, capped))):
+        rows = cli.sweep(spec)
+        Z = np.array([lp.embed(z0) for z0 in cli._starts(spec)])
+        for k, method in enumerate(spec.methods):
+            final = cli._sweep_method(lp.set_a, lp.set_b, method, Z, spec)["final"]
+            for row, F in zip(rows[k::len(spec.methods)], final):
+                assert row.method is method
+                assert np.array_equal(row.final.view(np.int64), lp.restrict(F).view(np.int64))
+    rng = np.random.default_rng(61)
+    F = rng.choice([-1.0, 1.0], (5000, 10)) * 10.0 ** rng.uniform(-8, 8, (5000, 10))
+    F[::7, 3] = -0.0
+    batched = F.reshape(len(F), lp.copies, lp.base_dim).mean(axis=1)
+    for got, row in zip(batched, F):
+        assert np.array_equal(got.view(np.int64), lp.restrict(row).view(np.int64))
+
+
+BENCHMARK_SWEEPS = {
+    # the 21x21 sweeps of perfbench/problems/epigraph.json and lifted.json;
+    # SHA-256 of their CSVs, recorded on x86_64 with numpy 2.4
+    "epigraph": ({"set_a": {"type": "hyperplane", "normal": [0, 1], "offset": 0},
+                  "set_b": {"type": "epigraph", "f": "quadratic(1,0,-1)"}},
+                 "a1b650e4212d830c179ddcda97b607df635496b45e2e340f2176c5d753bf9afa"),
+    "lifted": ({"sets": LIFTED_SETS, "lift": True},
+               "3fdff3c7715a9a72c9fb7d802223fa71110a8f5e826f1bd8e8748ee8530a0ce3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SWEEPS))
+def test_benchmark_sweep_csv_is_golden(tmp_path, name):
+    sets, digest = BENCHMARK_SWEEPS[name]
+    doc = {
+        "dim": 2,
+        **sets,
+        "methods": ["DRA", "MAP", "MRP"],
+        "start": {"grid": {"lo": -10, "hi": 10, "steps": 21}},
+        "stopping": {"eta": 1e-14, "tol": 1e-4, "monitor": "iterate", "max_iter": 100000},
+        "outputs": {"record_at": [5, 10]},
+    }
+    spec = cli.parse_problem(json.dumps(doc))
+    out = tmp_path / f"{name}.csv"
+    cli.emit_csv(cli.sweep(spec), out, spec.record_at)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

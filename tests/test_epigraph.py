@@ -171,6 +171,39 @@ def test_quadratic_projection_out_of_float_range_raises(f, z):
         d.project_epigraph(f, z)
 
 
+@pytest.mark.parametrize("x, rho", [(0.01, -1e44), (-1e120, -1e300)])
+def test_quadratic_projection_stops_at_the_minimizer(x, rho):
+    # rho far below f(x): the first Newton step is nearly u - x and used to
+    # round past u = 0, to -1.7e-18 and +1.4e104 respectively
+    p, _ = d.project_epigraph(QUAD, (x, rho))
+    assert min(x, QUAD.minimizer) <= p <= max(x, QUAD.minimizer)
+    plain = d.custom(QUAD.fn, QUAD.subgrad, QUAD.minimizer)  # routes to bisection
+    p_slow, _ = d.project_epigraph(plain, (x, rho))
+    assert abs(p - p_slow) <= 1e-9 * (1 + abs(x))
+    row = d.Epigraph1D(QUAD).project_rows([(x, rho)])[0]
+    assert np.array_equal(row.view(np.int64),
+                          np.array(d.project_epigraph(QUAD, (x, rho))).view(np.int64))
+
+
+def test_quadratic_projection_stays_in_the_bracket_far_below_the_graph():
+    # one point per decade of |x| in [1e-2, 1e158] against one per decade of
+    # -rho in [1e-2, 1e304]; points whose f(x) - rho overflows raise
+    # OverflowError (see above) and are left out
+    m = np.logspace(-2, 158, 161)
+    X, R = (a.ravel() for a in np.meshgrid(np.concatenate([m, -m]),
+                                           -np.logspace(-2, 304, 307), indexing="ij"))
+    with np.errstate(over="ignore"):
+        keep = (QUAD(X) > R) & np.isfinite(QUAD(X) - R)
+    X, R = X[keep], R[keep]
+    P = d.Epigraph1D(QUAD).project_rows(np.column_stack((X, R)))[:, 0]
+    u = QUAD.minimizer
+    outside = ~((np.minimum(X, u) <= P) & (P <= np.maximum(X, u)))
+    assert not outside.any(), np.column_stack((X, R))[outside][:5]
+    for k in range(0, len(X), 97):
+        p, _ = d.project_epigraph(QUAD, (X[k], R[k]))
+        assert np.float64(p).view(np.int64) == P[k].view(np.int64)
+
+
 def test_subgradient_inequality_of_projection():
     rng = np.random.default_rng(23)
     for f in (QUAD, ABS):
