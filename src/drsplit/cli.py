@@ -121,6 +121,9 @@ def set_from_config(cfg: dict, ambient_dim: Optional[int] = None) -> ConvexSet:
     for key in fields:
         if key not in cfg:
             raise ParseError(f"missing key for {kind!r} descriptor", fieldname=key)
+    if kind in ("orthant", "diagonal"):
+        for key in fields:
+            _checked(cfg[key], int, f"{kind}.{key}")
     if kind == "epigraph":
         args = [function_from_name(cfg["f"])]
     elif kind == "product":
@@ -708,9 +711,14 @@ def _apply_overrides(doc: dict, args) -> dict:
 
 def _run_witness(args) -> int:
     family = WitnessFamily(args.witness)
-    eps_list = [float(e) for e in (args.eps or "0.1,0.01,0.001").split(",")]
     lines = ["family,eps,step_residual,fix_distance"]
-    for eps in eps_list:
+    for text in (args.eps or "0.1,0.01,0.001").split(","):
+        try:
+            eps = float(text)
+        except ValueError:
+            eps = math.nan
+        if not 0.0 < eps < math.inf:
+            raise ValidationError(f"--eps expects finite positive numbers, got {text!r}")
         step_residual, fix_distance = luque_witness(family, eps)
         lines.append(
             f"{family.value},{_fmt(eps)},{_fmt(step_residual)},{_fmt(fix_distance)}"

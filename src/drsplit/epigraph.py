@@ -170,14 +170,15 @@ def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray,
     if q2 == 0.0:
         return x.copy()
     side = np.where(x > f.minimizer, 1.0, -1.0)
-    k = np.maximum(np.maximum(0, np.frexp(f.subgrad(x))[1]),
-                   (np.frexp(q2)[1] + np.frexp(f(x) - rho)[1]) // 2)
+    # an overflow in f or in a step is silent, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.maximum(np.maximum(0, np.frexp(f.subgrad(x))[1]),
+                       (np.frexp(q2)[1] + np.frexp(f(x) - rho)[1]) // 2)
     inv = np.ldexp(1.0, -k)
     out = np.empty_like(x)
     live = np.arange(x.size)  # index into ``out`` of each entry still stepping
     p = x
     while live.size:
-        # an overflow here is silent, as in Python float arithmetic
         with np.errstate(over="ignore", invalid="ignore"):
             excess = f(p) - rho
             slope = f.subgrad(p) * inv

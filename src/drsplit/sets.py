@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
@@ -99,6 +98,20 @@ class ConvexSet:
         return self.distance(x) <= tol
 
 
+def _cho_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve (C C^T) X = B for a lower-triangular C with a positive
+    diagonal: forward substitution, then back substitution.  Each pivot is
+    applied as a product with its reciprocal, as LAPACK's potrs does."""
+    inv = 1.0 / np.diag(C)
+    X = np.array(B, dtype=float)
+    m = C.shape[0]
+    for k in range(m):
+        X[k] = (X[k] - C[k, :k] @ X[:k]) * inv[k]
+    for k in reversed(range(m)):
+        X[k] = (X[k] - C[k + 1:, k] @ X[k + 1:]) * inv[k]
+    return X
+
+
 class Affine(ConvexSet):
     """{x : L x = a} for a full-row-rank matrix L.
 
@@ -118,10 +131,10 @@ class Affine(ConvexSet):
         gram = L @ L.T
         scale = float(np.sum(L * L))
         try:
-            chol = cho_factor(gram, lower=True)
+            C = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as e:
             raise RankDeficientError("L L^T is not positive definite") from e
-        pivots = np.diag(chol[0]) ** 2
+        pivots = np.diag(C) ** 2
         if scale == 0.0 or np.min(pivots) < RANK_TOL * scale:
             raise RankDeficientError(
                 f"Gram pivot {np.min(pivots):.3e} below {RANK_TOL:.0e} * ||L||^2"
@@ -130,9 +143,9 @@ class Affine(ConvexSet):
         self.a = a
         self.dim = L.shape[1]
         # cache the affine form P x + q of the projector
-        w = cho_solve(chol, L)
+        w = _cho_solve(C, L)
         self._P = np.eye(self.dim) - L.T @ w
-        self._q = L.T @ cho_solve(chol, a)
+        self._q = L.T @ _cho_solve(C, a)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return self._P @ x + self._q
@@ -331,7 +344,9 @@ class Epigraph1D(ConvexSet):
             return super()._project_rows(X)
         if not np.isfinite(X).all():
             raise ValueError("epigraph points must have finite coordinates")
-        i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
+        # an overflow in f is silent, as in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
         x, rho = X[i, 0], X[i, 1]
         p = x.copy()
         move = x != f.minimizer

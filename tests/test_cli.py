@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +552,23 @@ def test_main_witness_mode(capsys):
     assert float(cells[3]) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", ["abc", "-1", "0", "inf", "nan", "0.1,-1"])
+def test_main_witness_rejects_a_bad_eps(capsys, eps):
+    assert cli.main(["--witness", "quadratic", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the package loads
+    src = Path(d.__file__).resolve().parent.parent
+    code = "import sys, drsplit, drsplit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"
+
+
 def test_main_runs_problem_file(tmp_path, capsys):
     doc = small_problem(tmp_path, steps=3)
     path = tmp_path / "prob.json"
@@ -654,6 +675,10 @@ def test_main_errors(tmp_path, capsys):
         pytest.param(None, "dim", True, id="dim-bool"),
         pytest.param(None, "lift", 1, id="lift-number"),
         pytest.param(None, "--grid", "nan,1,3", id="grid-flag-nan"),
+        pytest.param("set_b", "dim", 2.7, id="orthant-dim-fraction"),
+        pytest.param("set_a", "copies", 2.9, id="diagonal-copies-fraction"),
+        pytest.param("set_a", "base_dim", 1.5, id="diagonal-base_dim-fraction"),
+        pytest.param("sets.1", "dim", True, id="lifted-orthant-dim-bool"),
     ],
 )
 def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, value):
@@ -662,15 +687,19 @@ def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, v
     if key.startswith("--"):
         flags.append(f"{key}={value}")
     else:
-        if key == "lift":
-            doc["sets"] = [doc.pop("set_a"), doc.pop("set_b")]
-        if key == "dim":
+        if key == "dim" and section != "set_b":
             # a 1-D problem, so that true (== 1) is its only fault
-            doc.update(set_a={"type": "hyperplane", "normal": [1], "offset": 0},
+            doc.update(dim=1, set_a={"type": "hyperplane", "normal": [1], "offset": 0},
                        set_b={"type": "orthant", "dim": 1}, start={"point": [1.0]})
+        if key in ("copies", "base_dim"):
+            # the diagonal of R^2, which the truncated value also describes
+            doc["set_a"] = {"type": "diagonal", "copies": 2, "base_dim": 1}
+        if key == "lift" or section == "sets.1":
+            doc["sets"] = [doc.pop("set_a"), doc.pop("set_b")]
+            doc["lift"] = True
         target = doc
         for name in section.split(".") if section else ():
-            target = target[name]
+            target = target[int(name) if name.isdigit() else name]
         target[key] = value
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))

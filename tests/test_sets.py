@@ -32,19 +32,37 @@ def test_project_affine_fixes_points_of_the_set():
         assert np.allclose(p, x, rtol=0, atol=1e-12)
 
 
-def test_project_affine_residual_and_orthogonality():
-    rng = np.random.default_rng(0)
-    L = rng.normal(size=(2, 5))
-    a = rng.normal(size=2)
-    s = d.Affine(L, a)
-    for _ in range(50):
-        x = rng.uniform(-10, 10, 5)
-        p = s.project(x)
-        assert np.linalg.norm(L @ p - a) <= 1e-10 * (1 + np.linalg.norm(a))
-        # x - p must be orthogonal to ker L: check against a basis of ker L
-        _, _, vt = np.linalg.svd(L)
-        kernel = vt[2:]
-        assert np.all(np.abs(kernel @ (x - p)) <= 1e-9 * (1 + np.linalg.norm(x)))
+@pytest.mark.parametrize("rows", [1, 2, 5, 20])
+def test_project_affine_residual_and_orthogonality(rows):
+    # P x + q is the projection onto {L x = a} exactly when P is the
+    # orthogonal projector onto ker L (symmetric, idempotent, L P = 0) and
+    # L q = a.  Rows are scaled by 10^U(-3, 3), so every bound is relative
+    # to the norm of its row; an entry of P @ P sums n products.
+    rng = np.random.default_rng(rows)
+    tol = 1e-12
+    for _ in range(10):
+        n = rows + int(rng.integers(0, 11))
+        L = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        a = rng.normal(size=rows)
+        try:
+            s = d.Affine(L, a)
+        except d.RankDeficientError:  # a row below RANK_TOL of ||L||_F^2
+            continue
+        P, q = s._P, s._q
+        row_norm = np.linalg.norm(L, axis=1)
+        assert np.abs(P - P.T).max() <= tol
+        assert np.abs(P @ P - P).max() <= n * tol
+        assert np.all(np.abs(L @ P) <= tol * row_norm[:, None])
+        assert np.all(np.abs(L @ q - a) <= tol * (np.abs(a) + row_norm * np.linalg.norm(q)))
+        # x - p must be orthogonal to ker L: check against a basis of ker L,
+        # taken from the rows scaled to unit length
+        kernel = np.linalg.svd(L / row_norm[:, None])[2][rows:]
+        for _ in range(5):
+            x = rng.uniform(-10, 10, n)
+            p = s.project(x)
+            size = np.linalg.norm(x) + np.linalg.norm(p)
+            assert np.all(np.abs(L @ p - a) <= tol * (np.abs(a) + row_norm * size))
+            assert np.all(np.abs(kernel @ (x - p)) <= tol * size)
 
 
 def test_vertical_axis_projection_drops_second_coordinate():
@@ -293,8 +311,10 @@ def test_project_rows_bits_equal_project(s):
     (d.quadratic(1.0, 0.0, 0.0), (1e154, -1.7e308)),
     (d.quadratic(1e308, 0.0, 0.0), (1.0, 0.0)),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_project_rows_out_of_float_range_raises(f, z):
-    # the inputs of the scalar rule's test, among rows that project normally
+    # the inputs of the scalar rule's test, among rows that project normally;
+    # the overflows on the way are silent, as in the scalar rule
     with pytest.raises(OverflowError):
         d.Epigraph1D(f).project_rows([(0.0, 5.0), z, (3.0, -2.0)])
 
