@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -52,6 +52,7 @@ from .sets import (
 )
 from .trace import (
     DEFAULT_ETA,
+    DEFAULT_MAX_ITER,
     ExactFixedPoint,
     Feasibility,
     MaxIter,
@@ -171,18 +172,18 @@ class ProblemSpec:
 
     dim: int
     methods: list
-    set_a: Optional[ConvexSet] = None
-    set_b: Optional[ConvexSet] = None
-    lift_sets: Optional[list] = None
-    start_point: Optional[np.ndarray] = None
-    grid: Optional[GridSpec] = None
-    eta: float = 1e-14
-    tol: float = 1e-4
-    monitor: Monitor = Monitor.ITERATE
-    max_iter: int = 100_000
-    csv_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    record_at: list = field(default_factory=lambda: [5, 10])
+    set_a: Optional[ConvexSet]
+    set_b: Optional[ConvexSet]
+    lift_sets: Optional[list]
+    start_point: Optional[np.ndarray]
+    grid: Optional[GridSpec]
+    eta: float
+    tol: float
+    monitor: Monitor
+    max_iter: int
+    csv_path: Optional[str]
+    trace_path: Optional[str]
+    record_at: list
 
     def to_dict(self) -> dict:
         if self.lift_sets is not None:
@@ -344,9 +345,10 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raise ParseError("start must contain 'point' or 'grid'", fieldname="start")
 
     stopping = _checked(doc.get("stopping", {}), dict, "stopping")
-    eta = _finite(stopping.get("eta", 1e-14), "stopping.eta")
+    eta = _finite(stopping.get("eta", DEFAULT_ETA), "stopping.eta")
     tol = _finite(stopping.get("tol", 1e-4), "stopping.tol")
-    max_iter = _checked(stopping.get("max_iter", 100_000), int, "stopping.max_iter")
+    max_iter = _checked(stopping.get("max_iter", DEFAULT_MAX_ITER), int,
+                        "stopping.max_iter")
     try:
         monitor = Monitor(stopping.get("monitor", "iterate"))
     except ValueError:
@@ -719,7 +721,10 @@ def _run_witness(args) -> int:
             eps = math.nan
         if not 0.0 < eps < math.inf:
             raise ValidationError(f"--eps expects finite positive numbers, got {text!r}")
-        step_residual, fix_distance = luque_witness(family, eps)
+        try:
+            step_residual, fix_distance = luque_witness(family, eps)
+        except OverflowError as e:
+            raise ValidationError(f"--eps {text!r} is too large: {e}") from e
         lines.append(
             f"{family.value},{_fmt(eps)},{_fmt(step_residual)},{_fmt(fix_distance)}"
         )

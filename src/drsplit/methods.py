@@ -14,7 +14,6 @@ is strictly sequential, distinct runs share nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -39,6 +38,7 @@ from .trace import (
     Monitor,
     Reason,
     Termination,
+    _norm,
     normalize_rules,
 )
 
@@ -115,12 +115,6 @@ def spingarn_step(
     )
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector: the same bits as np.linalg.norm,
-    which computes sqrt(v.dot(v)), without its per-call overhead."""
-    return math.sqrt(v.dot(v))
-
-
 def _linearize(set_a: ConvexSet, set_b: ConvexSet):
     """Reduce an affine first set to a linear subspace by translating both
     sets by a point of A; returns (lin_a, shifted_b, shift or None)."""
@@ -143,8 +137,6 @@ def run(
     method: MethodKind,
     z0,
     stop=None,
-    *,
-    stride: int = 1,
 ) -> IterationTrace:
     """Iterate the chosen method from z0 until a stopping rule fires.
 
@@ -160,8 +152,6 @@ def run(
         raise DimensionMismatchError(
             f"sets have dimensions {set_a.dim} and {set_b.dim}"
         )
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
     z = as_vector(z0, set_a.dim)
     rules = normalize_rules(stop)
     eta = next((r.eta for r in rules if isinstance(r, ExactFixedPoint)), None)
@@ -176,17 +166,15 @@ def run(
         a0 = lin_a.project(w)
         state = SpingarnState(a=a0, b=a0 - w)
 
-    columns = ([], [], [], [], [], [], [])  # z, a, r, pbr, d_a, d_b, n
+    columns = ([], [], [], [])  # z, a, pbr, d_b
     n = 0
     exact_hit = False
     last_residual = None
     last_scale = None
     while True:
         a = set_a._project(z)
-        r = 2.0 * a - z
-        pbr = set_b._project(r)
+        pbr = set_b._project(2.0 * a - z)
         pbz = set_b._project(z)
-        d_a = _norm(z - a)
         d_b = _norm(z - pbz)
 
         if feas is None:
@@ -195,7 +183,7 @@ def run(
             feasible = max(_norm(a - set_a._project(a)),
                            _norm(a - set_b._project(a))) < feas.tol
         else:
-            feasible = max(d_a, d_b) < feas.tol
+            feasible = max(_norm(z - a), d_b) < feas.tol
         if feasible:
             reason = Reason.FEASIBILITY
         elif exact_hit:
@@ -204,9 +192,8 @@ def run(
             reason = Reason.MAX_ITER
         else:
             reason = None
-        if n % stride == 0 or reason is not None:
-            for column, value in zip(columns, (z, a, r, pbr, d_a, d_b, n)):
-                column.append(value)
+        for column, value in zip(columns, (z, a, pbr, d_b)):
+            column.append(value)
         if reason is not None:
             break
 
@@ -235,7 +222,7 @@ def run(
         z = z_next
         n += 1
 
-    z_list, a_list, r_list, pbr_list, da_list, db_list, steps = map(tuple, columns)
+    z_list, a_list, pbr_list, db_list = map(tuple, columns)
     exact = (
         last_residual is not None
         and last_residual <= (eta if eta is not None else DEFAULT_ETA) * last_scale
@@ -243,11 +230,8 @@ def run(
     return IterationTrace(
         z=z_list,
         a=a_list,
-        r=r_list,
         pbr=pbr_list,
-        d_a=da_list,
         d_b=db_list,
-        steps=steps,
         termination=Termination(
             reason=reason,
             iterations=n,

@@ -117,8 +117,9 @@ class Affine(ConvexSet):
 
     The projector applies the Moore-Penrose action x - L^+(Lx - a), with
     L^+(r) obtained by solving (L L^T) w = r through a Cholesky
-    factorization of the Gram matrix.  Rank deficiency (any pivot below
-    RANK_TOL times ||L||_F^2) is rejected at construction.
+    factorization of the Gram matrix.  Rank deficiency (a squared pivot
+    below RANK_TOL times the squared norm of its row) is rejected at
+    construction.
     """
 
     def __init__(self, L, a):
@@ -129,15 +130,20 @@ class Affine(ConvexSet):
         if not np.all(np.isfinite(L)):
             raise ValueError("L must have finite entries")
         gram = L @ L.T
-        scale = float(np.sum(L * L))
         try:
             C = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as e:
             raise RankDeficientError("L L^T is not positive definite") from e
+        # squared pivot k is the squared distance of row k from the span of
+        # the rows before it; measured against that row's own squared norm,
+        # the test does not depend on how the rows are scaled
         pivots = np.diag(C) ** 2
-        if scale == 0.0 or np.min(pivots) < RANK_TOL * scale:
+        small = pivots < RANK_TOL * np.diag(gram)
+        if np.any(small):
+            k = int(np.argmax(small))
             raise RankDeficientError(
-                f"Gram pivot {np.min(pivots):.3e} below {RANK_TOL:.0e} * ||L||^2"
+                f"Gram pivot {pivots[k]:.3e} of row {k} below {RANK_TOL:.0e} "
+                "* the row's squared norm"
             )
         self.L = L
         self.a = a

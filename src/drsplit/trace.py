@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 DEFAULT_ETA = 1e-14
 DEFAULT_MAX_ITER = 100_000
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector: the same bits as np.linalg.norm,
+    which computes sqrt(v.dot(v)), without its per-call overhead."""
+    return math.sqrt(v.dot(v))
 
 
 class Monitor(Enum):
@@ -67,24 +75,33 @@ class Termination:
 class IterationTrace:
     """Full per-iteration record of a run.
 
-    Stores, for each recorded step n: the governing iterate z_n, its
-    projection a_n onto the first set, the reflection r_n = 2 a_n - z_n,
-    the projection of r_n onto the second set, and the distances of z_n
-    to both sets.  ``steps`` gives the iteration index of each record
-    (consecutive integers unless a thinning stride was used; the final
-    iterate is always recorded).
+    Stores, for each step n = 0 .. iterations: the governing iterate z_n,
+    its projection a_n onto the first set, the projection pbr_n of the
+    reflection r_n = 2 a_n - z_n onto the second set, and the distance
+    d_B(z_n) of z_n to the second set.  ``r``, ``d_a`` = ||z_n - a_n||
+    and ``steps`` are computed from these on first access, with the
+    arithmetic ``run`` uses.
     """
 
     z: tuple
     a: tuple
-    r: tuple
     pbr: tuple
-    d_a: tuple
     d_b: tuple
-    steps: tuple
     termination: Termination
     cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
+
+    @cached_property
+    def r(self) -> tuple:
+        return tuple(2.0 * a - z for z, a in zip(self.z, self.a))
+
+    @cached_property
+    def d_a(self) -> tuple:
+        return tuple(_norm(z - a) for z, a in zip(self.z, self.a))
+
+    @property
+    def steps(self) -> tuple:
+        return tuple(range(len(self.z)))
 
     @property
     def iterations(self) -> int:

@@ -552,7 +552,9 @@ def test_main_witness_mode(capsys):
     assert float(cells[3]) == pytest.approx(0.25, abs=1e-12)
 
 
-@pytest.mark.parametrize("eps", ["abc", "-1", "0", "inf", "nan", "0.1,-1"])
+@pytest.mark.parametrize(
+    "eps", ["abc", "-1", "0", "inf", "nan", "0.1,-1", "1e200", "0.1,1e200"]
+)
 def test_main_witness_rejects_a_bad_eps(capsys, eps):
     assert cli.main(["--witness", "quadratic", "--eps", eps]) == 2
     captured = capsys.readouterr()
@@ -770,3 +772,36 @@ def test_benchmark_sweep_csv_is_golden(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     cli.emit_csv(cli.sweep(spec), out, spec.record_at)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+TRACE_RUNS = {
+    # point-start --trace CSVs of all four methods; SHA-256 recorded on
+    # x86_64 with numpy 2.4.  They pin r, d_A and n, which the trace
+    # computes from the stored z, a and P_B r
+    "line": ({"set_a": {"type": "affine", "L": [[1, 5]], "a": [6]},
+              "set_b": {"type": "orthant", "dim": 2}}, [100, -100],
+             "d5bfb5eb5339c9fff3dc0fbc19513129aaddc6785936e1ffa9f267ca11d33dff"),
+    "epigraph": ({"set_a": {"type": "hyperplane", "normal": [0, 1], "offset": 0},
+                  "set_b": {"type": "epigraph", "f": "quadratic(1,0,-1)"}}, [5, 3],
+                 "792418a20972575dc099629cee7f512db5aa08704dc80d6fc9147d04587fd902"),
+    "lifted": ({"sets": LIFTED_SETS, "lift": True}, [10, 10],
+               "935344c05401c55f0a07cdce2e27b5ac0b82492040236c0d3910720cc799c0dd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUNS))
+def test_trace_csv_is_golden(tmp_path, name):
+    sets, point, digest = TRACE_RUNS[name]
+    doc = {
+        "dim": 2,
+        **sets,
+        "methods": ALL_METHODS,
+        "start": {"point": point},
+        "stopping": {"eta": 1e-14, "tol": 1e-4, "monitor": "iterate", "max_iter": 100000},
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    trace = tmp_path / f"{name}.trace.csv"
+    flags = ["--out", str(tmp_path / "out.csv"), "--trace", str(trace)]
+    assert cli.main(["--problem", str(path), *flags]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

@@ -260,13 +260,6 @@ def test_run_shadow_monitor(line_orthant):
     assert set_b.distance(set_a.project(tr.final_point)) < 1e-2
 
 
-def test_run_stride_thins_storage(line_orthant):
-    set_a, set_b = line_orthant
-    tr = d.run(set_a, set_b, d.MethodKind.MAP, [90.0, -10.0], d.MaxIter(10), stride=4)
-    assert tr.steps == (0, 4, 8, 10)
-    assert tr.iterations == 10
-
-
 def test_run_dimension_mismatch():
     with pytest.raises(d.DimensionMismatchError):
         d.run(d.Orthant(2), d.Orthant(3), d.MethodKind.MAP, [0.0, 0.0])

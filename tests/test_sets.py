@@ -37,17 +37,15 @@ def test_project_affine_residual_and_orthogonality(rows):
     # P x + q is the projection onto {L x = a} exactly when P is the
     # orthogonal projector onto ker L (symmetric, idempotent, L P = 0) and
     # L q = a.  Rows are scaled by 10^U(-3, 3), so every bound is relative
-    # to the norm of its row; an entry of P @ P sums n products.
+    # to the norm of its row; an entry of P @ P sums n products.  The rank
+    # test is relative to each row's norm too, so every draw is accepted.
     rng = np.random.default_rng(rows)
     tol = 1e-12
     for _ in range(10):
         n = rows + int(rng.integers(0, 11))
         L = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
         a = rng.normal(size=rows)
-        try:
-            s = d.Affine(L, a)
-        except d.RankDeficientError:  # a row below RANK_TOL of ||L||_F^2
-            continue
+        s = d.Affine(L, a)
         P, q = s._P, s._q
         row_norm = np.linalg.norm(L, axis=1)
         assert np.abs(P - P.T).max() <= tol
@@ -78,6 +76,20 @@ def test_rank_deficient_rejected():
         d.Affine([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
     with pytest.raises(d.RankDeficientError):
         d.Affine([[1.0, 2.0], [1.0, 2.0 + 1e-9]], [1.0, 1.0])
+
+
+def test_rank_test_ignores_row_scale():
+    # scaling a row leaves {L x = a} unchanged, so a short row of a
+    # well-conditioned L is accepted; a row nearly in the span of the rows
+    # before it is rejected at any scale
+    L = np.array([[1.0, 0.0], [0.0, 1e-6]])
+    a = np.array([2.0, -3e-6])
+    s = d.Affine(L, a)
+    assert np.array_equal(L @ s._q, a)
+    assert np.array_equal(s.project([5.0, 5.0]), [2.0, -3.0])
+    for scale in (1e-3, 1.0, 1e3):
+        with pytest.raises(d.RankDeficientError):
+            d.Affine([[scale, 0.0], [scale, 1e-7 * scale]], [0.0, 0.0])
 
 
 def test_dimension_mismatch():
