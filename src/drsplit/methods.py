@@ -14,6 +14,7 @@ is strictly sequential, distinct runs share nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -146,7 +147,9 @@ def run(
     fixed-point rule compares consecutive iterates.  Exceeding the
     iteration cap is recorded as the termination reason, not raised.
     z0 is checked once; an iterate that is not finite (an overflow)
-    raises ValueError.
+    raises ValueError.  A step makes only the projections its update and
+    the active rules use; the trace derives P_B r_n and d_B(z_n) on first
+    access.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -166,16 +169,17 @@ def run(
         a0 = lin_a.project(w)
         state = SpingarnState(a=a0, b=a0 - w)
 
-    columns = ([], [], [], [])  # z, a, pbr, d_b
+    # P_B z is needed at every record only by a feasibility rule on the
+    # iterate; MAP and MRP otherwise project it when they step
+    b_rule = feas is not None and feas.monitor is Monitor.ITERATE
+    z_list, a_list = [], []
     n = 0
     exact_hit = False
     last_residual = None
     last_scale = None
     while True:
         a = set_a._project(z)
-        pbr = set_b._project(2.0 * a - z)
-        pbz = set_b._project(z)
-        d_b = _norm(z - pbz)
+        pbz = set_b._project(z) if b_rule else None
 
         if feas is None:
             feasible = False
@@ -183,7 +187,7 @@ def run(
             feasible = max(_norm(a - set_a._project(a)),
                            _norm(a - set_b._project(a))) < feas.tol
         else:
-            feasible = max(_norm(z - a), d_b) < feas.tol
+            feasible = max(_norm(z - a), _norm(z - pbz)) < feas.tol
         if feasible:
             reason = Reason.FEASIBILITY
         elif exact_hit:
@@ -192,16 +196,17 @@ def run(
             reason = Reason.MAX_ITER
         else:
             reason = None
-        for column, value in zip(columns, (z, a, pbr, d_b)):
-            column.append(value)
+        z_list.append(z)
+        a_list.append(a)
         if reason is not None:
             break
 
         if method is MethodKind.DRA:
-            z_next = z - a + pbr
+            z_next = z - a + set_b._project(2.0 * a - z)
         elif method is MethodKind.MAP:
-            z_next = set_a._project(pbz)
+            z_next = set_a._project(set_b._project(z) if pbz is None else pbz)
         elif method is MethodKind.MRP:
+            pbz = set_b._project(z) if pbz is None else pbz
             z_next = set_a._project(2.0 * pbz - z)
         elif method is MethodKind.SPINGARN:
             state = spingarn_step(lin_a, lin_b, state)
@@ -210,28 +215,27 @@ def run(
                 z_next = z_next + translation
         else:
             raise ValueError(f"unknown method {method!r}")
-        # z0 was checked once; the projectors above take unchecked input,
-        # so an overflow shows up here
-        if not np.isfinite(z_next).all():
-            raise ValueError("vector coordinates must be finite")
 
         last_residual = _norm(z_next - z)
+        # z0 was checked once and the projectors take unchecked input, so an
+        # overflow shows up here; z is finite, so a finite residual means a
+        # finite z_next
+        if not math.isfinite(last_residual) and not np.isfinite(z_next).all():
+            raise ValueError("vector coordinates must be finite")
         last_scale = 1.0 + _norm(z)
         if eta is not None and last_residual <= eta * last_scale:
             exact_hit = True
         z = z_next
         n += 1
 
-    z_list, a_list, pbr_list, db_list = map(tuple, columns)
     exact = (
         last_residual is not None
         and last_residual <= (eta if eta is not None else DEFAULT_ETA) * last_scale
     )
     return IterationTrace(
-        z=z_list,
-        a=a_list,
-        pbr=pbr_list,
-        d_b=db_list,
+        z=tuple(z_list),
+        a=tuple(a_list),
+        set_b=set_b,
         termination=Termination(
             reason=reason,
             iterations=n,

@@ -129,7 +129,13 @@ class Affine(ConvexSet):
         a = as_vector(a, L.shape[0])
         if not np.all(np.isfinite(L)):
             raise ValueError("L must have finite entries")
-        gram = L @ L.T
+        # scale row k of L and a_k by a power of two that brings the row's
+        # largest |entry| into [0.5, 1): the set is the same, the Gram matrix
+        # can neither overflow nor underflow, and rows in the normal range
+        # keep every bit of P and q, since powers of two scale exactly
+        e = np.frexp(np.abs(L).max(axis=1, initial=0.0))[1]
+        Ls = np.ldexp(L, -e[:, None])
+        gram = Ls @ Ls.T
         try:
             C = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as e:
@@ -149,9 +155,9 @@ class Affine(ConvexSet):
         self.a = a
         self.dim = L.shape[1]
         # cache the affine form P x + q of the projector
-        w = _cho_solve(C, L)
-        self._P = np.eye(self.dim) - L.T @ w
-        self._q = L.T @ _cho_solve(C, a)
+        w = _cho_solve(C, Ls)
+        self._P = np.eye(self.dim) - Ls.T @ w
+        self._q = Ls.T @ _cho_solve(C, np.ldexp(a, -e))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return self._P @ x + self._q
@@ -381,8 +387,11 @@ class Diagonal(ConvexSet):
         self.dim = copies * base_dim
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        mean = x.reshape(self.copies, self.base_dim).mean(axis=0)
-        return np.tile(mean, self.copies)
+        # ``mean(axis=0)`` and ``np.tile`` with the same bits, without their
+        # per-call wrapper cost
+        c = self.copies
+        mean = np.add.reduce(x.reshape(c, self.base_dim), axis=0) / c
+        return np.concatenate((mean,) * c)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         # block by block, in the order ``mean(axis=0)`` adds them
@@ -404,25 +413,21 @@ class Product(ConvexSet):
         if not components:
             raise ValueError("product needs at least one component")
         self.components = components
-        self._offsets = np.cumsum([0] + [c.dim for c in components])
-        self.dim = int(self._offsets[-1])
+        offsets = np.cumsum([0] + [c.dim for c in components]).tolist()
+        self._slices = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
+        self.dim = offsets[-1]
 
     def blocks(self, x: np.ndarray) -> list:
-        return [
-            x[self._offsets[i] : self._offsets[i + 1]]
-            for i in range(len(self.components))
-        ]
+        return [x[s] for s in self._slices]
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate(
-            [c._project(b) for c, b in zip(self.components, self.blocks(x))]
+            [c._project(x[s]) for c, s in zip(self.components, self._slices)]
         )
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        o = self._offsets
         return np.concatenate(
-            [c._project_rows(X[:, o[i] : o[i + 1]])
-             for i, c in enumerate(self.components)],
+            [c._project_rows(X[:, s]) for c, s in zip(self.components, self._slices)],
             axis=1,
         )
 

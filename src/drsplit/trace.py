@@ -6,9 +6,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sets import ConvexSet
 
 DEFAULT_ETA = 1e-14
 DEFAULT_MAX_ITER = 100_000
@@ -75,18 +78,18 @@ class Termination:
 class IterationTrace:
     """Full per-iteration record of a run.
 
-    Stores, for each step n = 0 .. iterations: the governing iterate z_n,
-    its projection a_n onto the first set, the projection pbr_n of the
-    reflection r_n = 2 a_n - z_n onto the second set, and the distance
-    d_B(z_n) of z_n to the second set.  ``r``, ``d_a`` = ||z_n - a_n||
-    and ``steps`` are computed from these on first access, with the
-    arithmetic ``run`` uses.
+    Stores, for each step n = 0 .. iterations, the governing iterate z_n
+    and its projection a_n onto the first set, plus the second set
+    ``set_b``.  The reflection ``r`` (r_n = 2 a_n - z_n), its projection
+    ``pbr`` onto the second set, the distances ``d_a`` = ||z_n - a_n|| and
+    ``d_b`` = d_B(z_n), and ``steps`` are computed from these on first
+    access, with the arithmetic ``run`` uses; ``pbr`` and ``d_b`` cost one
+    projection onto the second set per record.
     """
 
     z: tuple
     a: tuple
-    pbr: tuple
-    d_b: tuple
+    set_b: ConvexSet
     termination: Termination
     cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
@@ -96,8 +99,16 @@ class IterationTrace:
         return tuple(2.0 * a - z for z, a in zip(self.z, self.a))
 
     @cached_property
+    def pbr(self) -> tuple:
+        return tuple(self.set_b._project(r) for r in self.r)
+
+    @cached_property
     def d_a(self) -> tuple:
         return tuple(_norm(z - a) for z, a in zip(self.z, self.a))
+
+    @cached_property
+    def d_b(self) -> tuple:
+        return tuple(_norm(z - self.set_b._project(z)) for z in self.z)
 
     @property
     def steps(self) -> tuple:

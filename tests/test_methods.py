@@ -290,14 +290,70 @@ def test_run_norms_equal_numpy_norms(line_orthant, method):
         assert trace.termination.step_residual == float(np.linalg.norm(step))
 
 
+def test_run_overflowing_residual_is_not_a_failure():
+    # z_1 = [1e308, 0] is finite, but z_1 - z_0 overflows
+    with np.errstate(over="ignore"):
+        tr = d.run(d.Box([1e308, 0.0], [1e308, 0.0]), d.Orthant(2), d.MethodKind.MAP,
+                   [-1e308, 0.0], d.MaxIter(1))
+    assert tr.termination.reason is d.Reason.MAX_ITER
+    assert tr.iterations == 1
+    assert tr.termination.step_residual == math.inf
+    assert np.array_equal(tr.final_point, [1e308, 0.0])
+
+
 def test_trace_consistency_invariants(line_orthant):
     set_a, set_b = line_orthant
-    tr = d.run(set_a, set_b, d.MethodKind.DRA, [-70.0, 30.0], d.ExactFixedPoint())
-    assert tr.iterations == len(tr.z) - 1
-    assert tr.steps == tuple(range(len(tr.z)))
-    for k in range(len(tr.z)):
-        assert np.array_equal(tr.r[k], 2 * tr.a[k] - tr.z[k])
-        assert tr.d_a[k] == np.linalg.norm(tr.z[k] - tr.a[k])
+    for method in d.MethodKind:
+        tr = d.run(set_a, set_b, method, [-70.0, 30.0],
+                   [d.ExactFixedPoint(), d.MaxIter(500)])
+        assert tr.iterations == len(tr.z) - 1
+        assert tr.steps == tuple(range(len(tr.z)))
+        for k in range(len(tr.z)):
+            assert np.array_equal(tr.r[k], 2 * tr.a[k] - tr.z[k])
+            assert tr.d_a[k] == np.linalg.norm(tr.z[k] - tr.a[k])
+            assert np.array_equal(tr.pbr[k], set_b.project(tr.r[k]))
+            assert tr.d_b[k] == np.linalg.norm(tr.z[k] - set_b.project(tr.z[k]))
+        for name in ("r", "pbr", "d_a", "d_b"):
+            assert getattr(tr, name) is getattr(tr, name)
+
+
+class CountingSet(d.ConvexSet):
+    """Delegates to another set and counts its projections."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.calls = 0
+
+    def _project(self, x):
+        self.calls += 1
+        return self.base._project(x)
+
+
+@pytest.mark.parametrize("method, rules, per_step, per_record", [
+    (d.MethodKind.DRA, d.ExactFixedPoint(), (0, 1), (1, 0)),
+    (d.MethodKind.MAP, d.Feasibility(1e-9), (1, 0), (1, 1)),
+    (d.MethodKind.MRP, d.Feasibility(1e-9), (1, 0), (1, 1)),
+])
+def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
+                                              per_step, per_record):
+    # calls onto (A, B): per_step for each step, per_record for each record
+    # (a run of n steps has n + 1 records); DRA projects P_A z and
+    # P_B(2a - z), MAP and MRP P_A z, P_B z for the rule and the step's P_A
+    set_a, set_b = (CountingSet(s) for s in line_orthant)
+    tr = d.run(set_a, set_b, method, [-70.0, 30.0], [rules, d.MaxIter(40)])
+    steps, records = tr.iterations, len(tr)
+    assert steps >= 2
+    assert (set_a.calls, set_b.calls) == tuple(
+        s * steps + r * records for s, r in zip(per_step, per_record))
+    # pbr and d_b each cost one projection onto B per record, once
+    for name in ("pbr", "d_b"):
+        before = set_b.calls
+        getattr(tr, name)
+        assert set_b.calls == before + records
+        getattr(tr, name)
+        assert set_b.calls == before + records
+    assert set_a.calls == per_step[0] * steps + per_record[0] * records
 
 
 def test_shadow_sequence(line_orthant):

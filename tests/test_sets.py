@@ -92,6 +92,13 @@ def test_rank_test_ignores_row_scale():
             d.Affine([[scale, 0.0], [scale, 1e-7 * scale]], [0.0, 0.0])
 
 
+def test_affine_rows_beyond_the_gram_range():
+    # the line x = 0 written with a row whose square overflows or underflows
+    for row in ([1e200, 0.0], [1e-170, 0.0]):
+        s = d.Affine([row], [0.0])
+        assert np.array_equal(s.project([1.0, 2.0]), [0.0, 2.0])
+
+
 def test_dimension_mismatch():
     s = d.Affine(LINE_L, LINE_A)
     with pytest.raises(d.DimensionMismatchError):
@@ -400,6 +407,16 @@ def test_diagonal_is_replicated_mean():
         x = rng.uniform(-5, 5, 6)
         mean = (x[0:2] + x[2:4] + x[4:6]) / 3.0
         assert np.linalg.norm(s.project(x) - np.tile(mean, 3)) <= 1e-12
+
+
+def test_diagonal_bits_equal_mean_and_tile():
+    rng = np.random.default_rng(17)
+    for copies, base_dim in ((1, 1), (3, 2), (5, 2), (7, 3)):
+        s = d.Diagonal(copies, base_dim)
+        for _ in range(50):
+            x = rng.uniform(-5, 5, copies * base_dim) * 10.0 ** rng.uniform(-8, 8)
+            mean = x.reshape(copies, base_dim).mean(axis=0)
+            assert np.array_equal(s.project(x), np.tile(mean, copies))
 
 
 def test_shifted_translates_projection():
