@@ -85,13 +85,13 @@ class SpingarnState:
     b: np.ndarray
 
     def validate(self, set_a: ConvexSet, tol: float = 1e-10) -> None:
-        na = float(np.linalg.norm(self.a))
-        nb = float(np.linalg.norm(self.b))
+        na = _norm(self.a)
+        nb = _norm(self.b)
         if abs(float(self.a @ self.b)) > tol * max(na * nb, 1.0):
             raise ValueError("state components are not orthogonal")
-        if np.linalg.norm(set_a.project(self.a) - self.a) > tol * (1.0 + na):
+        if _norm(set_a.project(self.a) - self.a) > tol * (1.0 + na):
             raise ValueError("first component is not in the subspace")
-        if np.linalg.norm(set_a.project(self.b)) > tol * (1.0 + nb):
+        if _norm(set_a.project(self.b)) > tol * (1.0 + nb):
             raise ValueError("second component is not in the orthogonal complement")
 
 

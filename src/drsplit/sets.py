@@ -23,6 +23,7 @@ import numpy as np
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
+from .trace import _norm
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -92,7 +93,7 @@ class ConvexSet:
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self._project(x)))
+        return _norm(x - self._project(x))
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         return self.distance(x) <= tol
@@ -227,7 +228,8 @@ class Box(ConvexSet):
         self.dim = self.lo.shape[0]
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        # the bits of ``np.clip``, without its per-call wrapper cost
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     _project_rows = _project
 
@@ -259,7 +261,7 @@ class Ball(ConvexSet):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
-        nd = float(np.linalg.norm(d))
+        nd = _norm(d)
         if nd <= self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
@@ -298,43 +300,56 @@ class Polygon2D(ConvexSet):
             raise ValueError("vertices must enclose positive area, counterclockwise")
         if np.any(cross < -1e-12 * scale * scale):
             raise ValueError("vertices do not describe a convex polygon")
+        sq = np.einsum("ij,ij->i", edges, edges)
         self.vertices = v
         self._edges = edges
-        self._edge_sq = np.einsum("ij,ij->i", edges, edges)
-
-    def _contains(self, x: np.ndarray) -> bool:
-        rel = x - self.vertices
-        cross = self._edges[:, 0] * rel[:, 1] - self._edges[:, 1] * rel[:, 0]
-        return bool(np.all(cross >= 0.0))
+        self._edge_pos = sq > 0
+        self._edge_div = np.where(self._edge_pos, sq, 1.0)
+        # (vx, vy, ex, ey, |e|^2) per edge, as Python floats for ``_project``
+        self._edge_list = tuple(zip(*v.T.tolist(), *edges.T.tolist(), sq.tolist()))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        if self._contains(x):
+        # the row form's operations in its order, in float arithmetic: the
+        # sum in t starts from +0.0 (a -0.0 t would carry into the point), a
+        # zero edge has t = 0, a NaN t survives the clamp, and the first
+        # least distance or the first NaN wins, as in argmin.  An overflow
+        # is silent.
+        px, py = x.tolist()
+        edges = self._edge_list
+        if all(ex * (py - vy) - ey * (px - vx) >= 0.0 for vx, vy, ex, ey, _ in edges):
             return x.copy()
-        rel = x - self.vertices
-        t = np.einsum("ij,ij->i", rel, self._edges)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.clip(np.where(self._edge_sq > 0, t / self._edge_sq, 0.0), 0.0, 1.0)
-        candidates = self.vertices + t[:, None] * self._edges
-        dists = np.einsum("ij,ij->i", candidates - x, candidates - x)
-        return candidates[int(np.argmin(dists))]
+        best = None
+        for vx, vy, ex, ey, sq in edges:
+            t = 0.0
+            if sq > 0.0:
+                t = ((px - vx) * ex + (py - vy) * ey + 0.0) / sq
+                t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            cx, cy = vx + t * ex, vy + t * ey
+            dx, dy = cx - px, cy - py
+            dist = dx * dx + dy * dy
+            if dist != dist:
+                return np.array((cx, cy))
+            if best is None or dist < best:
+                best, out = dist, (cx, cy)
+        return np.array(out)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # ``_project`` over an (N, edges) array; its einsum sums start from
-        # +0.0, which turns a -0.0 sum into +0.0, and so does ``+ 0.0``
+        # ``_project`` over an (N, edges) array, for the rows outside
         v, e = self.vertices, self._edges
         rel_x = X[:, :1] - v[:, 0]
         rel_y = X[:, 1:] - v[:, 1]
-        inside = (e[:, 0] * rel_y - e[:, 1] * rel_x >= 0.0).all(axis=1)
-        t = rel_x * e[:, 0] + rel_y * e[:, 1] + 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.clip(np.where(self._edge_sq > 0, t / self._edge_sq, 0.0), 0.0, 1.0)
+        i = np.flatnonzero(~(e[:, 0] * rel_y - e[:, 1] * rel_x >= 0.0).all(axis=1))
+        rel_x, rel_y = rel_x[i], rel_y[i]
+        t = (rel_x * e[:, 0] + rel_y * e[:, 1] + 0.0) / self._edge_div
+        t = np.minimum(np.maximum(np.where(self._edge_pos, t, 0.0), 0.0), 1.0)
         cand_x = v[:, 0] + t * e[:, 0]
         cand_y = v[:, 1] + t * e[:, 1]
-        dx, dy = cand_x - X[:, :1], cand_y - X[:, 1:]
+        dx, dy = cand_x - X[i, :1], cand_y - X[i, 1:]
         k = np.argmin(dx * dx + dy * dy, axis=1)
-        rows = np.arange(X.shape[0])
-        out = np.stack([cand_x[rows, k], cand_y[rows, k]], axis=1)
-        out[inside] = X[inside]
+        rows = np.arange(i.size)
+        out = X.copy()
+        out[i, 0] = cand_x[rows, k]
+        out[i, 1] = cand_y[rows, k]
         return out
 
 
@@ -416,9 +431,6 @@ class Product(ConvexSet):
         offsets = np.cumsum([0] + [c.dim for c in components]).tolist()
         self._slices = tuple(slice(lo, hi) for lo, hi in zip(offsets, offsets[1:]))
         self.dim = offsets[-1]
-
-    def blocks(self, x: np.ndarray) -> list:
-        return [x[s] for s in self._slices]
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -323,6 +324,47 @@ def test_project_rows_bits_equal_project(s):
     rows = s.project_rows(X)
     for x, row in zip(X, rows):
         assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
+
+
+def _projector_probe_corpus():
+    """(set, points) pairs for the 2-D scalar projectors: the desk and
+    zero-edge polygons, seeded random convex polygons at three scales, boxes
+    and balls with signed-zero and extreme bounds, each with its probes, all
+    pairs of signed magnitudes from 1e-8 to 1e8 and ±0, and points of size
+    1e300 and 1e308, whose candidate distances can be NaN."""
+    rng = np.random.default_rng(1010)
+    polygons = [DESK_POLYGON, BIT_CASES[1][1].vertices]
+    for scale in (1e-3, 1.0, 1e3):
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 6))
+        ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        polygons.append(scale * (ring + rng.uniform(-1.0, 1.0, 2)))
+    m = _signed_magnitudes()
+    pairs = np.stack(np.meshgrid(m, m), -1).reshape(-1, 2)
+    huge = np.array([[1e300, -1e300], [1e300, 1e300], [-1e300, 0.0], [-0.0, 1e300], [1e308, 1e308]])
+    huge = np.concatenate([huge, -huge])
+    for v in polygons:
+        yield d.Polygon2D(v), np.concatenate([_polygon_probes(v), pairs, huge])
+    for lo, hi in (([-1.0, 0.0], [2.0, 0.5]), ([-0.0, 0.0], [0.0, -0.0]), ([0.0, -0.0], [1e-8, 1e8])):
+        yield d.Box(lo, hi), np.concatenate([pairs, huge])
+    for center, radius in (([1.0, -2.0], 3.0), ([0.0, 0.0], 1e-8), ([-0.0, 5.0], 1e8)):
+        yield d.Ball(center, radius), np.concatenate([pairs, huge, 1e150 * pairs[-9:]])
+
+
+def test_scalar_projector_bits_are_pinned():
+    # recorded with ``np.clip``, ``np.linalg.norm`` and an einsum polygon
+    # projector: a change in these projectors' float arithmetic moves it
+    h = hashlib.sha256()
+    count = 0
+    # huge probes overflow inside the projectors, as the recorded ones did
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, X in _projector_probe_corpus():
+            for x in X:
+                h.update(s.project(x).view(np.int64).tobytes())
+                count += 1
+    assert count == 20_907
+    assert h.hexdigest() == (
+        "1a1ce4cfe53491abd4976eb79b830107f12dbee99c4e63f6c0e546998eb3b76c"
+    )
 
 
 @pytest.mark.parametrize("f, z", [
