@@ -31,6 +31,8 @@ from .methods import (  # noqa: F401
     InvalidSubspaceError,
     MethodKind,
     _linearize,
+    _pair_step,
+    _step,
     dra_step,
     map_step,
     mrp_step,
@@ -462,10 +464,10 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     running.  Every row also records its monitored distance: the distance
     to B of the shadow P_A z_n for DRA and SPINGARN, of z_n itself for MAP
     and MRP.  It is kept at each index in ``record_at`` and scanned for
-    the first index below each of FIRST_N_TOLS.  A row keeps stepping
-    after its rules fire (SPINGARN rows then take the DRA step, which
-    drives the same governing sequence) until both are known or n reaches
+    the first index below each of FIRST_N_TOLS.  A row keeps taking its
+    method's step after its rules fire until both are known or n reaches
     ``max_iter``; a row leaves the batch once it needs no more steps.
+    A method other than a MethodKind raises ValueError at the first step.
 
     Z is checked once; the projectors take unchecked input, so, as in
     ``run``, an overflow shows up in the next Z and raises ValueError.
@@ -542,20 +544,12 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             if not rows.size:
                 return out
 
-        if method is MethodKind.MAP:
-            Z_next = set_a._project_rows(PB)
-        elif method is MethodKind.MRP:
-            Z_next = set_a._project_rows(2.0 * PB - Z)
+        if spingarn:
+            SA, SB = _pair_step(lin_a._project_rows, lin_b._project_rows, SA, SB)
+            Z_next = SA - SB if shift is None else SA - SB + shift
         else:
-            Z_next = Z - A + set_b._project_rows(2.0 * A - Z)
-            if spingarn and running.any():
-                S = SA + SB
-                a_mid = lin_b._project_rows(S)
-                b_mid = S - a_mid
-                SA = lin_a._project_rows(a_mid)
-                SB = b_mid - lin_a._project_rows(b_mid)
-                Z_pair = SA - SB if shift is None else SA - SB + shift
-                Z_next = np.where(running[:, None], Z_pair, Z_next)
+            # MAP and MRP monitor the iterate, so their PB is P_B z
+            Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, A, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
         hit = _norms(Z_next - Z) <= eta * (1.0 + _norms(Z))

@@ -8,8 +8,8 @@ Four methods over a pair of sets (A, B):
 * SPINGARN -- the partial-inverse update on pairs (a, b) in A x A-perp,
   equivalent to the DRA applied to z = a - b when A is a linear subspace
 
-All drivers share the same trace format and stopping rules; a single run
-is strictly sequential, distinct runs share nothing.
+All drivers share the trace format, the stopping rules and the one
+definition of each update rule (``_step``, ``_pair_step``); runs share nothing.
 """
 
 from __future__ import annotations
@@ -55,25 +55,49 @@ class InvalidSubspaceError(ValueError):
     """Spingarn's method needs a linear (or translatable affine) subspace."""
 
 
+def _step(method, project_a, project_b, z, a=None, pbz=None):
+    """The next DRA, MAP or MRP iterate from z, given a = P_A z for DRA and,
+    for MAP and MRP, pbz = P_B z or None to project it here.  Callers pass
+    their own projectors, on one point or on a stack of rows."""
+    if method is MethodKind.DRA:
+        return z - a + project_b(2.0 * a - z)
+    if method is MethodKind.MAP:
+        return project_a(project_b(z) if pbz is None else pbz)
+    if method is MethodKind.MRP:
+        return project_a(2.0 * (project_b(z) if pbz is None else pbz) - z)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _pair_step(project_a, project_b, a, b):
+    """Spingarn's partial-inverse update of the pair (a, b):
+
+        a' = P_B(a + b),  b' = a + b - a'
+        a+ = P_A(a'),     b+ = b' - P_A(b')
+    """
+    s = a + b
+    a_mid = project_b(s)
+    b_mid = s - a_mid
+    return project_a(a_mid), b_mid - project_a(b_mid)
+
+
 def dra_step(set_a: ConvexSet, set_b: ConvexSet, z) -> Tuple[np.ndarray, ...]:
     """One governing step; returns (z_next, a, r, pbr) with a = P_A z,
     r = 2a - z, pbr = P_B r and z_next = z - a + pbr."""
     z = as_vector(z, set_a.dim)
     a = set_a.project(z)
     r = 2.0 * a - z
-    pbr = set_b.project(r)
-    return z - a + pbr, a, r, pbr
+    z_next = _step(MethodKind.DRA, set_a.project, set_b.project, z, a)
+    return z_next, a, r, set_b.project(r)
 
 
 def map_step(set_a: ConvexSet, set_b: ConvexSet, z) -> np.ndarray:
     """Alternating projections: P_A(P_B z)."""
-    return set_a.project(set_b.project(as_vector(z, set_a.dim)))
+    return _step(MethodKind.MAP, set_a.project, set_b.project, as_vector(z, set_a.dim))
 
 
 def mrp_step(set_a: ConvexSet, set_b: ConvexSet, z) -> np.ndarray:
     """Reflection-projection: P_A(2 P_B z - z)."""
-    z = as_vector(z, set_a.dim)
-    return set_a.project(2.0 * set_b.project(z) - z)
+    return _step(MethodKind.MRP, set_a.project, set_b.project, as_vector(z, set_a.dim))
 
 
 @dataclass(frozen=True)
@@ -98,22 +122,12 @@ class SpingarnState:
 def spingarn_step(
     set_a: ConvexSet, set_b: ConvexSet, state: SpingarnState
 ) -> SpingarnState:
-    """One partial-inverse update:
-
-        a' = P_B(a + b),  b' = a + b - a'
-        a+ = P_A(a'),     b+ = b' - P_A(b')
-    """
+    """One partial-inverse update of the pair (see ``_pair_step``)."""
     if not is_linear_subspace(set_a):
         raise InvalidSubspaceError(
             "spingarn_step requires a linear-subspace descriptor for the first set"
         )
-    s = state.a + state.b
-    a_mid = set_b.project(s)
-    b_mid = s - a_mid
-    return SpingarnState(
-        a=set_a.project(a_mid),
-        b=b_mid - set_a.project(b_mid),
-    )
+    return SpingarnState(*_pair_step(set_a.project, set_b.project, state.a, state.b))
 
 
 def _linearize(set_a: ConvexSet, set_b: ConvexSet):
@@ -161,13 +175,15 @@ def run(
     feas = next((r for r in rules if isinstance(r, Feasibility)), None)
     n_max = min(r.n_max for r in rules if isinstance(r, MaxIter))
 
+    project_a, project_b = set_a._project, set_b._project
     translation = None
-    state = None
-    if method is MethodKind.SPINGARN:
+    spingarn = method is MethodKind.SPINGARN
+    if spingarn:
         lin_a, lin_b, translation = _linearize(set_a, set_b)
+        pair_a, pair_b = lin_a._project, lin_b._project
         w = z - translation if translation is not None else z
-        a0 = lin_a.project(w)
-        state = SpingarnState(a=a0, b=a0 - w)
+        sa = pair_a(w)
+        sb = sa - w
 
     # P_B z is needed at every record only by a feasibility rule on the
     # iterate; MAP and MRP otherwise project it when they step
@@ -178,14 +194,13 @@ def run(
     last_residual = None
     last_scale = None
     while True:
-        a = set_a._project(z)
-        pbz = set_b._project(z) if b_rule else None
+        a = project_a(z)
+        pbz = project_b(z) if b_rule else None
 
         if feas is None:
             feasible = False
         elif feas.monitor is Monitor.SHADOW:
-            feasible = max(_norm(a - set_a._project(a)),
-                           _norm(a - set_b._project(a))) < feas.tol
+            feasible = max(_norm(a - project_a(a)), _norm(a - project_b(a))) < feas.tol
         else:
             feasible = max(_norm(z - a), _norm(z - pbz)) < feas.tol
         if feasible:
@@ -201,20 +216,11 @@ def run(
         if reason is not None:
             break
 
-        if method is MethodKind.DRA:
-            z_next = z - a + set_b._project(2.0 * a - z)
-        elif method is MethodKind.MAP:
-            z_next = set_a._project(set_b._project(z) if pbz is None else pbz)
-        elif method is MethodKind.MRP:
-            pbz = set_b._project(z) if pbz is None else pbz
-            z_next = set_a._project(2.0 * pbz - z)
-        elif method is MethodKind.SPINGARN:
-            state = spingarn_step(lin_a, lin_b, state)
-            z_next = state.a - state.b
-            if translation is not None:
-                z_next = z_next + translation
+        if spingarn:
+            sa, sb = _pair_step(pair_a, pair_b, sa, sb)
+            z_next = sa - sb if translation is None else sa - sb + translation
         else:
-            raise ValueError(f"unknown method {method!r}")
+            z_next = _step(method, project_a, project_b, z, a, pbz)
 
         last_residual = _norm(z_next - z)
         # z0 was checked once and the projectors take unchecked input, so an

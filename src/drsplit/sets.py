@@ -17,6 +17,7 @@ rows have the bits of ``project`` on that row.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -170,50 +171,49 @@ class Affine(ConvexSet):
         return bool(np.all(self.a == 0.0))
 
 
-class Hyperplane(ConvexSet):
-    """{x : <normal, x> = offset}."""
+class _NormalSet(ConvexSet):
+    """Hyperplane's and Halfspace's constructor: ``normal`` and ``offset``
+    stay as given, the projectors scale both by the power of two that brings
+    the normal's largest |entry| into [0.5, 1), as ``Affine`` does."""
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
         self.offset = float(offset)
-        nn = float(self.normal @ self.normal)
-        if nn == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        self._nn = nn
+        e = int(np.frexp(np.abs(self.normal).max(initial=0.0))[1])
+        self._n = np.ldexp(self.normal, -e)
+        self._nn = float(self._n @ self._n)
+        if self._nn == 0.0:
+            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
+        self._c = math.ldexp(self.offset, -e)
         self.dim = self.normal.shape[0]
 
+
+class Hyperplane(_NormalSet):
+    """{x : <normal, x> = offset}."""
+
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x - ((self.normal @ x - self.offset) / self._nn) * self.normal
+        return x - ((self._n @ x - self._c) / self._nn) * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        t = ((X * self.normal).sum(axis=1) - self.offset) / self._nn
-        return X - t[:, None] * self.normal
+        t = ((X * self._n).sum(axis=1) - self._c) / self._nn
+        return X - t[:, None] * self._n
 
     def is_linear(self) -> bool:
         return self.offset == 0.0
 
 
-class Halfspace(ConvexSet):
+class Halfspace(_NormalSet):
     """{x : <normal, x> <= offset}."""
 
-    def __init__(self, normal, offset: float):
-        self.normal = as_vector(normal)
-        self.offset = float(offset)
-        nn = float(self.normal @ self.normal)
-        if nn == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        self._nn = nn
-        self.dim = self.normal.shape[0]
-
     def _project(self, x: np.ndarray) -> np.ndarray:
-        excess = self.normal @ x - self.offset
+        excess = self._n @ x - self._c
         if excess <= 0.0:
             return x.copy()
-        return x - (excess / self._nn) * self.normal
+        return x - (excess / self._nn) * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        excess = (X * self.normal).sum(axis=1) - self.offset
-        moved = X - (excess / self._nn)[:, None] * self.normal
+        excess = (X * self._n).sum(axis=1) - self._c
+        moved = X - (excess / self._nn)[:, None] * self._n
         return np.where((excess > 0.0)[:, None], moved, X)
 
 

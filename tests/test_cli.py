@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -406,6 +407,30 @@ def test_sweep_overflow_fails_loudly(tmp_path, method):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="vector coordinates must be finite"):
             cli.sweep(spec)
+
+
+def test_sweep_rejects_an_unknown_method(tmp_path):
+    # a method name instead of a MethodKind: the sweep raises at its first
+    # step, as run does, rather than stepping by some other rule
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path)))
+    with pytest.raises(ValueError, match="unknown method"):
+        cli._sweep_method(spec.set_a, spec.set_b, "DRA", cli._starts(spec), spec)
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/tracing.py swaps these module attributes for timed wrappers;
+    # it lives outside the package, so it is loaded by its path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    loader = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    for name in ("run", "lift", *tracing.STEP_NAMES):
+        assert callable(getattr(cli, name)), name
+    assert callable(d.methods.IterationTrace)
+    assert callable(d.epigraph.project_epigraph)
+    with tracing.Tracer().instrument():
+        pass
+    assert cli.run is d.methods.run
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,54 @@ def test_spingarn_run_rejects_nonsubspace():
         d.run(d.Orthant(2), d.Ball([0.0, 0.0], 1.0), d.MethodKind.SPINGARN, [1.0, 1.0])
 
 
+def step_pairs():
+    """Four (A, B) pairs of differing kinds: an affine line, a linear axis
+    against a curved epigraph, a 3x7 affine set against a box, and a
+    three-set lift."""
+    rng = np.random.default_rng(81)
+    L = rng.normal(size=(3, 7))
+    lp = d.lift([d.Halfspace([1.0, 1.0], 2.0), d.Ball([1.0, -1.0], 2.0),
+                 d.Box([-1.0, -3.0], [3.0, 1.0])])
+    return [
+        pytest.param(d.Affine(LINE_L, LINE_A), d.Orthant(2), id="line_orthant"),
+        pytest.param(d.Hyperplane([0.0, 1.0], 0.0),
+                     d.Epigraph1D(d.quadratic(1.0, 0.0, -1.0)), id="epigraph"),
+        pytest.param(d.Affine(L, rng.normal(size=3)), d.Box(-np.ones(7), np.ones(7)),
+                     id="affine_box"),
+        pytest.param(lp.set_a, lp.set_b, id="lift"),
+    ]
+
+
+def bits(v):
+    return np.asarray(v).view(np.int64)
+
+
+@pytest.mark.parametrize("set_a, set_b", step_pairs())
+def test_step_functions_are_one_step_of_run(set_a, set_b):
+    # the step functions and run share one definition of each update, so
+    # their results agree to the bit, the sign of zero included
+    rng = np.random.default_rng(82)
+    K = d.MethodKind
+    for z0 in rng.normal(size=(40, set_a.dim)) * 10.0 ** rng.uniform(-2, 3, (40, 1)):
+        t = d.run(set_a, set_b, K.DRA, z0, d.MaxIter(1))
+        want = (t.z[1], t.a[0], t.r[0], t.pbr[0])
+        for got, w in zip(d.dra_step(set_a, set_b, z0), want, strict=True):
+            assert np.array_equal(bits(got), bits(w))
+        for method, step in ((K.MAP, d.map_step), (K.MRP, d.mrp_step)):
+            t = d.run(set_a, set_b, method, z0, d.MaxIter(1))
+            assert np.array_equal(bits(step(set_a, set_b, z0)), bits(t.z[1]))
+        if d.is_linear_subspace(set_a):
+            t = d.run(set_a, set_b, K.SPINGARN, z0, d.MaxIter(1))
+            a0 = set_a.project(z0)
+            out = d.spingarn_step(set_a, set_b, d.SpingarnState(a=a0, b=a0 - z0))
+            assert np.array_equal(bits(out.a - out.b), bits(t.z[1]))
+
+
+def test_run_rejects_an_unknown_method(line_orthant):
+    with pytest.raises(ValueError, match="unknown method"):
+        d.run(*line_orthant, "DRA", [100.0, -100.0], d.Feasibility(1e-4))
+
+
 # ---------------------------------------------------------------------------
 # run semantics
 

@@ -15,6 +15,7 @@ from conftest import (
     sample_point,
     zoo_params,
 )
+from drsplit import cli
 
 # ---------------------------------------------------------------------------
 # affine projection
@@ -98,6 +99,44 @@ def test_affine_rows_beyond_the_gram_range():
     for row in ([1e200, 0.0], [1e-170, 0.0]):
         s = d.Affine([row], [0.0])
         assert np.array_equal(s.project([1.0, 2.0]), [0.0, 2.0])
+
+
+@pytest.mark.parametrize("kind", [d.Hyperplane, d.Halfspace])
+def test_normal_beyond_the_gram_range(kind):
+    # the line x + y = 0 with a normal whose square overflows, and the line
+    # x = 0 with one whose square underflows; both keep the normal as given
+    big = kind([1e200, 1e200], 0.0)
+    assert np.array_equal(big.project([1.0, 1.0]), [0.0, 0.0])
+    assert np.array_equal(big.project_rows([[1.0, 1.0]]), [[0.0, 0.0]])
+    tiny = kind([1e-170, 0.0], 0.0)
+    assert np.array_equal(tiny.project([3.0, 4.0]), [0.0, 4.0])
+    assert np.array_equal(tiny.project_rows([[3.0, 4.0]]), [[0.0, 4.0]])
+    assert np.array_equal(tiny.normal, [1e-170, 0.0]) and tiny.offset == 0.0
+    assert cli.set_to_config(big)["normal"] == [1e200, 1e200]
+    # an offset whose scaled form leaves the float range: the set has no
+    # representable point
+    with pytest.raises(OverflowError):
+        kind([1e-170, 0.0], 1e200)
+
+
+@pytest.mark.parametrize("kind", [d.Hyperplane, d.Halfspace])
+def test_normal_scaling_keeps_the_bits(kind):
+    # powers of two scale exactly, so a normal in the normal range projects
+    # to the bits of the unscaled formula
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        n = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100)
+        c = float(rng.normal()) * float(np.abs(n).max())
+        s = kind(n, c)
+        X = rng.normal(size=(5, 3)) * 10.0
+        # the scalar form takes <n, x> by a dot product, the row form by a sum
+        excess = np.array([n @ x for x in X]) - c, (X * n).sum(axis=1) - c
+        projected = np.array([s.project(x) for x in X]), s.project_rows(X)
+        for e, got in zip(excess, projected):
+            want = X - (e / (n @ n))[:, None] * n
+            if kind is d.Halfspace:
+                want = np.where((e > 0.0)[:, None], want, X)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dimension_mismatch():
