@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -60,6 +61,8 @@ from .trace import (
     MaxIter,
     Monitor,
     Reason,
+    _exact_step,
+    normalize_rules,
 )
 
 FIRST_N_TOLS = (1e-2, 1e-4)
@@ -83,10 +86,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Problem file is well-formed but semantically invalid."""
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +333,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         steps = _checked(need("steps", g), int, "start.grid.steps")
         if not (lo <= hi and steps >= 1):
             raise ValidationError("grid needs lo <= hi and steps >= 1")
+        if not math.isfinite(hi - lo):  # linspace would make nan starts
+            raise ValidationError("grid span hi - lo must be a finite number")
         grid = GridSpec(lo=lo, hi=hi, steps=steps)
     elif "point" in start:
         try:
@@ -444,6 +445,7 @@ def _starts(spec: ProblemSpec) -> np.ndarray:
 
 
 def _rules_for(method: MethodKind, spec: ProblemSpec):
+    """The one reading of a problem's stopping fields, for run and sweep."""
     if _shadow_monitored(method):
         return [ExactFixedPoint(spec.eta), MaxIter(spec.max_iter)]
     return [Feasibility(spec.tol, spec.monitor), MaxIter(spec.max_iter)]
@@ -466,8 +468,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     and MRP.  It is kept at each index in ``record_at`` and scanned for
     the first index below each of FIRST_N_TOLS.  A row keeps taking its
     method's step after its rules fire until both are known or n reaches
-    ``max_iter``; a row leaves the batch once it needs no more steps.
-    A method other than a MethodKind raises ValueError at the first step.
+    the cap; a row leaves the batch once it needs no more steps.  A method
+    other than a MethodKind raises ValueError at the first step.
 
     Z is checked once; the projectors take unchecked input, so, as in
     ``run``, an overflow shows up in the next Z and raises ValueError.
@@ -477,10 +479,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     """
     Z = as_rows(Z, set_a.dim)
     shadow = _shadow_monitored(method)
-    # MAP and MRP rules carry no eta; ``run`` then reports ``exact`` by
-    # DEFAULT_ETA
-    eta = spec.eta if shadow else DEFAULT_ETA
-    cap = spec.max_iter
+    eta, feas, cap = normalize_rules(_rules_for(method, spec))
     last_record = max((n for n in spec.record_at if n <= cap), default=0)
     tols = np.array(FIRST_N_TOLS)
     count = Z.shape[0]
@@ -494,7 +493,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     }
     rows = np.arange(count)              # output index of each batch row
     running = np.ones(count, dtype=bool)
-    hit = np.zeros(count, dtype=bool)    # last step passed the exact test
+    hit = np.zeros(count, dtype=bool)    # the last step's exactness flag
     first = out["first_n"].copy()
     spingarn = method is MethodKind.SPINGARN
     if spingarn:
@@ -513,15 +512,15 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 out["d_b_at"][rows, j] = d
         first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
 
-        if shadow:
-            feasible, fixed = np.zeros_like(running), hit
+        if feas is None:
+            feasible = np.zeros_like(running)
+        elif feas.monitor is Monitor.SHADOW:
+            feasible = np.maximum(_norms(A - set_a._project_rows(A)),
+                                  _norms(A - set_b._project_rows(A))) < feas.tol
         else:
-            if spec.monitor is Monitor.SHADOW:
-                gap = np.maximum(_norms(A - set_a._project_rows(A)),
-                                 _norms(A - set_b._project_rows(A)))
-            else:
-                gap = np.maximum(_norms(Z - A), d)
-            feasible, fixed = gap < spec.tol, np.zeros_like(running)
+            d_b = d if point is Z else _norms(Z - set_b._project_rows(Z))
+            feasible = np.maximum(_norms(Z - A), d_b) < feas.tol
+        fixed = hit & (eta is not None)
         stop = running & (feasible | fixed | (n >= cap))
         if stop.any():
             i = rows[stop]
@@ -552,7 +551,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, A, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
-        hit = _norms(Z_next - Z) <= eta * (1.0 + _norms(Z))
+        hit = _exact_step(_norms(Z_next - Z), 1.0 + _norms(Z), eta)
         Z = Z_next
         n += 1
 
@@ -595,6 +594,13 @@ def _coord_names(prefix: str, dim: int):
     return [f"{prefix}_{i}" for i in range(dim)]
 
 
+def _write_lines(lines: Sequence[str], path=None) -> None:
+    """Write each line and a newline to the file at path, or to stdout."""
+    out = open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+    with out as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def csv_header(dim: int, record_at: Sequence[int]) -> str:
     cols = _coord_names("z0", dim)
     cols += ["method", "iterations", "exact"]
@@ -621,8 +627,7 @@ def emit_csv(rows: Sequence[SweepRow], path, record_at: Sequence[int]) -> None:
                *row.first_n, row.reason.value)
         for row in rows
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def emit_trace(traces: dict, path) -> None:
@@ -638,8 +643,7 @@ def emit_trace(traces: dict, path) -> None:
     for method, t in traces.items():
         lines += [fmt % (n, method.value, *t.z[k], *t.a[k], *t.r[k], *t.pbr[k],
                          t.d_a[k], t.d_b[k]) for k, n in enumerate(t.steps)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +723,9 @@ def _run_witness(args) -> int:
             step_residual, fix_distance = luque_witness(family, eps)
         except OverflowError as e:
             raise ValidationError(f"--eps {text!r} is too large: {e}") from e
-        lines.append(
-            f"{family.value},{_fmt(eps)},{_fmt(step_residual)},{_fmt(fix_distance)}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines.append("%s,%.17g,%.17g,%.17g"
+                     % (family.value, eps, step_residual, fix_distance))
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -737,8 +735,7 @@ def main(argv=None) -> int:
         if args.witness:
             return _run_witness(args)
         if not args.problem:
-            print("error: --problem or --witness is required", file=sys.stderr)
-            return 2
+            raise ValidationError("--problem or --witness is required")
         doc = _apply_overrides(_read_document(args.problem), args)
         spec = _spec_from_document(doc)
         if spec.csv_path is None:

@@ -31,14 +31,11 @@ from .sets import (
     is_linear_subspace,
 )
 from .trace import (
-    DEFAULT_ETA,
-    ExactFixedPoint,
-    Feasibility,
     IterationTrace,
-    MaxIter,
     Monitor,
     Reason,
     Termination,
+    _exact_step,
     _norm,
     normalize_rules,
 )
@@ -155,11 +152,13 @@ def run(
 ) -> IterationTrace:
     """Iterate the chosen method from z0 until a stopping rule fires.
 
-    ``stop`` may be a single rule or a sequence (first satisfied wins);
-    a MaxIter safeguard is appended when absent.  Feasibility rules are
-    checked at each iterate before stepping (including z0); the exact
-    fixed-point rule compares consecutive iterates.  Exceeding the
-    iteration cap is recorded as the termination reason, not raised.
+    ``stop`` is a rule, a sequence of rules or None, read by
+    ``normalize_rules``.  Feasibility rules are checked at each iterate
+    before stepping (including z0); the exact fixed-point rule compares
+    consecutive iterates; the run ends at the first record where a rule
+    fires, and when several fire there, feasibility wins over exactness
+    and exactness over the cap.  Exceeding the cap is recorded as the
+    reason, not raised; ``exact`` is the last step's ``_exact_step`` flag.
     z0 is checked once; an iterate that is not finite (an overflow)
     raises ValueError.  A step makes only the projections its update and
     the active rules use; the trace derives P_B r_n and d_B(z_n) on first
@@ -170,10 +169,7 @@ def run(
             f"sets have dimensions {set_a.dim} and {set_b.dim}"
         )
     z = as_vector(z0, set_a.dim)
-    rules = normalize_rules(stop)
-    eta = next((r.eta for r in rules if isinstance(r, ExactFixedPoint)), None)
-    feas = next((r for r in rules if isinstance(r, Feasibility)), None)
-    n_max = min(r.n_max for r in rules if isinstance(r, MaxIter))
+    eta, feas, n_max = normalize_rules(stop)
 
     project_a, project_b = set_a._project, set_b._project
     translation = None
@@ -190,9 +186,8 @@ def run(
     b_rule = feas is not None and feas.monitor is Monitor.ITERATE
     z_list, a_list = [], []
     n = 0
-    exact_hit = False
-    last_residual = None
-    last_scale = None
+    hit = False
+    residual = None
     while True:
         a = project_a(z)
         pbz = project_b(z) if b_rule else None
@@ -205,7 +200,7 @@ def run(
             feasible = max(_norm(z - a), _norm(z - pbz)) < feas.tol
         if feasible:
             reason = Reason.FEASIBILITY
-        elif exact_hit:
+        elif hit and eta is not None:
             reason = Reason.EXACT_FIXED_POINT
         elif n >= n_max:
             reason = Reason.MAX_ITER
@@ -222,22 +217,16 @@ def run(
         else:
             z_next = _step(method, project_a, project_b, z, a, pbz)
 
-        last_residual = _norm(z_next - z)
+        residual = _norm(z_next - z)
         # z0 was checked once and the projectors take unchecked input, so an
         # overflow shows up here; z is finite, so a finite residual means a
         # finite z_next
-        if not math.isfinite(last_residual) and not np.isfinite(z_next).all():
+        if not math.isfinite(residual) and not np.isfinite(z_next).all():
             raise ValueError("vector coordinates must be finite")
-        last_scale = 1.0 + _norm(z)
-        if eta is not None and last_residual <= eta * last_scale:
-            exact_hit = True
+        hit = _exact_step(residual, 1.0 + _norm(z), eta)
         z = z_next
         n += 1
 
-    exact = (
-        last_residual is not None
-        and last_residual <= (eta if eta is not None else DEFAULT_ETA) * last_scale
-    )
     return IterationTrace(
         z=tuple(z_list),
         a=tuple(a_list),
@@ -246,8 +235,8 @@ def run(
             reason=reason,
             iterations=n,
             final_point=z,
-            exact=exact,
-            step_residual=last_residual,
+            exact=hit,
+            step_residual=residual,
         ),
         translation=translation,
     )

@@ -126,22 +126,34 @@ class IterationTrace:
         return len(self.z)
 
 
-def normalize_rules(stop) -> list:
-    """Accept a single rule, a sequence, or None; always append a MaxIter
-    safeguard if none is present."""
-    if stop is None:
-        rules = []
-    elif isinstance(stop, (ExactFixedPoint, Feasibility, MaxIter)):
-        rules = [stop]
-    else:
-        rules = list(stop)
-    for rule in rules:
-        if isinstance(rule, Feasibility) and not rule.tol > 0:
-            raise ValueError("Feasibility.tol must be positive")
-        if isinstance(rule, MaxIter) and rule.n_max < 1:
-            raise ValueError("MaxIter.n_max must be at least 1")
-        if isinstance(rule, ExactFixedPoint) and not rule.eta > 0:
-            raise ValueError("ExactFixedPoint.eta must be positive")
-    if not any(isinstance(rule, MaxIter) for rule in rules):
-        rules.append(MaxIter())
-    return rules
+def normalize_rules(stop) -> tuple:
+    """Read a rule, a sequence of rules or None as (eta, feas, n_max): the
+    ExactFixedPoint eta or None, the Feasibility rule or None, and the least
+    MaxIter cap (DEFAULT_MAX_ITER without one).  Only one rule of each of
+    the first two kinds can decide a run; a second one raises ValueError."""
+    if isinstance(stop, (ExactFixedPoint, Feasibility, MaxIter)):
+        stop = (stop,)
+    eta = feas = None
+    caps = []
+    for rule in stop or ():
+        if isinstance(rule, ExactFixedPoint):
+            if eta is not None or not rule.eta > 0:
+                raise ValueError("give at most one ExactFixedPoint rule, with eta > 0")
+            eta = rule.eta
+        elif isinstance(rule, Feasibility):
+            if feas is not None or not rule.tol > 0:
+                raise ValueError("give at most one Feasibility rule, with tol > 0")
+            feas = rule
+        elif isinstance(rule, MaxIter):
+            if rule.n_max < 1:
+                raise ValueError("MaxIter.n_max must be at least 1")
+            caps.append(rule.n_max)
+    return eta, feas, min(caps, default=DEFAULT_MAX_ITER)
+
+
+def _exact_step(residual, scale, eta):
+    """A step's exactness flag, on floats or row arrays: residual <= eta *
+    scale, with scale = 1 + ||z_n|| and eta the rule's or DEFAULT_ETA.  A
+    bound that is not finite (||z_n|| overflows) certifies nothing."""
+    bound = (DEFAULT_ETA if eta is None else eta) * scale
+    return (residual <= bound) & (bound < math.inf)

@@ -96,6 +96,27 @@ def test_bad_json_reports_line():
     assert exc.value.line == 3
 
 
+def test_grid_span_must_be_finite(tmp_path, capsys):
+    # hi - lo overflows: linspace would make nan and inf starts
+    doc = small_problem(tmp_path, start={"grid": {"lo": -1.7e308, "hi": 1.7e308, "steps": 3}})
+    with pytest.raises(cli.ValidationError, match="span"):
+        cli.parse_problem(json.dumps(doc))
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(small_problem(tmp_path)))
+    assert cli.main(["--problem", str(path), "--grid=-1.7e308,1.7e308,3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_load_problem_reads_a_file(tmp_path):
+    text = json.dumps(small_problem(tmp_path))
+    path = tmp_path / "prob.json"
+    path.write_text(text)
+    assert cli.load_problem(path) == cli.parse_problem(text)
+    builtin = cli.builtin_problem_path("line_orthant.json")
+    assert cli.load_problem(builtin) == cli.parse_problem(builtin.read_text())
+
+
 def test_point_start_and_lift_route(tmp_path):
     doc = {
         "dim": 2,
@@ -120,6 +141,7 @@ def test_roundtrip_serialize_parse(tmp_path):
     for text in (
         cli.builtin_problem_path("line_orthant.json").read_text(),
         json.dumps(small_problem(tmp_path, start={"point": [3, -4]})),
+        json.dumps(oracle_problems(tmp_path)["lifted"]),
     ):
         spec = cli.parse_problem(text)
         again = cli.parse_problem(cli.serialize_problem(spec))
@@ -347,9 +369,13 @@ def oracle_problems(tmp_path):
     infeasible = small_problem(tmp_path, steps=3, methods=ALL_METHODS)
     infeasible["set_a"]["a"] = [-6]
     infeasible["stopping"]["max_iter"] = 200
+    # the line as an affine hyperplane, which SPINGARN translates
+    hyperplane = small_problem(tmp_path, methods=ALL_METHODS)
+    hyperplane["set_a"] = {"type": "hyperplane", "normal": [1, 5], "offset": 6}
     return {"line": line, "shadow": shadow, "capped": capped,
             "infeasible": infeasible, "lifted": lifted, "epigraph": epigraph,
-            "epigraph_abs": epigraph_abs, "epigraph_quad": epigraph_quad}
+            "epigraph_abs": epigraph_abs, "epigraph_quad": epigraph_quad,
+            "hyperplane": hyperplane}
 
 
 def assert_rows_match(rows, expected, rtol):
@@ -366,7 +392,7 @@ def assert_rows_match(rows, expected, rtol):
 
 @pytest.mark.parametrize(
     "name", ["line", "shadow", "capped", "infeasible", "lifted", "epigraph",
-             "epigraph_abs", "epigraph_quad"]
+             "epigraph_abs", "epigraph_quad", "hyperplane"]
 )
 def test_sweep_matches_reference_sweep(tmp_path, name):
     spec = cli.parse_problem(json.dumps(oracle_problems(tmp_path)[name]))
@@ -399,14 +425,44 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_sweep_overflow_fails_loudly(tmp_path, method):
-    # starts near the largest float: the line's projector or the step
-    # overflows within the first steps
+    # finite starts up to the largest float: the projection onto x + y = 0
+    # or the step overflows within the first steps, and the sweep's own
+    # per-step check raises (not the check of the starts)
     doc = small_problem(tmp_path, steps=3, methods=[method],
-                        start={"grid": {"lo": -1.7e308, "hi": 1.7e308, "steps": 3}})
+                        start={"grid": {"lo": 0, "hi": 1.7e308, "steps": 3}})
+    doc["set_a"] = {"type": "hyperplane", "normal": [1, 1], "offset": 0}
     spec = cli.parse_problem(json.dumps(doc))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="vector coordinates must be finite"):
+        with pytest.raises(ValueError, match="vector coordinates must be finite") as exc:
             cli.sweep(spec)
+    assert exc.traceback[-1].name == "_sweep_method"
+
+
+def test_sweep_certifies_nothing_on_an_infinite_bound(tmp_path):
+    # as in run: from (1e200, 0), ||z_n|| overflows and the bound is inf
+    doc = small_problem(tmp_path, start={"point": [1e200, 0.0]}, methods=["DRA", "SPINGARN"])
+    doc["stopping"]["max_iter"] = 20
+    spec = cli.parse_problem(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        rows = cli.sweep(spec)
+    assert [(r.reason, r.iterations, r.exact) for r in rows] == [(d.Reason.MAX_ITER, 20, False)] * 2
+
+
+def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch):
+    # the sweep takes its eta, feasibility rule and cap from _rules_for
+    # alone, so other rules stop each row as they stop run from its start
+    rules = {
+        d.MethodKind.DRA: [d.Feasibility(1e-2), d.MaxIter(25)],
+        d.MethodKind.MAP: [d.Feasibility(1e-9, d.Monitor.SHADOW), d.ExactFixedPoint(1e-2),
+                           d.MaxIter(30)],
+    }
+    monkeypatch.setattr(cli, "_rules_for", lambda method, spec: rules[method])
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=["DRA", "MAP"])))
+    rows = cli.sweep(spec)
+    assert {r.reason for r in rows} == set(d.Reason)
+    for row in rows:
+        t = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method]).termination
+        assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
 
 
 def test_sweep_rejects_an_unknown_method(tmp_path):
@@ -624,6 +680,50 @@ def test_main_overrides(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("z0_x,z0_y,method,iterations,exact,final_x,final_y,dB_at_3,")
     assert len(lines) == 1 + 2 * 2
+
+
+def test_main_tol_and_max_iter_overrides(tmp_path):
+    # the flags give the bytes of a file that states the same values
+    doc = small_problem(tmp_path, steps=3)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "override.csv"
+    assert cli.main(["--problem", str(path), "--tol", "1e-2", "--max-iter", "4",
+                     "--out", str(out)]) == 0
+    doc["stopping"].update(tol=1e-2, max_iter=4)
+    spec = cli.parse_problem(json.dumps(doc))
+    rows = cli.sweep(spec)
+    expected = tmp_path / "expected.csv"
+    cli.emit_csv(rows, expected, spec.record_at)
+    assert out.read_bytes() == expected.read_bytes()
+    assert max(r.iterations for r in rows) == 4
+    assert cli.main(["--problem", str(path)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() != out.read_bytes()
+
+
+def test_main_witness_out_file_matches_stdout(tmp_path, capsys):
+    eps = (0.25, 1e-3, 5e-324)
+    argv = ["--witness", "quadratic", "--eps", ",".join(map(repr, eps))]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "witness.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    lines = stdout.splitlines()
+    assert len(lines) == 1 + len(eps)
+    for line, e in zip(lines[1:], eps):
+        values = (e, *d.luque_witness(d.WitnessFamily.QUADRATIC, e))
+        assert line == ",".join(["quadratic"] + [format(v, ".17g") for v in values])
+
+
+def test_main_without_a_csv_path_exits_2(tmp_path, capsys):
+    doc = small_problem(tmp_path, steps=2)
+    del doc["outputs"]["csv_path"]
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path)]) == 2
+    assert "no CSV output path" in capsys.readouterr().err
 
 
 def test_main_point_run_with_trace(tmp_path):

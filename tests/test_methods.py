@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import drsplit as d
+from drsplit.trace import DEFAULT_MAX_ITER, normalize_rules
 from conftest import (
     LINE_A,
     LINE_L,
@@ -279,6 +280,21 @@ def test_run_feasibility_fires_before_stepping(line_orthant):
     assert not tr.termination.exact
 
 
+def test_spingarn_run_translates_an_affine_hyperplane(line_orthant):
+    # the line x + 5y = 6 given as a hyperplane: _linearize moves it to
+    # x + 5y = 0 and shifts B by the projection of the origin
+    set_a, set_b = d.Hyperplane([1.0, 5.0], 6.0), line_orthant[1]
+    z0 = [37.0, -11.0]
+    tr_d = d.run(set_a, set_b, d.MethodKind.DRA, z0, d.MaxIter(80))
+    tr_s = d.run(set_a, set_b, d.MethodKind.SPINGARN, z0, d.MaxIter(80))
+    assert np.allclose(tr_s.translation, FIX, rtol=0, atol=1e-15)
+    for zd, zs in zip(tr_d.z, tr_s.z):
+        assert np.linalg.norm(zd - zs) <= 1e-10 * (1 + np.linalg.norm(zd))
+    tr = d.run(set_a, set_b, d.MethodKind.SPINGARN, z0, d.ExactFixedPoint())
+    assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT
+    assert np.allclose(tr.a[-1], FIX, rtol=0, atol=1e-12)
+
+
 def test_run_max_iter_recorded_not_raised(line_orthant):
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.MAP, [90.0, -10.0], d.MaxIter(5))
@@ -294,6 +310,52 @@ def test_run_combined_rules_first_wins(line_orthant):
     # DRA lands exactly in the intersection, so feasibility fires there too;
     # it is checked first at each index
     assert tr.termination.reason is d.Reason.FEASIBILITY
+
+
+@pytest.mark.parametrize("rules", [
+    [d.Feasibility(1e-12), d.Feasibility(1e-2)],
+    [d.ExactFixedPoint(), d.ExactFixedPoint(1e-10), d.MaxIter(5)],
+])
+def test_run_rejects_two_rules_of_one_kind(line_orthant, rules):
+    # only one rule of each kind can decide a run; a second one was ignored,
+    # so the order of the list chose the tolerance
+    set_a, set_b = line_orthant
+    with pytest.raises(ValueError, match="at most one"):
+        d.run(set_a, set_b, d.MethodKind.MAP, [100.0, -100.0], rules)
+    with pytest.raises(ValueError, match="at most one"):
+        normalize_rules(rules)
+
+
+@pytest.mark.parametrize("rule", [d.ExactFixedPoint(0.0), d.Feasibility(-1e-3),
+                                  d.Feasibility(math.nan), d.MaxIter(0)])
+def test_run_rejects_a_rule_out_of_range(line_orthant, rule):
+    set_a, set_b = line_orthant
+    with pytest.raises(ValueError):
+        d.run(set_a, set_b, d.MethodKind.DRA, [1.0, 1.0], [rule, d.MaxIter(5)])
+
+
+def test_normalize_rules_returns_what_the_drivers_use(line_orthant):
+    feas = d.Feasibility(1e-3, d.Monitor.SHADOW)
+    assert normalize_rules(None) == (None, None, DEFAULT_MAX_ITER)
+    assert normalize_rules(d.ExactFixedPoint(1e-9)) == (1e-9, None, DEFAULT_MAX_ITER)
+    assert normalize_rules([feas, d.MaxIter(7), d.MaxIter(3)]) == (None, feas, 3)
+    # repeated caps keep the least
+    set_a, set_b = line_orthant
+    tr = d.run(set_a, set_b, d.MethodKind.MAP, [100.0, -100.0], [d.MaxIter(7), d.MaxIter(3)])
+    assert tr.iterations == 3 and tr.termination.reason is d.Reason.MAX_ITER
+
+
+@pytest.mark.parametrize("method", [d.MethodKind.DRA, d.MethodKind.SPINGARN])
+def test_run_certifies_nothing_on_an_infinite_bound(line_orthant, method):
+    # from (1e200, 0), ||z_n||^2 overflows: the step residual and the bound
+    # eta (1 + ||z_n||) are both inf, the final point is far from A and B,
+    # and inf <= inf must not end the run exact
+    set_a, set_b = line_orthant
+    with np.errstate(over="ignore"):
+        tr = d.run(set_a, set_b, method, [1e200, 0.0], [d.ExactFixedPoint(), d.MaxIter(20)])
+    assert tr.termination.reason is d.Reason.MAX_ITER and tr.iterations == 20
+    assert tr.termination.exact is False
+    assert tr.termination.step_residual == math.inf
 
 
 def test_run_shadow_monitor(line_orthant):

@@ -365,6 +365,21 @@ def test_project_rows_bits_equal_project(s):
         assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
 
 
+def test_custom_epigraph_rows_have_the_bits_of_project():
+    # a custom function's epigraph is projected row by row, by the loop of
+    # ConvexSet._project_rows
+    f = d.custom(lambda x: (x - 2) ** 4 - 1, lambda x: 4 * (x - 2) ** 3, 2.0)
+    s = d.Epigraph1D(f)
+    rng = np.random.default_rng(71)
+    X = rng.uniform(-8, 8, (40, 2))
+    X[::4, 1] = [f(x) for x in X[::4, 0]]  # on the graph
+    X[1] = (f.minimizer, -3.0)
+    rows = s.project_rows(X)
+    assert rows.shape == X.shape
+    for x, row in zip(X, rows):
+        assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
+
+
 def _projector_probe_corpus():
     """(set, points) pairs for the 2-D scalar projectors: the desk and
     zero-edge polygons, seeded random convex polygons at three scales, boxes
