@@ -315,6 +315,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     methods = [_method_from_name(m) for m in _checked(need("methods"), list, "methods")]
     if not methods:
         raise ValidationError("'methods' must name at least one method")
+    if len(set(methods)) < len(methods):
+        raise ValidationError("'methods' must name each method once")
     if MethodKind.SPINGARN in methods and set_a is not None:
         try:
             _linearize(set_a, set_b)
@@ -364,8 +366,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     record_at = [_checked(n, int, "outputs.record_at") for n in record_at]
     if any(n < 0 for n in record_at):
         raise ValidationError("record_at must contain nonnegative integers")
-    if record_at != sorted(record_at):
-        raise ValidationError("record_at must be sorted ascending")
+    if any(b <= a for a, b in zip(record_at, record_at[1:])):
+        raise ValidationError("record_at must be strictly increasing")
     csv_path = outputs.get("csv_path")
     trace_path = outputs.get("trace_path")
     for key, path in (("csv_path", csv_path), ("trace_path", trace_path)):
@@ -471,6 +473,17 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     the cap; a row leaves the batch once it needs no more steps.  A method
     other than a MethodKind raises ValueError at the first step.
 
+    A batch step computes only what its update and the active rules read:
+
+    * P_A z_n for every row only when DRA or SPINGARN steps (the shadow) or
+      a feasibility rule monitors the shadow;
+    * the exactness flag of every row at every step only under an
+      ExactFixedPoint rule; without one (MAP and MRP) the previous iterate
+      is kept and the flag is computed for the rows that stop;
+    * under a feasibility rule on the iterate, d_A(z_n) only for running
+      rows with d_B(z_n) < tol (a nan d_B is not feasible), and no stopping
+      test at all once every row has stopped.
+
     Z is checked once; the projectors take unchecked input, so, as in
     ``run``, an overflow shows up in the next Z and raises ValueError.
 
@@ -480,6 +493,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     Z = as_rows(Z, set_a.dim)
     shadow = _shadow_monitored(method)
     eta, feas, cap = normalize_rules(_rules_for(method, spec))
+    on_shadow = feas is not None and feas.monitor is Monitor.SHADOW
+    need_a = shadow or on_shadow
     last_record = max((n for n in spec.record_at if n <= cap), default=0)
     tols = np.array(FIRST_N_TOLS)
     count = Z.shape[0]
@@ -493,7 +508,9 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     }
     rows = np.arange(count)              # output index of each batch row
     running = np.ones(count, dtype=bool)
-    hit = np.zeros(count, dtype=bool)    # the last step's exactness flag
+    n_running = count
+    hit = np.zeros(count, dtype=bool)    # with eta: the last step's flag
+    Z_prev = None                        # without eta: the last iterate
     first = out["first_n"].copy()
     spingarn = method is MethodKind.SPINGARN
     if spingarn:
@@ -503,7 +520,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         SB = SA - W
     n = 0
     while True:
-        A = set_a._project_rows(Z)
+        A = set_a._project_rows(Z) if need_a else None
         point = A if shadow else Z
         PB = set_b._project_rows(point)
         d = _norms(point - PB)
@@ -512,36 +529,56 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 out["d_b_at"][rows, j] = d
         first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
 
-        if feas is None:
-            feasible = np.zeros_like(running)
-        elif feas.monitor is Monitor.SHADOW:
-            feasible = np.maximum(_norms(A - set_a._project_rows(A)),
-                                  _norms(A - set_b._project_rows(A))) < feas.tol
-        else:
-            d_b = d if point is Z else _norms(Z - set_b._project_rows(Z))
-            feasible = np.maximum(_norms(Z - A), d_b) < feas.tol
-        fixed = hit & (eta is not None)
-        stop = running & (feasible | fixed | (n >= cap))
-        if stop.any():
-            i = rows[stop]
-            out["iterations"][i] = n
-            out["exact"][i] = hit[stop]
-            out["reason"][i] = np.where(feasible[stop], 0, np.where(fixed[stop], 1, 2))
-            out["final"][i] = Z[stop]
-            running &= ~stop
-        done = ~running & (
-            (n >= cap) | ((n >= last_record) & (first != NOT_REACHED).all(axis=1))
-        )
-        if done.any():
-            out["first_n"][rows[done]] = first[done]
-            keep = ~done
-            rows, running, hit, first, Z, A, PB = (
-                v[keep] for v in (rows, running, hit, first, Z, A, PB)
+        if n_running:
+            feasible = fixed = False
+            if on_shadow:
+                feasible = running & (np.maximum(
+                    _norms(A - set_a._project_rows(A)),
+                    _norms(A - set_b._project_rows(A))) < feas.tol)
+            elif feas is not None:
+                d_b = _norms(Z - set_b._project_rows(Z)) if shadow else d
+                feasible = running & (d_b < feas.tol)
+                i = feasible.nonzero()[0]
+                if i.size:
+                    Zi = Z[i]
+                    Ai = A[i] if need_a else set_a._project_rows(Zi)
+                    feasible[i] = _norms(Zi - Ai) < feas.tol
+            if eta is not None:
+                fixed = running & hit
+            stop = running if n >= cap else feasible | fixed
+            if np.any(stop):
+                i = rows[stop]
+                out["iterations"][i] = n
+                if eta is not None:
+                    out["exact"][i] = hit[stop]
+                elif n:
+                    Zs, Zp = Z[stop], Z_prev[stop]
+                    out["exact"][i] = _exact_step(_norms(Zs - Zp), 1.0 + _norms(Zp), eta)
+                out["reason"][i] = np.where(stop & feasible, 0,
+                                            np.where(stop & fixed, 1, 2))[stop]
+                out["final"][i] = Z[stop]
+                running = running & ~stop
+                n_running -= i.size
+        if n_running < rows.size:
+            done = ~running & (
+                (n >= cap) | ((n >= last_record) & (first != NOT_REACHED).all(axis=1))
             )
-            if spingarn:
-                SA, SB = SA[keep], SB[keep]
-            if not rows.size:
-                return out
+            if done.any():
+                out["first_n"][rows[done]] = first[done]
+                keep = ~done
+                rows, running, first, Z, PB = (
+                    v[keep] for v in (rows, running, first, Z, PB)
+                )
+                if need_a:
+                    A = A[keep]
+                if eta is not None:
+                    hit = hit[keep]
+                elif n:
+                    Z_prev = Z_prev[keep]
+                if spingarn:
+                    SA, SB = SA[keep], SB[keep]
+                if not rows.size:
+                    return out
 
         if spingarn:
             SA, SB = _pair_step(lin_a._project_rows, lin_b._project_rows, SA, SB)
@@ -551,7 +588,10 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, A, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
-        hit = _exact_step(_norms(Z_next - Z), 1.0 + _norms(Z), eta)
+        if eta is not None:
+            hit = _exact_step(_norms(Z_next - Z), 1.0 + _norms(Z), eta)
+        else:
+            Z_prev = Z
         Z = Z_next
         n += 1
 

@@ -12,7 +12,8 @@ product over the stack, so each row's result is the same bits whichever
 other rows share the stack.  Every descriptor projects a stack at once
 except an epigraph of a custom function, whose ``fn`` and ``subgrad`` take
 one float, so its rows are projected one by one.  Polygon and epigraph
-rows have the bits of ``project`` on that row.
+rows have the bits of ``project`` on that row.  Affine rows accumulate
+P x column by column, left to right, in O(N * dim) memory for N rows.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ class Affine(ConvexSet):
     L^+(r) obtained by solving (L L^T) w = r through a Cholesky
     factorization of the Gram matrix.  Rank deficiency (a squared pivot
     below RANK_TOL times the squared norm of its row) is rejected at
-    construction.
+    construction.  A stack of N rows is projected as P x + q with the
+    products x_k P[:, k] added column by column, left to right, in
+    O(N * dim) memory.
     """
 
     def __init__(self, L, a):
@@ -165,7 +168,11 @@ class Affine(ConvexSet):
         return self._P @ x + self._q
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        return (X[:, None, :] * self._P).sum(axis=-1) + self._q
+        P = self._P
+        acc = X[:, :1] * P[:, 0]
+        for k in range(1, self.dim):
+            acc += X[:, k:k + 1] * P[:, k]
+        return acc + self._q
 
     def is_linear(self) -> bool:
         return bool(np.all(self.a == 0.0))

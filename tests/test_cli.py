@@ -75,6 +75,27 @@ def test_record_at_must_be_sorted(tmp_path):
         cli.parse_problem(json.dumps(doc))
 
 
+@pytest.mark.parametrize("record_at", [[5, 5], [0, 5, 5, 10]])
+def test_record_at_must_be_strictly_increasing(tmp_path, record_at):
+    # a repeated index would write two dB_at_n columns of one name
+    doc = small_problem(tmp_path)
+    doc["outputs"]["record_at"] = record_at
+    with pytest.raises(cli.ValidationError, match="strictly increasing"):
+        cli.parse_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("methods", [["DRA", "DRA"], ["MAP", "dra", "DRA"]])
+def test_methods_must_not_repeat(tmp_path, methods, capsys):
+    # a repeated method would write every CSV row twice
+    doc = small_problem(tmp_path, methods=methods)
+    with pytest.raises(cli.ValidationError, match="each method once"):
+        cli.parse_problem(json.dumps(doc))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(small_problem(tmp_path)))
+    assert cli.main(["--problem", str(path), "--method", ",".join(methods)]) == 2
+    assert "each method once" in capsys.readouterr().err
+
+
 def test_trace_with_grid_rejected(tmp_path):
     doc = small_problem(tmp_path)
     doc["outputs"]["trace_path"] = str(tmp_path / "trace.csv")
@@ -463,6 +484,67 @@ def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch):
     for row in rows:
         t = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method]).termination
         assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+
+
+def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch):
+    # MAP and MRP on the 11 x 11 line grid: d_A is taken only where
+    # d_B < tol, and the exactness test only for the rows that stop, so
+    # set A projects the steps' rows and few more, and few rows go through
+    # _norms besides the monitored distance
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=11,
+                                                      methods=["MAP", "MRP"])))
+    counts = {"a": 0, "norms": 0}
+    project_a, norms = spec.set_a._project_rows, cli._norms
+
+    def counted_project_a(X):
+        counts["a"] += X.shape[0]
+        return project_a(X)
+
+    def counted_norms(D):
+        counts["norms"] += D.shape[0]
+        return norms(D)
+
+    monkeypatch.setattr(spec.set_a, "_project_rows", counted_project_a, raising=False)
+    monkeypatch.setattr(cli, "_norms", counted_norms)
+    rows = cli.sweep(spec)
+    steps = {m: sum(r.iterations for r in rows if r.method is m) for m in spec.methods}
+    assert steps == {d.MethodKind.MAP: 15468, d.MethodKind.MRP: 15275}
+    # projecting A and taking every norm at every step would give 62,906
+    # and 125,812
+    assert counts == {"a": 31646, "norms": 32372}
+
+
+def test_sweep_exact_matches_run_where_map_and_mrp_stop(tmp_path):
+    # MAP and MRP take the exactness test only at their stopping record:
+    # there is none at n = 0 (a start in A and B), and at the cap the
+    # last step decides it, true on the line that misses the orthant
+    docs = [small_problem(tmp_path, methods=["MAP", "MRP"], start={"point": p})
+            for p in ([6.0, 0.0], [1.0, 1.0])]
+    capped = small_problem(tmp_path, steps=3, methods=["MAP", "MRP"])
+    capped["stopping"]["max_iter"] = 3
+    infeasible = small_problem(tmp_path, steps=3, methods=["MAP", "MRP"])
+    infeasible["set_a"]["a"] = [-6]
+    infeasible["stopping"]["max_iter"] = 200
+    seen = set()
+    for doc in docs + [capped, infeasible]:
+        spec = cli.parse_problem(json.dumps(doc))
+        for row in cli.sweep(spec):
+            t = d.run(spec.set_a, spec.set_b, row.method, row.z0,
+                      cli._rules_for(row.method, spec)).termination
+            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+            seen.add((row.iterations == 0, row.reason, row.exact))
+    assert {(True, d.Reason.FEASIBILITY, False), (False, d.Reason.MAX_ITER, False),
+            (False, d.Reason.MAX_ITER, True)} <= seen
+
+
+def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
+    # neither an exactness nor a feasibility rule: every row stops at the
+    # cap with the flag of its last step
+    monkeypatch.setattr(cli, "_rules_for", lambda method, spec: [d.MaxIter(4)])
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
+    for row in cli.sweep(spec):
+        t = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)]).termination
+        assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
 
 
 def test_sweep_rejects_an_unknown_method(tmp_path):

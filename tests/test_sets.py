@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,54 @@ def test_affine_rows_beyond_the_gram_range():
     for row in ([1e200, 0.0], [1e-170, 0.0]):
         s = d.Affine([row], [0.0])
         assert np.array_equal(s.project([1.0, 2.0]), [0.0, 2.0])
+
+
+def _random_affine(rng, rows, dim):
+    while True:
+        try:
+            return d.Affine(rng.normal(size=(rows, dim)), rng.normal(size=rows))
+        except d.RankDeficientError:
+            continue
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_affine_rows_have_the_bits_of_the_summed_products(dim):
+    # rows add x_k P[:, k] column by column, left to right; below dim 8
+    # numpy's sum over the last axis of the products adds in that order too
+    rng = np.random.default_rng(300 + dim)
+    for _ in range(20):
+        s = _random_affine(rng, int(rng.integers(1, max(dim, 2))), dim)
+        X = rng.normal(size=(200, dim)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+        X[rng.random(X.shape) < 0.1] = -0.0
+        want = (X[:, None, :] * s._P).sum(axis=-1) + s._q
+        got = s._project_rows(X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_affine_rows_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(350)
+    s = _random_affine(rng, 20, 50)
+    X = rng.normal(size=(64, 50)) * 10.0
+    whole = s._project_rows(X)
+    assert np.array_equal(s._project_rows(X[::-1]), whole[::-1])
+    for k in range(0, 64, 7):
+        assert np.array_equal(s._project_rows(X[k:k + 1]), whole[k:k + 1])
+    np.testing.assert_allclose(whole, [s.project(x) for x in X], rtol=0, atol=1e-12)
+
+
+def test_affine_rows_take_memory_linear_in_the_stack():
+    # 1,681 rows in R^50: the inputs and the result take 0.67 MB each, an
+    # N x dim x dim temporary of the products would take 34 MB
+    rng = np.random.default_rng(351)
+    s = _random_affine(rng, 20, 50)
+    X = rng.normal(size=(1681, 50))
+    tracemalloc.start()
+    try:
+        s._project_rows(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("kind", [d.Hyperplane, d.Halfspace])
