@@ -460,6 +460,12 @@ def _norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt((D * D).sum(axis=1))
 
 
+def _exact_rows(Z, Z_prev, mask, eta) -> np.ndarray:
+    """The exactness flag of the last step of the rows of Z under mask."""
+    Zs, Zp = Z[mask], Z_prev[mask]
+    return _exact_step(_norms(Zs - Zp), 1.0 + _norms(Zp), eta)
+
+
 def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     """Run one method from every row of Z at once, as ``run`` would with
     ``_rules_for(method, spec)`` from each row alone.
@@ -477,9 +483,9 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
 
     * P_A z_n for every row only when DRA or SPINGARN steps (the shadow) or
       a feasibility rule monitors the shadow;
-    * the exactness flag of every row at every step only under an
-      ExactFixedPoint rule; without one (MAP and MRP) the previous iterate
-      is kept and the flag is computed for the rows that stop;
+    * the exactness flag from z_n and the kept previous iterate, for the
+      running rows at every step only under an ExactFixedPoint rule (DRA
+      and SPINGARN), and otherwise only for the rows that stop;
     * under a feasibility rule on the iterate, d_A(z_n) only for running
       rows with d_B(z_n) < tol (a nan d_B is not feasible), and no stopping
       test at all once every row has stopped.
@@ -509,8 +515,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     rows = np.arange(count)              # output index of each batch row
     running = np.ones(count, dtype=bool)
     n_running = count
-    hit = np.zeros(count, dtype=bool)    # with eta: the last step's flag
-    Z_prev = None                        # without eta: the last iterate
+    Z_prev = Z                           # the last iterate (Z at n = 0)
     first = out["first_n"].copy()
     spingarn = method is MethodKind.SPINGARN
     if spingarn:
@@ -543,17 +548,15 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                     Zi = Z[i]
                     Ai = A[i] if need_a else set_a._project_rows(Zi)
                     feasible[i] = _norms(Zi - Ai) < feas.tol
-            if eta is not None:
-                fixed = running & hit
+            if eta is not None and n:
+                fixed = running.copy()
+                fixed[running] = _exact_rows(Z, Z_prev, running, eta)
             stop = running if n >= cap else feasible | fixed
             if np.any(stop):
                 i = rows[stop]
                 out["iterations"][i] = n
-                if eta is not None:
-                    out["exact"][i] = hit[stop]
-                elif n:
-                    Zs, Zp = Z[stop], Z_prev[stop]
-                    out["exact"][i] = _exact_step(_norms(Zs - Zp), 1.0 + _norms(Zp), eta)
+                if n:
+                    out["exact"][i] = _exact_rows(Z, Z_prev, stop, eta)
                 out["reason"][i] = np.where(stop & feasible, 0,
                                             np.where(stop & fixed, 1, 2))[stop]
                 out["final"][i] = Z[stop]
@@ -566,15 +569,11 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             if done.any():
                 out["first_n"][rows[done]] = first[done]
                 keep = ~done
-                rows, running, first, Z, PB = (
-                    v[keep] for v in (rows, running, first, Z, PB)
+                rows, running, first, Z, Z_prev, PB = (
+                    v[keep] for v in (rows, running, first, Z, Z_prev, PB)
                 )
                 if need_a:
                     A = A[keep]
-                if eta is not None:
-                    hit = hit[keep]
-                elif n:
-                    Z_prev = Z_prev[keep]
                 if spingarn:
                     SA, SB = SA[keep], SB[keep]
                 if not rows.size:
@@ -588,11 +587,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, A, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
-        if eta is not None:
-            hit = _exact_step(_norms(Z_next - Z), 1.0 + _norms(Z), eta)
-        else:
-            Z_prev = Z
-        Z = Z_next
+        Z_prev, Z = Z, Z_next
         n += 1
 
 
