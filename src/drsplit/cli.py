@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -326,6 +327,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     start = _checked(need("start"), dict, "start")
     start_point = None
     grid = None
+    if "grid" in start and "point" in start:
+        raise ValidationError("give either 'point' or 'grid' in 'start', not both")
     if "grid" in start:
         if dim != 2:
             raise ValidationError("grid starts are only valid for dim = 2")
@@ -371,9 +374,12 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     csv_path = outputs.get("csv_path")
     trace_path = outputs.get("trace_path")
     for key, path in (("csv_path", csv_path), ("trace_path", trace_path)):
-        # an integer would be taken by open() as a file descriptor
-        if path is not None:
-            _checked(path, str, f"outputs.{key}")
+        # open() takes an integer as a file descriptor; "" writes to stdout
+        if path is not None and not _checked(path, str, f"outputs.{key}"):
+            raise ValidationError(f"'outputs.{key}' must not be empty")
+    if None not in (csv_path, trace_path) and (
+            os.path.abspath(csv_path) == os.path.abspath(trace_path)):
+        raise ValidationError("csv_path and trace_path must be different files")
     if trace_path is not None and grid is not None:
         raise ValidationError("trace output requires a point start")
 
@@ -427,10 +433,6 @@ class SweepRow:
     reason: Reason
 
 
-def _shadow_monitored(method: MethodKind) -> bool:
-    return method in (MethodKind.DRA, MethodKind.SPINGARN)
-
-
 def _resolve_sets(spec: ProblemSpec):
     if spec.lift_sets is not None:
         lp = lift(spec.lift_sets)
@@ -446,9 +448,12 @@ def _starts(spec: ProblemSpec) -> np.ndarray:
     return np.column_stack((np.repeat(axis, axis.size), np.tile(axis, axis.size)))
 
 
+_SHADOW_METHODS = (MethodKind.DRA, MethodKind.SPINGARN)  # their point is P_A z_n
+
+
 def _rules_for(method: MethodKind, spec: ProblemSpec):
     """The one reading of a problem's stopping fields, for run and sweep."""
-    if _shadow_monitored(method):
+    if method in _SHADOW_METHODS:
         return [ExactFixedPoint(spec.eta), MaxIter(spec.max_iter)]
     return [Feasibility(spec.tol, spec.monitor), MaxIter(spec.max_iter)]
 
@@ -471,24 +476,20 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     ``_rules_for(method, spec)`` from each row alone.
 
     Rows step together while a mask tracks which of them are still
-    running.  Every row also records its monitored distance: the distance
-    to B of the shadow P_A z_n for DRA and SPINGARN, of z_n itself for MAP
-    and MRP.  It is kept at each index in ``record_at`` and scanned for
-    the first index below each of FIRST_N_TOLS.  A row keeps taking its
-    method's step after its rules fire until both are known or n reaches
-    the cap; a row leaves the batch once it needs no more steps.  A method
-    other than a MethodKind raises ValueError at the first step.
+    running.  Every row records its distance to B at the method's point
+    (the shadow P_A z_n for DRA and SPINGARN, z_n for MAP and MRP) at each
+    index in ``record_at``, and the first index where it falls below each
+    of FIRST_N_TOLS; it keeps stepping after its rules fire until both are
+    known or n reaches the cap, then leaves the batch.  A method other
+    than a MethodKind raises ValueError at the first step.
 
-    A batch step computes only what its update and the active rules read:
-
-    * P_A z_n for every row only when DRA or SPINGARN steps (the shadow) or
-      a feasibility rule monitors the shadow;
-    * the exactness flag from z_n and the kept previous iterate, for the
-      running rows at every step only under an ExactFixedPoint rule (DRA
-      and SPINGARN), and otherwise only for the rows that stop;
-    * under a feasibility rule on the iterate, d_A(z_n) only for running
-      rows with d_B(z_n) < tol (a nan d_B is not feasible), and no stopping
-      test at all once every row has stopped.
+    A step computes only what its update and the active rules read: P_A z_n
+    for every row only when the shadow is the method's point; the exactness
+    flag of the running rows under an ExactFixedPoint rule and otherwise of
+    the stopping rows; and, as in ``run``, one feasibility test at the
+    rule's monitored point w: d_B(w) of the running rows (the recorded
+    distance when w is the method's point), then d_A(w) only where d_B(w)
+    < tol, which a nan never passes.
 
     Z is checked once; the projectors take unchecked input, so, as in
     ``run``, an overflow shows up in the next Z and raises ValueError.
@@ -497,10 +498,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     ``reason`` as an index into _REASONS.
     """
     Z = as_rows(Z, set_a.dim)
-    shadow = _shadow_monitored(method)
+    shadow = method in _SHADOW_METHODS
     eta, feas, cap = normalize_rules(_rules_for(method, spec))
-    on_shadow = feas is not None and feas.monitor is Monitor.SHADOW
-    need_a = shadow or on_shadow
     last_record = max((n for n in spec.record_at if n <= cap), default=0)
     tols = np.array(FIRST_N_TOLS)
     count = Z.shape[0]
@@ -525,8 +524,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         SB = SA - W
     n = 0
     while True:
-        A = set_a._project_rows(Z) if need_a else None
-        point = A if shadow else Z
+        point = set_a._project_rows(Z) if shadow else Z    # P_A z_n or z_n
         PB = set_b._project_rows(point)
         d = _norms(point - PB)
         for j, m in enumerate(spec.record_at):
@@ -536,18 +534,20 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
 
         if n_running:
             feasible = fixed = False
-            if on_shadow:
-                feasible = running & (np.maximum(
-                    _norms(A - set_a._project_rows(A)),
-                    _norms(A - set_b._project_rows(A))) < feas.tol)
-            elif feas is not None:
-                d_b = _norms(Z - set_b._project_rows(Z)) if shadow else d
-                feasible = running & (d_b < feas.tol)
-                i = feasible.nonzero()[0]
+            if feas is not None:
+                on_shadow = feas.monitor is Monitor.SHADOW
+                if on_shadow == shadow:     # w is the method's point: d_B(w) is d
+                    i = (running & (d < feas.tol)).nonzero()[0]
+                    W = point[i]
+                else:
+                    i = running.nonzero()[0]
+                    W = set_a._project_rows(Z[i]) if on_shadow else Z[i]
+                    passed = _norms(W - set_b._project_rows(W)) < feas.tol
+                    i, W = i[passed], W[passed]
+                feasible = np.zeros_like(running)
                 if i.size:
-                    Zi = Z[i]
-                    Ai = A[i] if need_a else set_a._project_rows(Zi)
-                    feasible[i] = _norms(Zi - Ai) < feas.tol
+                    PA = point[i] if shadow and not on_shadow else set_a._project_rows(W)
+                    feasible[i] = _norms(W - PA) < feas.tol
             if eta is not None and n:
                 fixed = running.copy()
                 fixed[running] = _exact_rows(Z, Z_prev, running, eta)
@@ -556,7 +556,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 i = rows[stop]
                 out["iterations"][i] = n
                 if n:
-                    out["exact"][i] = _exact_rows(Z, Z_prev, stop, eta)
+                    out["exact"][i] = (fixed[stop] if eta is not None
+                                       else _exact_rows(Z, Z_prev, stop, eta))
                 out["reason"][i] = np.where(stop & feasible, 0,
                                             np.where(stop & fixed, 1, 2))[stop]
                 out["final"][i] = Z[stop]
@@ -569,11 +570,9 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             if done.any():
                 out["first_n"][rows[done]] = first[done]
                 keep = ~done
-                rows, running, first, Z, Z_prev, PB = (
-                    v[keep] for v in (rows, running, first, Z, Z_prev, PB)
+                rows, running, first, Z, Z_prev, point, PB = (
+                    v[keep] for v in (rows, running, first, Z, Z_prev, point, PB)
                 )
-                if need_a:
-                    A = A[keep]
                 if spingarn:
                     SA, SB = SA[keep], SB[keep]
                 if not rows.size:
@@ -583,8 +582,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
             SA, SB = _pair_step(lin_a._project_rows, lin_b._project_rows, SA, SB)
             Z_next = SA - SB if shift is None else SA - SB + shift
         else:
-            # MAP and MRP monitor the iterate, so their PB is P_B z
-            Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, A, PB)
+            # point is P_A z for DRA, and PB is P_B z for MAP and MRP
+            Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, point, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
         Z_prev, Z = Z, Z_next

@@ -153,16 +153,15 @@ def run(
     """Iterate the chosen method from z0 until a stopping rule fires.
 
     ``stop`` is a rule, a sequence of rules or None, read by
-    ``normalize_rules``.  Feasibility rules are checked at each iterate
-    before stepping (including z0); the exact fixed-point rule compares
-    consecutive iterates; the run ends at the first record where a rule
-    fires, and when several fire there, feasibility wins over exactness
-    and exactness over the cap.  Exceeding the cap is recorded as the
-    reason, not raised; ``exact`` is the last step's ``_exact_step`` flag.
-    z0 is checked once; an iterate that is not finite (an overflow)
-    raises ValueError.  A step makes only the projections its update and
-    the active rules use; the trace derives P_B r_n and d_B(z_n) on first
-    access.
+    ``normalize_rules``.  At each record (z0 included) the feasibility rule
+    tests its monitored point w, z_n or a_n = P_A z_n: d_B(w) < tol, then
+    d_A(w) < tol only where that passes, so a nan never passes.  The run
+    ends at the first record where a rule fires; feasibility wins over
+    exactness and exactness over the cap, which is recorded as the reason,
+    not raised.  ``exact`` is the last step's ``_exact_step`` flag.  z0 is
+    checked once; an iterate that is not finite (an overflow) raises
+    ValueError.  A step makes only the projections its update and the
+    active rules use; the trace derives P_B r_n and d_B(z_n) on first access.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -194,10 +193,11 @@ def run(
 
         if feas is None:
             feasible = False
-        elif feas.monitor is Monitor.SHADOW:
-            feasible = max(_norm(a - project_a(a)), _norm(a - project_b(a))) < feas.tol
+        elif b_rule:
+            feasible = _norm(z - pbz) < feas.tol and _norm(z - a) < feas.tol
         else:
-            feasible = max(_norm(z - a), _norm(z - pbz)) < feas.tol
+            feasible = (_norm(a - project_b(a)) < feas.tol
+                        and _norm(a - project_a(a)) < feas.tol)
         if feasible:
             reason = Reason.FEASIBILITY
         elif hit and eta is not None:

@@ -45,7 +45,7 @@ class ExactFixedPoint:
 
 @dataclass(frozen=True)
 class Feasibility:
-    """Stop once max(d_A(w), d_B(w)) < tol at the monitored point w."""
+    """Stop once d_B(w) < tol, then d_A(w) < tol, at the monitored point w."""
 
     tol: float
     monitor: Monitor = Monitor.ITERATE

@@ -462,12 +462,15 @@ def test_sweep_certifies_nothing_on_an_infinite_bound(tmp_path):
     assert [(r.reason, r.iterations, r.exact) for r in rows] == [(d.Reason.MAX_ITER, 20, False)] * 2
 
 
-def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch):
+@pytest.mark.parametrize("monitor", list(d.Monitor), ids=lambda m: m.value)
+def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch, monitor):
     # the sweep takes its eta, feasibility rule and cap from _rules_for
-    # alone, so other rules stop each row as they stop run from its start
+    # alone, so other rules stop each row as they stop run from its start:
+    # a feasibility rule on either point, for DRA (whose point is the
+    # shadow) and for MAP (whose point is the iterate)
     rules = {
-        d.MethodKind.DRA: [d.Feasibility(1e-2), d.MaxIter(25)],
-        d.MethodKind.MAP: [d.Feasibility(1e-9, d.Monitor.SHADOW), d.ExactFixedPoint(1e-2),
+        d.MethodKind.DRA: [d.Feasibility(1e-2, monitor), d.MaxIter(25)],
+        d.MethodKind.MAP: [d.Feasibility(1e-9, monitor), d.ExactFixedPoint(1e-2),
                            d.MaxIter(30)],
     }
     monkeypatch.setattr(cli, "_rules_for", lambda method, spec: rules[method])
@@ -479,13 +482,20 @@ def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch):
         assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
 
 
-def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch):
-    # MAP and MRP on the 11 x 11 line grid: d_A is taken only where
-    # d_B < tol, and the exactness test only for the rows that stop, so
-    # set A projects the steps' rows and few more, and few rows go through
-    # _norms besides the monitored distance
-    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=11,
-                                                      methods=["MAP", "MRP"])))
+@pytest.mark.parametrize("monitor, steps, a_rows, norm_rows", [
+    pytest.param("iterate", (15468, 15275), 31646, 32372, id="iterate"),
+    pytest.param("shadow", (15463, 15269), 62548, 63254, id="shadow"),
+])
+def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, steps,
+                                               a_rows, norm_rows):
+    # MAP and MRP on the 11 x 11 line grid: d_A(w) is taken only where
+    # d_B(w) < tol, and the exactness test only for the rows that stop, so
+    # set A projects the steps' rows and few more (on the shadow, also
+    # P_A z_n of the running rows), and few rows go through _norms besides
+    # the monitored distance
+    doc = small_problem(tmp_path, steps=11, methods=["MAP", "MRP"])
+    doc["stopping"]["monitor"] = monitor
+    spec = cli.parse_problem(json.dumps(doc))
     counts = {"a": 0, "norms": 0}
     project_a, norms = spec.set_a._project_rows, cli._norms
 
@@ -500,11 +510,11 @@ def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(spec.set_a, "_project_rows", counted_project_a, raising=False)
     monkeypatch.setattr(cli, "_norms", counted_norms)
     rows = cli.sweep(spec)
-    steps = {m: sum(r.iterations for r in rows if r.method is m) for m in spec.methods}
-    assert steps == {d.MethodKind.MAP: 15468, d.MethodKind.MRP: 15275}
+    assert tuple(sum(r.iterations for r in rows if r.method is m) for m in spec.methods) == steps
     # projecting A and taking every norm at every step would give 62,906
-    # and 125,812
-    assert counts == {"a": 31646, "norms": 32372}
+    # and 125,812 on the iterate; testing the shadow of every batch row
+    # with max(d_A, d_B) gave 94,480 and 95,186
+    assert counts == {"a": a_rows, "norms": norm_rows}
 
 
 def test_sweep_exact_matches_run_where_map_and_mrp_stop(tmp_path):
@@ -850,6 +860,25 @@ def test_main_errors(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["--problem", str(path)]) == 3
+    # one file for the CSV and the trace (compared as absolute paths), an
+    # empty path, which would write to stdout, and a start with a point
+    # and a grid, which would run the grid alone
+    same = tmp_path / "same.csv"
+    point = small_problem(tmp_path, start={"point": [1.0, 2.0]})
+    both = small_problem(tmp_path, start={"point": [1.0, 2.0], **doc["start"]})
+    capsys.readouterr()
+    for case, flags, message in [
+        (point, ["--out", str(same), "--trace", os.path.relpath(same)], "different files"),
+        (dict(point, outputs={"csv_path": ""}), [], "must not be empty"),
+        (dict(point, outputs={"csv_path": str(same), "trace_path": ""}), [],
+         "must not be empty"),
+        (both, [], "either 'point' or 'grid'"),
+    ]:
+        path.write_text(json.dumps(case))
+        assert cli.main(["--problem", str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and not out
+    assert not same.exists()
 
 
 @pytest.mark.parametrize(
@@ -946,27 +975,40 @@ def test_batched_restriction_equals_restrict(tmp_path):
         assert np.array_equal(got.view(np.int64), lp.restrict(row).view(np.int64))
 
 
+LINE_GRID = {
+    "set_a": {"type": "affine", "L": [[1, 5]], "a": [6]},
+    "set_b": {"type": "orthant", "dim": 2},
+    "methods": ALL_METHODS,
+    "start": {"grid": {"lo": -100, "hi": 100, "steps": 11}},
+    "outputs": {"record_at": [0, 5, 10]},
+}
 BENCHMARK_SWEEPS = {
-    # the 21x21 sweeps of perfbench/problems/epigraph.json and lifted.json;
-    # SHA-256 of their CSVs, recorded on x86_64 with numpy 2.4
+    # the 21x21 sweeps of perfbench/problems/epigraph.json and lifted.json,
+    # and the 11x11 line grid of all four methods with the feasibility rule
+    # on either point; SHA-256 of their CSVs, recorded on x86_64 with numpy 2.4
     "epigraph": ({"set_a": {"type": "hyperplane", "normal": [0, 1], "offset": 0},
                   "set_b": {"type": "epigraph", "f": "quadratic(1,0,-1)"}},
                  "a1b650e4212d830c179ddcda97b607df635496b45e2e340f2176c5d753bf9afa"),
     "lifted": ({"sets": LIFTED_SETS, "lift": True},
                "3fdff3c7715a9a72c9fb7d802223fa71110a8f5e826f1bd8e8748ee8530a0ce3"),
+    "line_iterate": (LINE_GRID,
+                     "a17c6bd385eba8563978bf20cb53afe425bf91a18825e142cce02cf7d9196d44"),
+    "line_shadow": (dict(LINE_GRID, stopping={"eta": 1e-14, "tol": 1e-4, "monitor": "shadow",
+                                              "max_iter": 100000}),
+                    "cd6bdc3bdace8ac1fa964ccd5e3b34830e9e9d23f41b33274eb51df24a96fde0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SWEEPS))
 def test_benchmark_sweep_csv_is_golden(tmp_path, name):
-    sets, digest = BENCHMARK_SWEEPS[name]
+    fields, digest = BENCHMARK_SWEEPS[name]
     doc = {
         "dim": 2,
-        **sets,
         "methods": ["DRA", "MAP", "MRP"],
         "start": {"grid": {"lo": -10, "hi": 10, "steps": 21}},
         "stopping": {"eta": 1e-14, "tol": 1e-4, "monitor": "iterate", "max_iter": 100000},
         "outputs": {"record_at": [5, 10]},
+        **fields,
     }
     spec = cli.parse_problem(json.dumps(doc))
     out = tmp_path / f"{name}.csv"

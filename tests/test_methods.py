@@ -444,18 +444,22 @@ class CountingSet(d.ConvexSet):
     (d.MethodKind.DRA, d.ExactFixedPoint(), (0, 1), (1, 0)),
     (d.MethodKind.MAP, d.Feasibility(1e-9), (1, 0), (1, 1)),
     (d.MethodKind.MRP, d.Feasibility(1e-9), (1, 0), (1, 1)),
+    (d.MethodKind.DRA, d.Feasibility(1e-9, d.Monitor.SHADOW), (0, 1), (1, 1)),
 ])
 def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
                                               per_step, per_record):
     # calls onto (A, B): per_step for each step, per_record for each record
     # (a run of n steps has n + 1 records); DRA projects P_A z and
-    # P_B(2a - z), MAP and MRP P_A z, P_B z for the rule and the step's P_A
+    # P_B(2a - z), MAP and MRP P_A z, P_B z for the rule and the step's P_A.
+    # A rule on the shadow takes P_B(a) at each record and P_A(a) only
+    # where d_B(a) < tol, which here is at the last record alone
+    at_stop = int(getattr(rules, "monitor", None) is d.Monitor.SHADOW)
     set_a, set_b = (CountingSet(s) for s in line_orthant)
     tr = d.run(set_a, set_b, method, [-70.0, 30.0], [rules, d.MaxIter(40)])
     steps, records = tr.iterations, len(tr)
     assert steps >= 2
     assert (set_a.calls, set_b.calls) == tuple(
-        s * steps + r * records for s, r in zip(per_step, per_record))
+        s * steps + r * records + f for s, r, f in zip(per_step, per_record, (at_stop, 0)))
     # pbr and d_b each cost one projection onto B per record, once
     for name in ("pbr", "d_b"):
         before = set_b.calls
@@ -463,7 +467,7 @@ def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
         assert set_b.calls == before + records
         getattr(tr, name)
         assert set_b.calls == before + records
-    assert set_a.calls == per_step[0] * steps + per_record[0] * records
+    assert set_a.calls == per_step[0] * steps + per_record[0] * records + at_stop
 
 
 def test_shadow_sequence(line_orthant):
