@@ -32,8 +32,8 @@ from .lifting import lift
 from .methods import (  # noqa: F401
     InvalidSubspaceError,
     MethodKind,
+    _Spingarn,
     _linearize,
-    _pair_step,
     _step,
     dra_step,
     map_step,
@@ -63,6 +63,7 @@ from .trace import (
     Monitor,
     Reason,
     _exact_step,
+    _norms,
     normalize_rules,
 )
 
@@ -458,13 +459,6 @@ def _rules_for(method: MethodKind, spec: ProblemSpec):
     return [Feasibility(spec.tol, spec.monitor), MaxIter(spec.max_iter)]
 
 
-_REASONS = (Reason.FEASIBILITY, Reason.EXACT_FIXED_POINT, Reason.MAX_ITER)
-
-
-def _norms(D: np.ndarray) -> np.ndarray:
-    return np.sqrt((D * D).sum(axis=1))
-
-
 def _exact_rows(Z, Z_prev, mask, eta) -> np.ndarray:
     """The exactness flag of the last step of the rows of Z under mask."""
     Zs, Zp = Z[mask], Z_prev[mask]
@@ -495,7 +489,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     ``run``, an overflow shows up in the next Z and raises ValueError.
 
     Returns per-row arrays under the names of the SweepRow fields, with
-    ``reason`` as an index into _REASONS.
+    ``reason`` an object array of Reason members.
     """
     Z = as_rows(Z, set_a.dim)
     shadow = method in _SHADOW_METHODS
@@ -506,7 +500,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     out = {
         "iterations": np.zeros(count, dtype=int),
         "exact": np.zeros(count, dtype=bool),
-        "reason": np.zeros(count, dtype=int),
+        "reason": np.empty(count, dtype=object),
         "final": np.empty_like(Z),
         "d_b_at": np.full((count, len(spec.record_at)), np.nan),
         "first_n": np.full((count, len(tols)), NOT_REACHED),
@@ -516,12 +510,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
     n_running = count
     Z_prev = Z                           # the last iterate (Z at n = 0)
     first = out["first_n"].copy()
-    spingarn = method is MethodKind.SPINGARN
-    if spingarn:
-        lin_a, lin_b, shift = _linearize(set_a, set_b)
-        W = Z - shift if shift is not None else Z
-        SA = lin_a._project_rows(W)
-        SB = SA - W
+    pair = _Spingarn(set_a, set_b, Z) if method is MethodKind.SPINGARN else None
     n = 0
     while True:
         point = set_a._project_rows(Z) if shadow else Z    # P_A z_n or z_n
@@ -533,7 +522,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
 
         if n_running:
-            feasible = fixed = False
+            feasible, fixed = np.zeros_like(running), np.zeros_like(running)
             if feas is not None:
                 on_shadow = feas.monitor is Monitor.SHADOW
                 if on_shadow == shadow:     # w is the method's point: d_B(w) is d
@@ -544,12 +533,10 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                     W = set_a._project_rows(Z[i]) if on_shadow else Z[i]
                     passed = _norms(W - set_b._project_rows(W)) < feas.tol
                     i, W = i[passed], W[passed]
-                feasible = np.zeros_like(running)
                 if i.size:
                     PA = point[i] if shadow and not on_shadow else set_a._project_rows(W)
                     feasible[i] = _norms(W - PA) < feas.tol
             if eta is not None and n:
-                fixed = running.copy()
                 fixed[running] = _exact_rows(Z, Z_prev, running, eta)
             stop = running if n >= cap else feasible | fixed
             if np.any(stop):
@@ -558,8 +545,8 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 if n:
                     out["exact"][i] = (fixed[stop] if eta is not None
                                        else _exact_rows(Z, Z_prev, stop, eta))
-                out["reason"][i] = np.where(stop & feasible, 0,
-                                            np.where(stop & fixed, 1, 2))[stop]
+                out["reason"][i] = np.where(feasible[stop], Reason.FEASIBILITY, np.where(
+                    fixed[stop], Reason.EXACT_FIXED_POINT, Reason.MAX_ITER))
                 out["final"][i] = Z[stop]
                 running = running & ~stop
                 n_running -= i.size
@@ -573,17 +560,14 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 rows, running, first, Z, Z_prev, point, PB = (
                     v[keep] for v in (rows, running, first, Z, Z_prev, point, PB)
                 )
-                if spingarn:
-                    SA, SB = SA[keep], SB[keep]
+                if pair:
+                    pair.a, pair.b = pair.a[keep], pair.b[keep]
                 if not rows.size:
                     return out
 
-        if spingarn:
-            SA, SB = _pair_step(lin_a._project_rows, lin_b._project_rows, SA, SB)
-            Z_next = SA - SB if shift is None else SA - SB + shift
-        else:
-            # point is P_A z for DRA, and PB is P_B z for MAP and MRP
-            Z_next = _step(method, set_a._project_rows, set_b._project_rows, Z, point, PB)
+        # point is P_A z for DRA, and PB is P_B z for MAP and MRP
+        Z_next = pair.step() if pair else _step(method, set_a._project_rows,
+                                                set_b._project_rows, Z, point, PB)
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
         Z_prev, Z = Z, Z_next
@@ -593,23 +577,21 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
 def sweep(spec: ProblemSpec) -> list:
     """Run every method from every start point and return the rows.
 
-    Each method steps the whole start stack at once; lifted final points
-    are restricted to their mean blocks in one array operation, and each
+    Each method steps the whole start stack at once, embedded and restricted
+    by ``LiftedProblem.embed``/``restrict`` for a lifted problem, and each
     result column becomes Python values once.  Rows that hit the
     iteration cap are flagged by their termination reason, never dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
     starts = _starts(spec)
-    Z = starts if lp is None else np.tile(starts, (1, lp.copies))
+    Z = starts if lp is None else lp.embed(starts)
     columns = []
     for method in spec.methods:
         res = _sweep_method(set_a, set_b, method, Z, spec)
-        final = res["final"]
-        if lp is not None:
-            final = final.reshape(len(starts), lp.copies, lp.base_dim).mean(axis=1)
+        final = res["final"] if lp is None else lp.restrict(res["final"])
         columns.append((method, res["iterations"].tolist(), res["exact"].tolist(),
                         final, res["d_b_at"].tolist(), res["first_n"].tolist(),
-                        [_REASONS[k] for k in res["reason"].tolist()]))
+                        res["reason"].tolist()))
     return [
         SweepRow(z0, method, iterations[i], exact[i], final[i], tuple(d_b_at[i]),
                  tuple(first_n[i]), reason[i])
@@ -774,6 +756,9 @@ def main(argv=None) -> int:
         spec = _spec_from_document(doc)
         if spec.csv_path is None:
             raise ValidationError("no CSV output path (use --out or outputs.csv_path)")
+        outputs = {os.path.abspath(p) for p in (spec.csv_path, spec.trace_path) if p}
+        if os.path.abspath(args.problem) in outputs:
+            raise ValidationError("an output path names the problem file")
         rows = sweep(spec)
         emit_csv(rows, spec.csv_path, spec.record_at)
         if spec.trace_path is not None:

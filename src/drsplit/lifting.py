@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .methods import MethodKind, run
-from .sets import ConvexSet, Diagonal, DimensionMismatchError, Product, as_vector
+from .sets import ConvexSet, Diagonal, DimensionMismatchError, Product, as_rows, as_vector
 from .trace import IterationTrace
 
 
@@ -22,8 +22,9 @@ from .trace import IterationTrace
 class LiftedProblem:
     """The two-set image of an M-set feasibility problem.
 
-    ``restrict`` returns the mean block, which equals any block at a
-    diagonal point and is the diagonal projection's block elsewhere.
+    ``embed`` and ``restrict`` take one point or an (N, dim) stack of
+    rows.  ``restrict`` returns the mean block, which equals any block at
+    a diagonal point and is the diagonal projection's block elsewhere.
     """
 
     copies: int
@@ -32,11 +33,17 @@ class LiftedProblem:
     set_b: Product
 
     def embed(self, x) -> np.ndarray:
-        return np.tile(as_vector(x, self.base_dim), self.copies)
+        return np.tile(_points(x, self.base_dim), self.copies)
 
     def restrict(self, xx) -> np.ndarray:
-        xx = as_vector(xx, self.copies * self.base_dim)
-        return xx.reshape(self.copies, self.base_dim).mean(axis=0)
+        xx = _points(xx, self.copies * self.base_dim)
+        return xx.reshape(*xx.shape[:-1], self.copies, self.base_dim).mean(axis=-2)
+
+
+def _points(x, dim: int) -> np.ndarray:
+    """x checked as one point, or as an (N, dim) stack when it is 2-D."""
+    x = np.asarray(x, dtype=float)
+    return as_rows(x, dim) if x.ndim == 2 else as_vector(x, dim)
 
 
 def lift(sets: Sequence[ConvexSet]) -> LiftedProblem:

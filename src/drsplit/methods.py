@@ -9,7 +9,7 @@ Four methods over a pair of sets (A, B):
   equivalent to the DRA applied to z = a - b when A is a linear subspace
 
 All drivers share the trace format, the stopping rules and the one
-definition of each update rule (``_step``, ``_pair_step``); runs share nothing.
+definition of each update rule (``_step``, ``_Spingarn``); runs share nothing.
 """
 
 from __future__ import annotations
@@ -143,6 +143,24 @@ def _linearize(set_a: ConvexSet, set_b: ConvexSet):
     )
 
 
+class _Spingarn:
+    """Spingarn's pair (a, b) of one point z or of each row of a stack, on
+    the linearized sets, from a = P_A w and b = a - w with w = z - shift."""
+
+    def __init__(self, set_a: ConvexSet, set_b: ConvexSet, z: np.ndarray):
+        lin_a, lin_b, self.shift = _linearize(set_a, set_b)
+        self.project_a, self.project_b = ((lin_a._project_rows, lin_b._project_rows)
+                                          if z.ndim == 2 else (lin_a._project, lin_b._project))
+        w = z - self.shift if self.shift is not None else z
+        self.a = self.project_a(w)
+        self.b = self.a - w
+
+    def step(self):
+        """Step the pair by ``_pair_step``; return the iterate a - b + shift."""
+        self.a, self.b = _pair_step(self.project_a, self.project_b, self.a, self.b)
+        return self.a - self.b if self.shift is None else self.a - self.b + self.shift
+
+
 def run(
     set_a: ConvexSet,
     set_b: ConvexSet,
@@ -171,14 +189,7 @@ def run(
     eta, feas, n_max = normalize_rules(stop)
 
     project_a, project_b = set_a._project, set_b._project
-    translation = None
-    spingarn = method is MethodKind.SPINGARN
-    if spingarn:
-        lin_a, lin_b, translation = _linearize(set_a, set_b)
-        pair_a, pair_b = lin_a._project, lin_b._project
-        w = z - translation if translation is not None else z
-        sa = pair_a(w)
-        sb = sa - w
+    pair = _Spingarn(set_a, set_b, z) if method is MethodKind.SPINGARN else None
 
     # P_B z is needed at every record only by a feasibility rule on the
     # iterate; MAP and MRP otherwise project it when they step
@@ -211,11 +222,7 @@ def run(
         if reason is not None:
             break
 
-        if spingarn:
-            sa, sb = _pair_step(pair_a, pair_b, sa, sb)
-            z_next = sa - sb if translation is None else sa - sb + translation
-        else:
-            z_next = _step(method, project_a, project_b, z, a, pbz)
+        z_next = pair.step() if pair else _step(method, project_a, project_b, z, a, pbz)
 
         residual = _norm(z_next - z)
         # z0 was checked once and the projectors take unchecked input, so an
@@ -238,7 +245,7 @@ def run(
             exact=hit,
             step_residual=residual,
         ),
-        translation=translation,
+        translation=pair.shift if pair else None,
     )
 
 

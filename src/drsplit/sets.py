@@ -25,7 +25,7 @@ import numpy as np
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
-from .trace import _norm
+from .trace import _norm, _norms
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -275,7 +275,7 @@ class Ball(ConvexSet):
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
-        nd = np.sqrt((D * D).sum(axis=1))
+        nd = _norms(D)
         outside = nd > self.radius
         scale = self.radius / np.where(outside, nd, 1.0)
         return np.where(outside[:, None], self.center + scale[:, None] * D, X)

@@ -23,6 +23,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a stack."""
+    return np.sqrt((D * D).sum(axis=1))
+
+
 class Monitor(Enum):
     """Which point a feasibility rule measures: the iterate z_n itself or
     its shadow P_A(z_n)."""

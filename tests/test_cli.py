@@ -836,6 +836,25 @@ def test_main_grid_override_with_file_trace_rejected(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_main_never_overwrites_the_problem_file(tmp_path, monkeypatch, capsys):
+    # --out, --trace (under another spelling of the same path) and a
+    # csv_path in the file itself: each names the problem file, so main
+    # exits 2 before writing anything
+    monkeypatch.chdir(tmp_path)
+    doc = small_problem(tmp_path, start={"point": [100.0, -100.0]}, methods=["DRA"])
+    path = tmp_path / "prob.json"
+    itself = dict(doc, outputs={"csv_path": "prob.json", "record_at": [5]})
+    for problem, flags in [(doc, ["--out", str(path)]), (doc, ["--trace", "./prob.json"]),
+                           (itself, [])]:
+        path.write_text(json.dumps(problem))
+        before = path.read_bytes()
+        assert cli.main(["--problem", "prob.json", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "names the problem file" in captured.err and captured.out == ""
+        assert path.read_bytes() == before
+        assert not (tmp_path / "out.csv").exists()
+
+
 def test_spingarn_needs_an_affine_first_set(tmp_path):
     doc = small_problem(tmp_path, methods=["SPINGARN"])
     doc["set_a"], doc["set_b"] = doc["set_b"], doc["set_a"]
@@ -951,9 +970,9 @@ def test_reference_sweep_csv_is_golden(tmp_path):
 
 
 def test_batched_restriction_equals_restrict(tmp_path):
-    # sweep restricts every lifted final point at once, as the mean over
-    # the copies axis of the (N, copies, base_dim) stack; int64 views make
-    # the sign of zero count.  Converged rows end on the diagonal, where
+    # sweep restricts every lifted final point at once with the stack form
+    # of restrict, the mean over the copies axis of the (N, copies,
+    # base_dim) stack; int64 views make the sign of zero count.  Converged rows end on the diagonal, where
     # every block is the mean; a cap of 3 leaves DRA and SPINGARN rows off it
     doc = oracle_problems(tmp_path)["lifted"]
     capped = json.loads(json.dumps(doc))
@@ -970,7 +989,7 @@ def test_batched_restriction_equals_restrict(tmp_path):
     rng = np.random.default_rng(61)
     F = rng.choice([-1.0, 1.0], (5000, 10)) * 10.0 ** rng.uniform(-8, 8, (5000, 10))
     F[::7, 3] = -0.0
-    batched = F.reshape(len(F), lp.copies, lp.base_dim).mean(axis=1)
+    batched = lp.restrict(F)
     for got, row in zip(batched, F):
         assert np.array_equal(got.view(np.int64), lp.restrict(row).view(np.int64))
 

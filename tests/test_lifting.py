@@ -17,6 +17,32 @@ def test_lift_shapes_and_descriptors():
     assert np.array_equal(lp.restrict([1.0, -2.0, 3.0, 0.0]), [2.0, -1.0])
 
 
+def test_stack_forms_of_embed_and_restrict_match_the_point_forms():
+    # row i of a stack has the bits of the point form on row i, -0.0
+    # included (int64 views), and the stack forms check their input as the
+    # point forms do
+    lp = d.lift(HALFSPACE_PAIR + [d.Orthant(2)])
+    rng = np.random.default_rng(17)
+    X = rng.choice([-1.0, 1.0], (300, 2)) * 10.0 ** rng.uniform(-8, 8, (300, 2))
+    X[::5, 1] = -0.0
+    F = rng.choice([-1.0, 1.0], (300, 6)) * 10.0 ** rng.uniform(-8, 8, (300, 6))
+    F[::3, ::2] = -0.0  # the first coordinate of every block
+    for form, rows, width in ((lp.embed, X, 6), (lp.restrict, F, 2)):
+        got = form(rows)
+        assert got.shape == (len(rows), width)
+        for g, row in zip(got, rows):
+            assert np.array_equal(g.view(np.int64), form(row).view(np.int64))
+        for wrong in (rows[:, :-1], rows[0, :-1]):
+            with pytest.raises(d.DimensionMismatchError):
+                form(wrong)
+        for bad in (np.nan, np.inf):
+            nonfinite = rows.copy()
+            nonfinite[7, 1] = bad
+            for wrong in (nonfinite, nonfinite[7]):
+                with pytest.raises(ValueError, match="finite"):
+                    form(wrong)
+
+
 def test_lift_rejects_mismatched_dims():
     with pytest.raises(d.DimensionMismatchError):
         d.lift([d.Orthant(2), d.Orthant(3)])
