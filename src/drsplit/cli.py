@@ -522,7 +522,7 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
 
         if n_running:
-            feasible, fixed = np.zeros_like(running), np.zeros_like(running)
+            feasible, fixed = np.zeros((2, rows.size), dtype=bool)
             if feas is not None:
                 on_shadow = feas.monitor is Monitor.SHADOW
                 if on_shadow == shadow:     # w is the method's point: d_B(w) is d
@@ -545,8 +545,9 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
                 if n:
                     out["exact"][i] = (fixed[stop] if eta is not None
                                        else _exact_rows(Z, Z_prev, stop, eta))
-                out["reason"][i] = np.where(feasible[stop], Reason.FEASIBILITY, np.where(
-                    fixed[stop], Reason.EXACT_FIXED_POINT, Reason.MAX_ITER))
+                out["reason"][i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
+                out["reason"][i[fixed[stop]]] = Reason.EXACT_FIXED_POINT
+                out["reason"][i[feasible[stop]]] = Reason.FEASIBILITY
                 out["final"][i] = Z[stop]
                 running = running & ~stop
                 n_running -= i.size
@@ -756,8 +757,8 @@ def main(argv=None) -> int:
         spec = _spec_from_document(doc)
         if spec.csv_path is None:
             raise ValidationError("no CSV output path (use --out or outputs.csv_path)")
-        outputs = {os.path.abspath(p) for p in (spec.csv_path, spec.trace_path) if p}
-        if os.path.abspath(args.problem) in outputs:
+        outputs = {os.path.realpath(p) for p in (spec.csv_path, spec.trace_path) if p}
+        if os.path.realpath(args.problem) in outputs:
             raise ValidationError("an output path names the problem file")
         rows = sweep(spec)
         emit_csv(rows, spec.csv_path, spec.record_at)

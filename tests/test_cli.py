@@ -837,15 +837,16 @@ def test_main_grid_override_with_file_trace_rejected(tmp_path):
 
 
 def test_main_never_overwrites_the_problem_file(tmp_path, monkeypatch, capsys):
-    # --out, --trace (under another spelling of the same path) and a
-    # csv_path in the file itself: each names the problem file, so main
-    # exits 2 before writing anything
+    # --out (by its absolute path and through a symlink), --trace (under
+    # another spelling of the same path) and a csv_path in the file itself:
+    # each names the problem file, so main exits 2 before writing anything
     monkeypatch.chdir(tmp_path)
     doc = small_problem(tmp_path, start={"point": [100.0, -100.0]}, methods=["DRA"])
     path = tmp_path / "prob.json"
+    (tmp_path / "alias.json").symlink_to("prob.json")
     itself = dict(doc, outputs={"csv_path": "prob.json", "record_at": [5]})
-    for problem, flags in [(doc, ["--out", str(path)]), (doc, ["--trace", "./prob.json"]),
-                           (itself, [])]:
+    for problem, flags in [(doc, ["--out", str(path)]), (doc, ["--out", "alias.json"]),
+                           (doc, ["--trace", "./prob.json"]), (itself, [])]:
         path.write_text(json.dumps(problem))
         before = path.read_bytes()
         assert cli.main(["--problem", "prob.json", *flags]) == 2
