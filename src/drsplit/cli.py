@@ -125,9 +125,6 @@ def set_from_config(cfg: dict, ambient_dim: Optional[int] = None) -> ConvexSet:
     for key in fields:
         if key not in cfg:
             raise ParseError(f"missing key for {kind!r} descriptor", fieldname=key)
-    if kind in ("orthant", "diagonal"):
-        for key in fields:
-            _checked(cfg[key], int, f"{kind}.{key}")
     if kind == "epigraph":
         args = [function_from_name(cfg["f"])]
     elif kind == "product":
@@ -270,7 +267,8 @@ def parse_problem(text: str) -> ProblemSpec:
     Raises ParseError for malformed documents (with line/field context) and
     ValidationError for semantic problems: rank-deficient affine matrices,
     grids in dimensions other than 2, unknown methods, Spingarn's method on
-    a first set that is no affine subspace, and the like.
+    a first set that is no affine subspace, and the like.  Output paths are
+    compared with each other and with the problem file by ``main``.
     """
     return _spec_from_document(_load_document(text))
 
@@ -378,9 +376,6 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         # open() takes an integer as a file descriptor; "" writes to stdout
         if path is not None and not _checked(path, str, f"outputs.{key}"):
             raise ValidationError(f"'outputs.{key}' must not be empty")
-    if None not in (csv_path, trace_path) and (
-            os.path.abspath(csv_path) == os.path.abspath(trace_path)):
-        raise ValidationError("csv_path and trace_path must be different files")
     if trace_path is not None and grid is not None:
         raise ValidationError("trace output requires a point start")
 
@@ -757,9 +752,11 @@ def main(argv=None) -> int:
         spec = _spec_from_document(doc)
         if spec.csv_path is None:
             raise ValidationError("no CSV output path (use --out or outputs.csv_path)")
-        outputs = {os.path.realpath(p) for p in (spec.csv_path, spec.trace_path) if p}
-        if os.path.realpath(args.problem) in outputs:
+        paths = [os.path.realpath(p) for p in (args.problem, spec.csv_path, spec.trace_path) if p]
+        if paths[0] in paths[1:]:
             raise ValidationError("an output path names the problem file")
+        if len(set(paths)) < len(paths):
+            raise ValidationError("csv_path and trace_path must be different files")
         rows = sweep(spec)
         emit_csv(rows, spec.csv_path, spec.record_at)
         if spec.trace_path is not None:

@@ -8,6 +8,7 @@ carry their parameters so downstream code can use closed-form shortcuts.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -54,6 +55,8 @@ def quadratic(q2: float, q1: float, q0: float) -> ConvexFunction1D:
     since otherwise the function has no minimizer.
     """
     q2, q1, q0 = float(q2), float(q1), float(q0)
+    if not all(map(math.isfinite, (q2, q1, q0))):
+        raise ValueError("quadratic parameters must be finite")
     if q2 < 0:
         raise ValueError("quadratic requires q2 >= 0")
     if q2 == 0 and q1 != 0:
@@ -76,6 +79,8 @@ def absshift(alpha: float, beta: float) -> ConvexFunction1D:
     because 0 minimizes f.
     """
     alpha, beta = float(alpha), float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("absshift parameters must be finite")
     if alpha <= 0:
         raise ValueError("absshift requires alpha > 0")
     return ConvexFunction1D(

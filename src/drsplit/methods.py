@@ -81,10 +81,10 @@ def dra_step(set_a: ConvexSet, set_b: ConvexSet, z) -> Tuple[np.ndarray, ...]:
     """One governing step; returns (z_next, a, r, pbr) with a = P_A z,
     r = 2a - z, pbr = P_B r and z_next = z - a + pbr."""
     z = as_vector(z, set_a.dim)
-    a = set_a.project(z)
+    a = set_a._project(z)
     r = 2.0 * a - z
-    z_next = _step(MethodKind.DRA, set_a.project, set_b.project, z, a)
-    return z_next, a, r, set_b.project(r)
+    pbr = set_b.project(r)
+    return _step(MethodKind.DRA, set_a._project, lambda _: pbr, z, a), a, r, pbr
 
 
 def map_step(set_a: ConvexSet, set_b: ConvexSet, z) -> np.ndarray:

@@ -19,6 +19,7 @@ P x column by column, left to right, in O(N * dim) memory for N rows.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,13 @@ def as_rows(X, dim: int) -> np.ndarray:
     if not np.isfinite(R).all():
         raise ValueError("vector coordinates must be finite")
     return R
+
+
+def _size(value, name: str) -> int:
+    """A set size: a positive Python or numpy integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return operator.index(value)
 
 
 class ConvexSet:
@@ -128,12 +136,9 @@ class Affine(ConvexSet):
     """
 
     def __init__(self, L, a):
-        L = np.atleast_2d(np.asarray(L, dtype=float))
-        if L.ndim != 2:
-            raise ValueError("L must be a matrix")
+        L = np.atleast_2d(L)
+        L = as_rows(L, L.shape[-1])
         a = as_vector(a, L.shape[0])
-        if not np.all(np.isfinite(L)):
-            raise ValueError("L must have finite entries")
         # scale row k of L and a_k by a power of two that brings the row's
         # largest |entry| into [0.5, 1): the set is the same, the Gram matrix
         # can neither overflow nor underflow, and rows in the normal range
@@ -185,7 +190,7 @@ class _NormalSet(ConvexSet):
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal)
-        self.offset = float(offset)
+        self.offset = as_vector(float(offset)).item()
         e = int(np.frexp(np.abs(self.normal).max(initial=0.0))[1])
         self._n = np.ldexp(self.normal, -e)
         self._nn = float(self._n @ self._n)
@@ -245,10 +250,7 @@ class Orthant(ConvexSet):
     """The nonnegative orthant of R^dim."""
 
     def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
+        self.dim = _size(dim, "dimension")
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
@@ -292,11 +294,9 @@ class Polygon2D(ConvexSet):
     dim = 2
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        v = as_rows(vertices, 2)
+        if v.shape[0] < 3:
             raise ValueError("need at least three 2-D vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
         edges = np.roll(v, -1, axis=0) - v
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
             edges, -1, axis=0
@@ -401,12 +401,9 @@ class Diagonal(ConvexSet):
     """
 
     def __init__(self, copies: int, base_dim: int):
-        copies, base_dim = int(copies), int(base_dim)
-        if copies < 1 or base_dim < 1:
-            raise ValueError("copies and base_dim must be positive")
-        self.copies = copies
-        self.base_dim = base_dim
-        self.dim = copies * base_dim
+        self.copies = _size(copies, "copies")
+        self.base_dim = _size(base_dim, "base_dim")
+        self.dim = self.copies * self.base_dim
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         # ``mean(axis=0)`` and ``np.tile`` with the same bits, without their

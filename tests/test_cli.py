@@ -880,15 +880,18 @@ def test_main_errors(tmp_path, capsys):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["--problem", str(path)]) == 3
-    # one file for the CSV and the trace (compared as absolute paths), an
-    # empty path, which would write to stdout, and a start with a point
-    # and a grid, which would run the grid alone
+    # one file for the CSV and the trace (under another spelling or through
+    # a symlink), an empty path, which would write to stdout, and a start
+    # with a point and a grid, which would run the grid alone
     same = tmp_path / "same.csv"
+    (tmp_path / "link.csv").symlink_to("same.csv")
     point = small_problem(tmp_path, start={"point": [1.0, 2.0]})
     both = small_problem(tmp_path, start={"point": [1.0, 2.0], **doc["start"]})
     capsys.readouterr()
     for case, flags, message in [
         (point, ["--out", str(same), "--trace", os.path.relpath(same)], "different files"),
+        (point, ["--out", str(same), "--trace", str(tmp_path / "link.csv")],
+         "different files"),
         (dict(point, outputs={"csv_path": ""}), [], "must not be empty"),
         (dict(point, outputs={"csv_path": str(same), "trace_path": ""}), [],
          "must not be empty"),
@@ -930,6 +933,8 @@ def test_main_errors(tmp_path, capsys):
         pytest.param("set_a", "copies", 2.9, id="diagonal-copies-fraction"),
         pytest.param("set_a", "base_dim", 1.5, id="diagonal-base_dim-fraction"),
         pytest.param("sets.1", "dim", True, id="lifted-orthant-dim-bool"),
+        pytest.param("set_a", "offset", float("nan"), id="halfspace-offset-nan"),
+        pytest.param("set_b", "f", "quadratic(nan,0,-1)", id="epigraph-f-nan"),
     ],
 )
 def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, value):
@@ -945,6 +950,11 @@ def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, v
         if key in ("copies", "base_dim"):
             # the diagonal of R^2, which the truncated value also describes
             doc["set_a"] = {"type": "diagonal", "copies": 2, "base_dim": 1}
+        if key == "offset":
+            doc["set_a"] = {"type": "halfspace", "normal": [1, 1], "offset": 0}
+        if key == "f":
+            doc["set_a"] = {"type": "hyperplane", "normal": [0, 1], "offset": 0}
+            doc["set_b"] = {"type": "epigraph", "f": "quadratic(1,0,-1)"}
         if key == "lift" or section == "sets.1":
             doc["sets"] = [doc.pop("set_a"), doc.pop("set_b")]
             doc["lift"] = True

@@ -36,6 +36,17 @@ def test_dra_step_from_origin(line_orthant):
     assert set_a.distance(z_next) <= 1e-14 and set_b.distance(z_next) == 0.0
 
 
+def test_dra_step_projects_onto_b_once(line_orthant):
+    # P_B r is both returned and the step's last term: one projection
+    set_a, set_b = line_orthant
+    calls = []
+    project = set_b._project
+    set_b._project = lambda x: calls.append(x) or project(x)
+    z_next, a, r, pbr = d.dra_step(set_a, set_b, [3.0, -7.0])
+    assert len(calls) == 1
+    assert np.array_equal(z_next, [3.0, -7.0] - a + pbr)
+
+
 def test_dra_step_fixes_intersection_points(line_orthant):
     set_a, set_b = line_orthant
     for z in (FIX, np.array([6.0, 0.0]), np.array([1.0, 1.0])):

@@ -201,6 +201,27 @@ def test_vectors_must_be_finite():
         d.project_orthant([np.nan, 1.0])
     with pytest.raises(ValueError):
         d.Ball([0.0, np.inf], 1.0)
+    # a non-finite offset or function parameter is refused at construction,
+    # before a projector can hand back NaN or pass a point through unchanged
+    for offset in (np.nan, np.inf, -np.inf):
+        for kind in (d.Hyperplane, d.Halfspace):
+            with pytest.raises(ValueError):
+                kind([1.0, 1.0], offset)
+    for params in ((np.nan, 0.0, -1.0), (1.0, np.inf, 0.0), (1.0, 0.0, -np.inf)):
+        with pytest.raises(ValueError):
+            d.quadratic(*params)
+    for params in ((np.inf, -1.0), (np.nan, -1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            d.absshift(*params)
+
+
+def test_set_sizes_are_positive_integers():
+    # a fraction is not truncated and a bool is not a size
+    for make in (lambda: d.Orthant(2.7), lambda: d.Orthant(True),
+                 lambda: d.Diagonal(2.9, 1), lambda: d.Diagonal(2, 1.5)):
+        with pytest.raises(ValueError):
+            make()
+    assert d.Orthant(np.int64(2)).dim == 2
 
 
 # ---------------------------------------------------------------------------
