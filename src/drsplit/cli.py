@@ -2,9 +2,10 @@
 
 A problem file is a JSON document pairing two set descriptors (or a list of
 sets to lift) with methods, a start (single point or square grid), stopping
-parameters, and output paths.  Sweeps run every declared method from every
-start, stepping all starts of a method together as one (N, dim) array, and
-build one row per (start, method) from the result columns.  The CSV has a
+parameters, and output paths.  A sweep steps every start of every declared
+method in one lockstep loop, as one batch with a block of rows per method,
+and projects onto each set once per stage of a step for all blocks; one
+row per (start, method) is built from the result columns.  The CSV has a
 fixed row order (row-major grid, method order as declared) and writes each
 line with one format string, floats with 17 significant digits, so equal
 specs give byte-identical files.
@@ -445,6 +446,7 @@ def _starts(spec: ProblemSpec) -> np.ndarray:
 
 
 _SHADOW_METHODS = (MethodKind.DRA, MethodKind.SPINGARN)  # their point is P_A z_n
+_BLOCKS = (*_SHADOW_METHODS, MethodKind.MAP, MethodKind.MRP)  # the batch's block order
 
 
 def _rules_for(method: MethodKind, spec: ProblemSpec):
@@ -454,61 +456,82 @@ def _rules_for(method: MethodKind, spec: ProblemSpec):
     return [Feasibility(spec.tol, spec.monitor), MaxIter(spec.max_iter)]
 
 
-def _exact_rows(Z, Z_prev, mask, eta) -> np.ndarray:
-    """The exactness flag of the last step of the rows of Z under mask."""
-    Zs, Zp = Z[mask], Z_prev[mask]
-    return _exact_step(_norms(Zs - Zp), 1.0 + _norms(Zp), eta)
+def _exact_rows(Z, Z_prev, i, eta) -> np.ndarray:
+    """The exactness flag of the last step of the rows i of Z."""
+    Zp = Z_prev.take(i, axis=0)
+    return _exact_step(_norms(Z.take(i, axis=0) - Zp), 1.0 + _norms(Zp), eta)
 
 
-def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
-    """Run one method from every row of Z at once, as ``run`` would with
-    ``_rules_for(method, spec)`` from each row alone.
+def _sweep_methods(set_a, set_b, methods, Z, spec: ProblemSpec) -> dict:
+    """Run each of ``methods``, distinct MethodKinds, from every row of Z,
+    as ``run`` would with ``_rules_for(method, spec)`` from each row alone.
 
-    Rows step together while a mask tracks which of them are still
-    running.  Every row records its distance to B at the method's point
-    (the shadow P_A z_n for DRA and SPINGARN, z_n for MAP and MRP) at each
-    index in ``record_at``, and the first index where it falls below each
-    of FIRST_N_TOLS; it keeps stepping after its rules fire until both are
-    known or n reaches the cap, then leaves the batch.  A method other
-    than a MethodKind raises ValueError at the first step.
+    The rows of all methods step together, a block per method in the order
+    of _BLOCKS.  Each row records d_B of its method's point (P_A z_n for
+    DRA and SPINGARN, z_n for MAP and MRP) at each index in ``record_at``
+    and the first index where it falls below each of FIRST_N_TOLS; it steps
+    on after its rules fire until both are known or n reaches its cap.  A
+    step projects onto each set once per stage: P_A z_n of the DRA and
+    SPINGARN rows; P_B of every row's point; d_A(w) of the feasibility
+    test; the update, P_B(2 P_A z_n - z_n) on the DRA rows and P_A on the
+    MAP and MRP rows (SPINGARN steps its own pair).  It computes only what
+    the rules read: the exactness flag of the running rows under an
+    ExactFixedPoint rule, else of the rows that stop; as in ``run``, d_B(w)
+    at the monitored point w (the distance already taken when w is the
+    method's point, else one more call onto B, and onto A for w = P_A z_n),
+    then d_A(w) only where d_B(w) < tol, which a nan never passes.  A
+    method that is no MethodKind raises ValueError before the first step;
+    Z is checked once, so, as in ``run``, an overflow shows up in the next
+    Z and raises ValueError.
 
-    A step computes only what its update and the active rules read: P_A z_n
-    for every row only when the shadow is the method's point; the exactness
-    flag of the running rows under an ExactFixedPoint rule and otherwise of
-    the stopping rows; and, as in ``run``, one feasibility test at the
-    rule's monitored point w: d_B(w) of the running rows (the recorded
-    distance when w is the method's point), then d_A(w) only where d_B(w)
-    < tol, which a nan never passes.
-
-    Z is checked once; the projectors take unchecked input, so, as in
-    ``run``, an overflow shows up in the next Z and raises ValueError.
-
-    Returns per-row arrays under the names of the SweepRow fields, with
-    ``reason`` an object array of Reason members.
+    Returns per-row arrays under the names of the SweepRow fields, start i
+    and ``methods[k]`` in row i * len(methods) + k, ``reason`` an object
+    array of Reason members.
     """
     Z = as_rows(Z, set_a.dim)
-    shadow = method in _SHADOW_METHODS
-    eta, feas, cap = normalize_rules(_rules_for(method, spec))
-    last_record = max((n for n in spec.record_at if n <= cap), default=0)
+    for method in methods:
+        if method not in _BLOCKS:
+            raise ValueError(f"unknown method {method!r}")
+    count, width = Z.shape[0], len(methods)
+    # per block: each row's output index, the block's end in the batch, and
+    # its (cap, last record, eta, tol at its method's point, tol at the
+    # other point), with nan for a rule that _rules_for does not give
+    rows, rules, bounds = [], [], [0]
+    for kind in _BLOCKS:
+        if kind in methods:
+            eta, feas, cap = normalize_rules(_rules_for(kind, spec))
+            tol = [math.nan, math.nan]
+            if feas is not None:
+                tol[(feas.monitor is Monitor.SHADOW) != (kind in _SHADOW_METHODS)] = feas.tol
+            rules.append((cap, max((n for n in spec.record_at if n <= cap), default=0),
+                          math.nan if eta is None else eta, *tol))
+            rows.append(np.arange(count) * width + methods.index(kind))
+        bounds.append(bounds[-1] + count * (kind in methods))
+    _, s1, s2, s3, s4 = bounds           # DRA | SPINGARN | MAP | MRP rows
+    rows = np.concatenate(rows)
+    cap, last, eta, tol, tol_other = rule = np.repeat(np.array(rules).T, count, axis=1)
+    min_cap = int(cap.min())
+    Z = np.concatenate([Z] * width)
     tols = np.array(FIRST_N_TOLS)
-    count = Z.shape[0]
-    out = {
-        "iterations": np.zeros(count, dtype=int),
-        "exact": np.zeros(count, dtype=bool),
-        "reason": np.empty(count, dtype=object),
-        "final": np.empty_like(Z),
-        "d_b_at": np.full((count, len(spec.record_at)), np.nan),
-        "first_n": np.full((count, len(tols)), NOT_REACHED),
-    }
-    rows = np.arange(count)              # output index of each batch row
-    running = np.ones(count, dtype=bool)
-    n_running = count
+    out = {"iterations": np.zeros(s4, dtype=int), "exact": np.zeros(s4, dtype=bool),
+           "reason": np.empty(s4, dtype=object), "final": np.empty_like(Z),
+           "d_b_at": np.full((s4, len(spec.record_at)), np.nan),
+           "first_n": np.full((s4, len(tols)), NOT_REACHED)}
+    running = np.ones(s4, dtype=bool)
+    n_running = s4
     Z_prev = Z                           # the last iterate (Z at n = 0)
     first = out["first_n"].copy()
-    pair = _Spingarn(set_a, set_b, Z) if method is MethodKind.SPINGARN else None
-    n = 0
+    pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
+    n = live = 0
     while True:
-        point = set_a._project_rows(Z) if shadow else Z    # P_A z_n or z_n
+        if live != len(set(bounds)):     # a block has emptied: which rules are left
+            live, given = len(set(bounds)), rule[2:] > 0
+            (with_eta, with_tol, with_other), every_eta = given.any(axis=1), given[0].all()
+        point = Z                        # P_A z_n on the DRA and SPINGARN rows, else z_n
+        if s2:
+            point = set_a._project_rows(Z[:s2])
+            if s2 < s4:
+                point = np.concatenate((point, Z[s2:]))
         PB = set_b._project_rows(point)
         d = _norms(point - PB)
         for j, m in enumerate(spec.record_at):
@@ -517,53 +540,66 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
         first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
 
         if n_running:
-            feasible, fixed = np.zeros((2, rows.size), dtype=bool)
-            if feas is not None:
-                on_shadow = feas.monitor is Monitor.SHADOW
-                if on_shadow == shadow:     # w is the method's point: d_B(w) is d
-                    i = (running & (d < feas.tol)).nonzero()[0]
-                    W = point[i]
-                else:
-                    i = running.nonzero()[0]
-                    W = set_a._project_rows(Z[i]) if on_shadow else Z[i]
-                    passed = _norms(W - set_b._project_rows(W)) < feas.tol
-                    i, W = i[passed], W[passed]
+            feasible, fixed = np.zeros((2, s4), dtype=bool)
+            if with_tol or with_other:
+                i = (running & (d < tol)).nonzero()[0]    # w is the point: d_B(w) is d
+                W, t = point.take(i, axis=0), tol[i]
+                if with_other:           # w is z_n on DRA and SPINGARN rows, else P_A z_n
+                    j = (running & (tol_other > 0)).nonzero()[0]
+                    Wj, k = Z.take(j, axis=0), j.searchsorted(s2)
+                    if k < j.size:
+                        Wj[k:] = set_a._project_rows(Wj[k:])
+                    k = (_norms(Wj - set_b._project_rows(Wj)) < tol_other[j]).nonzero()[0]
+                    i, W, t = (np.concatenate(p) for p in
+                               ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]])))
                 if i.size:
-                    PA = point[i] if shadow and not on_shadow else set_a._project_rows(W)
-                    feasible[i] = _norms(W - PA) < feas.tol
-            if eta is not None and n:
-                fixed[running] = _exact_rows(Z, Z_prev, running, eta)
-            stop = running if n >= cap else feasible | fixed
-            if np.any(stop):
-                i = rows[stop]
-                out["iterations"][i] = n
+                    feasible[i] = _norms(W - set_a._project_rows(W)) < t
+            if with_eta and n:
+                i = (running if every_eta else running & (eta > 0)).nonzero()[0]
+                fixed[i] = _exact_rows(Z, Z_prev, i, eta[i])
+            stop = feasible | fixed
+            if n >= min_cap:
+                stop |= running & (n >= cap)
+            i = stop.nonzero()[0]
+            if i.size:
+                out_i = rows[i]
+                out["iterations"][out_i] = n
                 if n:
-                    out["exact"][i] = (fixed[stop] if eta is not None
-                                       else _exact_rows(Z, Z_prev, stop, eta))
-                out["reason"][i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
-                out["reason"][i[fixed[stop]]] = Reason.EXACT_FIXED_POINT
-                out["reason"][i[feasible[stop]]] = Reason.FEASIBILITY
-                out["final"][i] = Z[stop]
-                running = running & ~stop
+                    out["exact"][out_i] = fixed[i]
+                    if not every_eta:    # rows with no eta rule take the flag here
+                        off = i[np.isnan(eta[i])] if with_eta else i
+                        out["exact"][rows[off]] = _exact_rows(Z, Z_prev, off, None)
+                out["reason"][out_i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
+                out["reason"][out_i[fixed[i]]] = Reason.EXACT_FIXED_POINT
+                out["reason"][out_i[feasible[i]]] = Reason.FEASIBILITY
+                out["final"][out_i] = Z.take(i, axis=0)
+                running[i] = False
                 n_running -= i.size
-        if n_running < rows.size:
-            done = ~running & (
-                (n >= cap) | ((n >= last_record) & (first != NOT_REACHED).all(axis=1))
-            )
+        if n_running < s4:
+            done = ~running & ((n >= cap) | ((n >= last) & (first != NOT_REACHED).all(axis=1)))
             if done.any():
-                out["first_n"][rows[done]] = first[done]
-                keep = ~done
-                rows, running, first, Z, Z_prev, point, PB = (
-                    v[keep] for v in (rows, running, first, Z, Z_prev, point, PB)
-                )
+                i = done.nonzero()[0]
+                out["first_n"][rows[i]] = first.take(i, axis=0)
                 if pair:
-                    pair.a, pair.b = pair.a[keep], pair.b[keep]
-                if not rows.size:
+                    i = (~done[s1:s2]).nonzero()[0]
+                    pair.a, pair.b = pair.a.take(i, axis=0), pair.b.take(i, axis=0)
+                keep = (~done).nonzero()[0]     # take, not a mask: far cheaper on 2-D rows
+                _, s1, s2, s3, s4 = bounds = keep.searchsorted(bounds).tolist()
+                rows, running, first, Z, Z_prev, point, PB = (
+                    v.take(keep, axis=0) for v in (rows, running, first, Z, Z_prev, point, PB))
+                cap, last, eta, tol, tol_other = rule = rule.take(keep, axis=1)
+                if not s4:
                     return out
 
-        # point is P_A z for DRA, and PB is P_B z for MAP and MRP
-        Z_next = pair.step() if pair else _step(method, set_a._project_rows,
-                                                set_b._project_rows, Z, point, PB)
+        parts = [_step(MethodKind.DRA, None, set_b._project_rows, Z[:s1], point[:s1])] if s1 else []
+        if s2 > s1:
+            parts.append(pair.step())
+        if s4 > s2:   # MAP and MRP end in P_A; with np.asarray, an identity on arrays,
+            # in its place, _step gives the rows of their one call onto A
+            X = [_step(kind, np.asarray, None, Z[lo:hi], pbz=PB[lo:hi])
+                 for kind, lo, hi in ((MethodKind.MAP, s2, s3), (MethodKind.MRP, s3, s4)) if lo < hi]
+            parts.append(set_a._project_rows(np.concatenate(X) if len(X) > 1 else X[0]))
+        Z_next = np.concatenate(parts) if len(parts) > 1 else parts[0]
         if not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
         Z_prev, Z = Z, Z_next
@@ -573,26 +609,23 @@ def _sweep_method(set_a, set_b, method, Z, spec: ProblemSpec) -> dict:
 def sweep(spec: ProblemSpec) -> list:
     """Run every method from every start point and return the rows.
 
-    Each method steps the whole start stack at once, embedded and restricted
+    All methods step the whole start stack at once, embedded and restricted
     by ``LiftedProblem.embed``/``restrict`` for a lifted problem, and each
     result column becomes Python values once.  Rows that hit the
     iteration cap are flagged by their termination reason, never dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
     starts = _starts(spec)
-    Z = starts if lp is None else lp.embed(starts)
-    columns = []
-    for method in spec.methods:
-        res = _sweep_method(set_a, set_b, method, Z, spec)
-        final = res["final"] if lp is None else lp.restrict(res["final"])
-        columns.append((method, res["iterations"].tolist(), res["exact"].tolist(),
-                        final, res["d_b_at"].tolist(), res["first_n"].tolist(),
-                        res["reason"].tolist()))
+    res = _sweep_methods(set_a, set_b, spec.methods,
+                         starts if lp is None else lp.embed(starts), spec)
+    final = res["final"] if lp is None else lp.restrict(res["final"])
+    width = len(spec.methods)
     return [
-        SweepRow(z0, method, iterations[i], exact[i], final[i], tuple(d_b_at[i]),
-                 tuple(first_n[i]), reason[i])
-        for i, z0 in enumerate(starts)
-        for method, iterations, exact, final, d_b_at, first_n, reason in columns
+        SweepRow(starts[k // width], spec.methods[k % width], *row)
+        for k, row in enumerate(zip(
+            res["iterations"].tolist(), res["exact"].tolist(), final,
+            map(tuple, res["d_b_at"].tolist()), map(tuple, res["first_n"].tolist()),
+            res["reason"].tolist()))
     ]
 
 

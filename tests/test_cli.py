@@ -437,6 +437,47 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
         assert_rows_match(rows[k * by_start : (k + 1) * by_start], alone, rtol=0)
 
 
+@pytest.mark.parametrize("name", ["line", "shadow", "capped", "lifted", "epigraph"])
+def test_sweep_rows_do_not_depend_on_the_other_methods(tmp_path, name):
+    # all four methods share one lockstep loop; each method's rows keep
+    # every bit when it runs alone or with the methods in reverse order
+    doc = oracle_problems(tmp_path)[name]
+    rows = cli.sweep(cli.parse_problem(json.dumps(doc)))
+    for methods in [[m] for m in ALL_METHODS] + [ALL_METHODS[::-1]]:
+        other = cli.sweep(cli.parse_problem(json.dumps(dict(doc, methods=methods))))
+        for m in map(d.MethodKind, methods):
+            assert_rows_match([r for r in other if r.method is m],
+                              [r for r in rows if r.method is m], rtol=0)
+
+
+def test_sweep_steps_all_methods_in_one_loop(tmp_path, monkeypatch):
+    # DRA, MAP and MRP on the 11 x 11 line grid: the loop runs as many
+    # iterations as the longest method, not their sum, and each iteration
+    # projects onto B at most twice (the distances, DRA's update) and onto A
+    # at most three times (DRA's shadow, the feasibility test, and the
+    # update of MAP and MRP together)
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=11)))
+    events = []
+
+    def logged(name, f):
+        def wrapper(X):
+            events.append(name)
+            return f(X)
+        return wrapper
+
+    for name, s in (("a", spec.set_a), ("b", spec.set_b)):
+        monkeypatch.setattr(s, "_project_rows", logged(name, s._project_rows), raising=False)
+    monkeypatch.setattr(cli, "_norms", logged("norms", cli._norms))
+    rows = cli.sweep(spec)
+    steps = [max(r.iterations for r in rows if r.method is m) for m in spec.methods]
+    assert steps == [114, 310, 153]
+    # an iteration starts with P_B of every row's point and the distances
+    loops = sum(pair == ("b", "norms") for pair in zip(events, events[1:]))
+    assert loops == max(steps) + 1          # n = 0, ..., 310; one loop per method took 580
+    assert events.count("b") <= 2 * loops and events.count("a") <= 3 * loops
+    assert (events.count("a"), events.count("b")) == (478, 425)   # 633 and 694 then
+
+
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_sweep_overflow_fails_loudly(tmp_path, method):
     # finite starts up to the largest float: the projection onto x + y = 0
@@ -449,7 +490,7 @@ def test_sweep_overflow_fails_loudly(tmp_path, method):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="vector coordinates must be finite") as exc:
             cli.sweep(spec)
-    assert exc.traceback[-1].name == "_sweep_method"
+    assert exc.traceback[-1].name == "_sweep_methods"
 
 
 def test_sweep_certifies_nothing_on_an_infinite_bound(tmp_path):
@@ -551,11 +592,11 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
 
 
 def test_sweep_rejects_an_unknown_method(tmp_path):
-    # a method name instead of a MethodKind: the sweep raises at its first
-    # step, as run does, rather than stepping by some other rule
+    # a method name instead of a MethodKind: the sweep raises before its
+    # first step, rather than stepping by some other rule
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path)))
     with pytest.raises(ValueError, match="unknown method"):
-        cli._sweep_method(spec.set_a, spec.set_b, "DRA", cli._starts(spec), spec)
+        cli._sweep_methods(spec.set_a, spec.set_b, ["DRA"], cli._starts(spec), spec)
 
 
 def test_benchmark_hooks_exist():
@@ -993,7 +1034,7 @@ def test_batched_restriction_equals_restrict(tmp_path):
         rows = cli.sweep(spec)
         Z = np.array([lp.embed(z0) for z0 in cli._starts(spec)])
         for k, method in enumerate(spec.methods):
-            final = cli._sweep_method(lp.set_a, lp.set_b, method, Z, spec)["final"]
+            final = cli._sweep_methods(lp.set_a, lp.set_b, [method], Z, spec)["final"]
             for row, F in zip(rows[k::len(spec.methods)], final):
                 assert row.method is method
                 assert np.array_equal(row.final.view(np.int64), lp.restrict(F).view(np.int64))
