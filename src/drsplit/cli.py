@@ -374,7 +374,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     csv_path = outputs.get("csv_path")
     trace_path = outputs.get("trace_path")
     for key, path in (("csv_path", csv_path), ("trace_path", trace_path)):
-        # open() takes an integer as a file descriptor; "" writes to stdout
+        # open() takes an integer as a file descriptor, and "" names no file
         if path is not None and not _checked(path, str, f"outputs.{key}"):
             raise ValidationError(f"'outputs.{key}' must not be empty")
     if trace_path is not None and grid is not None:
@@ -641,7 +641,7 @@ def _coord_names(prefix: str, dim: int):
 
 def _write_lines(lines: Sequence[str], path=None) -> None:
     """Write each line and a newline to the file at path, or to stdout."""
-    out = open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+    out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
     with out as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -728,36 +728,39 @@ def _apply_overrides(doc: dict, args) -> dict:
         if isinstance(doc.get(section, {}), dict):
             doc[section] = {**doc.get(section, {}), key: value}
 
-    if args.method:
+    if args.method is not None:
         doc["methods"] = args.method.split(",")
     if args.tol is not None:
         put("stopping", "tol", args.tol)
     if args.max_iter is not None:
         put("stopping", "max_iter", args.max_iter)
-    if args.grid:
+    if args.grid is not None:
         try:
             lo, hi, steps = args.grid.split(",")
             grid = {"lo": float(lo), "hi": float(hi), "steps": int(steps)}
         except ValueError as e:
             raise ValidationError("--grid expects lo,hi,steps") from e
         doc["start"] = {"grid": grid}
-    if args.record_at:
-        try:
-            record_at = [int(n) for n in args.record_at.split(",")]
+    if args.record_at is not None:
+        try:  # "" is the empty list, as a file writes it
+            record_at = [int(n) for n in args.record_at.split(",") if args.record_at]
         except ValueError as e:
             raise ValidationError("--record-at expects integers") from e
         put("outputs", "record_at", record_at)
-    if args.out:
+    if args.out is not None:
         put("outputs", "csv_path", args.out)
-    if args.trace:
+    if args.trace is not None:
         put("outputs", "trace_path", args.trace)
     return doc
 
 
 def _run_witness(args) -> int:
+    for name in ("problem", "method", "tol", "max_iter", "grid", "record_at", "trace"):
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--witness does not take --{name.replace('_', '-')}")
     family = WitnessFamily(args.witness)
     lines = ["family,eps,step_residual,fix_distance"]
-    for text in (args.eps or "0.1,0.01,0.001").split(","):
+    for text in ("0.1,0.01,0.001" if args.eps is None else args.eps).split(","):
         try:
             eps = float(text)
         except ValueError:
@@ -781,6 +784,8 @@ def main(argv=None) -> int:
             return _run_witness(args)
         if not args.problem:
             raise ValidationError("--problem or --witness is required")
+        if args.eps is not None:
+            raise ValidationError("--eps applies only with --witness")
         doc = _apply_overrides(_read_document(args.problem), args)
         spec = _spec_from_document(doc)
         if spec.csv_path is None:

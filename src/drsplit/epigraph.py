@@ -159,42 +159,36 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
         p = p_next
 
 
-def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray,
-                               rho: np.ndarray) -> np.ndarray:
-    """``_quadratic_projection`` on arrays of points with f(x) > rho and
-    x != u: the same Newton steps in the same elementwise arithmetic, and
-    the same stop at u, so each entry has the bits of the scalar rule.  All
-    entries step in lockstep, and each leaves at its own first step that
-    does not move strictly toward u."""
+def _quadratic_projection_rows(f: ConvexFunction1D, x: np.ndarray, rho: np.ndarray,
+                               moving: np.ndarray) -> np.ndarray:
+    """``_quadratic_projection`` on arrays of points with f(x) > rho, under
+    np.errstate(over="ignore", invalid="ignore"): the same Newton steps in
+    the same elementwise arithmetic, and the same stop at u, so each entry
+    has the bits of the scalar rule.  The entries ``moving`` (x != u) step
+    in lockstep, each frozen in place from its first step that does not
+    move strictly toward u; the others come back as given."""
     q2 = f.params[0]
     if q2 == 0.0:
         return x.copy()
     side = np.where(x > f.minimizer, 1.0, -1.0)
-    # an overflow in f or in a step is silent, as in Python float arithmetic
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.maximum(np.maximum(0, np.frexp(f.subgrad(x))[1]),
-                       (np.frexp(q2)[1] + np.frexp(f(x) - rho)[1]) // 2)
+    k = np.maximum(np.maximum(0, np.frexp(f.subgrad(x))[1]),
+                   (np.frexp(q2)[1] + np.frexp(f(x) - rho)[1]) // 2)
     inv = np.ldexp(1.0, -k)
-    out = np.empty_like(x)
-    live = np.arange(x.size)  # index into ``out`` of each entry still stepping
     p = x
-    while live.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            excess = f(p) - rho
-            slope = f.subgrad(p) * inv
-            dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
-            p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
-            p_next = np.where(side * (p_next - f.minimizer) < 0, f.minimizer, p_next)
-        moved = side * (p - p_next) > 0
-        bad = ~moved & ~np.isfinite(dg)
-        if bad.any():
-            j = np.flatnonzero(bad)[0]
+    while moving.any():
+        excess = f(p) - rho
+        slope = f.subgrad(p) * inv
+        dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
+        p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
+        p_next = np.where(side * (p_next - f.minimizer) < 0, f.minimizer, p_next)
+        stops = moving & ~(side * (p - p_next) > 0)
+        bad = np.flatnonzero(stops & ~np.isfinite(dg))
+        if bad.size:
+            j = bad[0]
             raise OverflowError(f"projecting ({float(x[j])!r}, {float(rho[j])!r}) overflows")
-        out[live[~moved]] = p[~moved]
-        live, p, x, rho, side, inv = (
-            v[moved] for v in (live, p_next, x, rho, side, inv)
-        )
-    return out
+        moving = moving & ~stops
+        p = np.where(moving, p_next, p)
+    return p
 
 
 def _absshift_projection(f: ConvexFunction1D, x: float, rho: float) -> float:

@@ -346,12 +346,13 @@ class Polygon2D(ConvexSet):
         rel_x = X[:, :1] - v[:, 0]
         rel_y = X[:, 1:] - v[:, 1]
         i = np.flatnonzero(~(e[:, 0] * rel_y - e[:, 1] * rel_x >= 0.0).all(axis=1))
-        rel_x, rel_y = rel_x[i], rel_y[i]
+        # take, not [i]: far cheaper on 2-D rows
+        rel_x, rel_y, Xi = (a.take(i, axis=0) for a in (rel_x, rel_y, X))
         t = (rel_x * e[:, 0] + rel_y * e[:, 1] + 0.0) / self._edge_div
         t = np.minimum(np.maximum(np.where(self._edge_pos, t, 0.0), 0.0), 1.0)
         cand_x = v[:, 0] + t * e[:, 0]
         cand_y = v[:, 1] + t * e[:, 1]
-        dx, dy = cand_x - X[i, :1], cand_y - X[i, 1:]
+        dx, dy = cand_x - Xi[:, :1], cand_y - Xi[:, 1:]
         k = np.argmin(dx * dx + dy * dy, axis=1)
         rows = np.arange(i.size)
         out = X.copy()
@@ -378,16 +379,15 @@ class Epigraph1D(ConvexSet):
             return super()._project_rows(X)
         if not np.isfinite(X).all():
             raise ValueError("epigraph points must have finite coordinates")
-        # an overflow in f is silent, as in Python float arithmetic
+        # an overflow in f or in a projector is silent, as in float arithmetic
         with np.errstate(over="ignore", invalid="ignore"):
             i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
-        x, rho = X[i, 0], X[i, 1]
-        p = x.copy()
-        move = x != f.minimizer
-        if f.kind is FunctionKind.QUADRATIC:
-            p[move] = _epigraph._quadratic_projection_rows(f, x[move], rho[move])
-        else:
-            p[move] = _epigraph._absshift_projection_rows(f, x[move], rho[move])
+            x, rho = X[i, 0], X[i, 1]
+            move = x != f.minimizer
+            if f.kind is FunctionKind.QUADRATIC:
+                p = _epigraph._quadratic_projection_rows(f, x, rho, move)
+            else:
+                p = np.where(move, _epigraph._absshift_projection_rows(f, x, rho), x)
         out = X.copy()
         out[i, 0] = p
         out[i, 1] = f(p)

@@ -581,6 +581,37 @@ def test_sweep_exact_matches_run_where_map_and_mrp_stop(tmp_path):
             (False, d.Reason.MAX_ITER, True)} <= seen
 
 
+def _epigraph_functions(seed):
+    """Seeded builtins with inf f <= -0.5, parameters of one decimal so that
+    the problem-file text is exact (DRA's finite step count grows as inf f
+    nears 0: 5,008 steps on quadratic(2,-2.4,0.7), inf f = -0.02)."""
+    rng = np.random.default_rng(seed)
+    fs = []
+    while len(fs) < 20:
+        f = d.quadratic(rng.integers(1, 40) / 10, rng.integers(-30, 31) / 10,
+                        rng.integers(-40, 11) / 10)
+        if f.inf_value <= -0.5:
+            fs.append(f)
+    return fs + [d.absshift(rng.integers(1, 40) / 10, -rng.integers(1, 40) / 10)
+                 for _ in range(5)]
+
+
+def test_sweep_from_the_x_axis_to_an_epigraph_ends_exact(tmp_path):
+    # the paper's hyperplane-epigraph case: with inf f < 0, DRA from the
+    # x-axis to epi f converges finitely, on the row path as in run
+    for f in _epigraph_functions(1801):
+        doc = small_problem(tmp_path, start={"grid": {"lo": -5, "hi": 5, "steps": 7}})
+        doc["set_a"] = {"type": "hyperplane", "normal": [0, 1], "offset": 0}
+        doc["set_b"] = {"type": "epigraph", "f": f.spec_name()}
+        spec = cli.parse_problem(json.dumps(doc))
+        assert (spec.set_b.f.kind, spec.set_b.f.params) == (f.kind, f.params)
+        for row in cli.sweep(spec):
+            assert row.method is not d.MethodKind.DRA or row.reason is d.Reason.EXACT_FIXED_POINT
+            t = d.run(spec.set_a, spec.set_b, row.method, row.z0,
+                      cli._rules_for(row.method, spec)).termination
+            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+
+
 def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
     # neither an exactness nor a feasibility rule: every row stops at the
     # cap with the flag of its last step
@@ -841,6 +872,64 @@ def test_main_witness_out_file_matches_stdout(tmp_path, capsys):
     for line, e in zip(lines[1:], eps):
         values = (e, *d.luque_witness(d.WitnessFamily.QUADRATIC, e))
         assert line == ",".join(["quadratic"] + [format(v, ".17g") for v in values])
+
+
+def _main_in(tmp_path, monkeypatch, argv):
+    """main's exit code on argv, run in tmp_path, which holds prob.json (a
+    point start writing out.csv); asserts that main wrote nothing."""
+    monkeypatch.chdir(tmp_path)
+    doc = small_problem(tmp_path, start={"point": [1.0, 2.0]})
+    (tmp_path / "prob.json").write_text(json.dumps(doc))
+    code = cli.main(argv)
+    assert sorted(os.listdir(tmp_path)) == ["prob.json"]
+    return code
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--out", ""], 2, "must not be empty"),
+    (["--out", "a.csv", "--out", ""], 2, "must not be empty"),
+    (["--trace", ""], 2, "must not be empty"),
+    (["--grid", ""], 2, "--grid expects"),
+    (["--method", ""], 2, "unknown method"),
+    (["--witness", "quadratic", "--eps", ""], 2, "--eps expects"),
+    # a witness writes to stdout without --out; "" is opened as a path
+    (["--witness", "quadratic", "--out", ""], 3, "No such file"),
+])
+def test_main_applies_an_empty_override(tmp_path, monkeypatch, capsys, argv, code, message):
+    # an empty value overrides the file or the default like any other, so
+    # it fails the check of that field instead of being dropped
+    problem = [] if "--witness" in argv else ["--problem", "prob.json"]
+    assert _main_in(tmp_path, monkeypatch, [*problem, *argv]) == code
+    out, err = capsys.readouterr()
+    assert message in err and not out
+
+
+def test_main_empty_record_at_is_the_empty_list(tmp_path):
+    doc = small_problem(tmp_path, steps=2)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    flag = tmp_path / "flag.csv"
+    assert cli.main(["--problem", str(path), "--record-at", "", "--out", str(flag)]) == 0
+    doc["outputs"]["record_at"] = []
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path)]) == 0
+    assert flag.read_bytes() == (tmp_path / "out.csv").read_bytes()
+    assert b"dB_at" not in flag.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "prob.json"], ["--method", "DRA"], ["--tol", "1e-3"], ["--max-iter", "5"],
+    ["--grid=-1,1,3"], ["--record-at", "3"], ["--trace", "trace.csv"],
+])
+def test_main_witness_rejects_problem_flags(tmp_path, monkeypatch, capsys, argv):
+    argv = ["--witness", "quadratic", "--out", "witness.csv", *argv]
+    assert _main_in(tmp_path, monkeypatch, argv) == 2
+    assert f"--witness does not take {argv[4].split('=')[0]}" in capsys.readouterr().err
+
+
+def test_main_problem_run_rejects_eps(tmp_path, monkeypatch, capsys):
+    assert _main_in(tmp_path, monkeypatch, ["--problem", "prob.json", "--eps", "0.1"]) == 2
+    assert "--eps applies only with --witness" in capsys.readouterr().err
 
 
 def test_main_without_a_csv_path_exits_2(tmp_path, capsys):

@@ -435,6 +435,26 @@ def test_project_rows_bits_equal_project(s):
         assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
 
 
+@pytest.mark.parametrize("f", [d.quadratic(1, 0, -1), d.quadratic(0.5, 1, -3), d.absshift(2, 0)],
+                         ids=lambda f: f.spec_name())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_epigraph_rows_stop_each_at_its_own_step(f):
+    # one stack, one call: rows that stay, rows that stop at once and rows
+    # that step on freeze in place while the others step; an overflow on a
+    # row that does not move is as silent as in ``project``
+    xs = [-3.0, 0.5, 2.0]
+    X = [(x, f(x)) for x in xs] + [(x, f(x) + 1.0) for x in xs]  # on and inside
+    X += [(f.minimizer, -5.0), (-0.0, -5.0)]  # x = u, and -0.0
+    X += [(2.0, -1e200), (-7.0, -1e250)]  # far below: the quadratics stop at u
+    X += [(x, f(x) - 1e-9) for x in xs]  # 1 to 3 Newton steps
+    X += [(10.0, -1.0), (1e3, 0.0), (1e8, -5.0), (-1e4, -1e4)]  # 8 to 36 steps
+    X += [(0.0, 1e308), (0.0, -1e308)]
+    s = d.Epigraph1D(f)
+    X = np.array(X)
+    for x, row in zip(X, s.project_rows(X)):
+        assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
+
+
 def test_custom_epigraph_rows_have_the_bits_of_project():
     # a custom function's epigraph is projected row by row, by the loop of
     # ConvexSet._project_rows
