@@ -4,16 +4,18 @@ A problem file is a JSON document pairing two set descriptors (or a list of
 sets to lift) with methods, a start (single point or square grid), stopping
 parameters, and output paths.  A sweep steps every start of every declared
 method in one lockstep loop, as one batch with a block of rows per method,
-and projects onto each set once per stage of a step for all blocks; one
-row per (start, method) is built from the result columns.  The CSV has a
-fixed row order (row-major grid, method order as declared) and writes each
-line with one format string, floats with 17 significant digits, so equal
-specs give byte-identical files.
+and projects onto each set once per stage of a step for all blocks; the
+rows, one per (start, method), are assembled per column from the result
+columns.  The CSV has a fixed row order (row-major grid, method order as
+declared) and writes each line with one format string after its start's
+``z0`` text, formatted once per start, floats with 17 significant digits,
+so equal specs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +23,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -416,8 +418,7 @@ def builtin_problem_path(name: str):
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (start, method) result of a sweep."""
 
     z0: np.ndarray
@@ -611,8 +612,10 @@ def sweep(spec: ProblemSpec) -> list:
 
     All methods step the whole start stack at once, embedded and restricted
     by ``LiftedProblem.embed``/``restrict`` for a lifted problem, and each
-    result column becomes Python values once.  Rows that hit the
-    iteration cap are flagged by their termination reason, never dropped.
+    result column becomes Python values once; the rows are zipped from the
+    columns, each start's row object repeated once per method.  Rows that
+    hit the iteration cap are flagged by their termination reason, never
+    dropped.
     """
     set_a, set_b, lp = _resolve_sets(spec)
     starts = _starts(spec)
@@ -620,13 +623,11 @@ def sweep(spec: ProblemSpec) -> list:
                          starts if lp is None else lp.embed(starts), spec)
     final = res["final"] if lp is None else lp.restrict(res["final"])
     width = len(spec.methods)
-    return [
-        SweepRow(starts[k // width], spec.methods[k % width], *row)
-        for k, row in enumerate(zip(
-            res["iterations"].tolist(), res["exact"].tolist(), final,
-            map(tuple, res["d_b_at"].tolist()), map(tuple, res["first_n"].tolist()),
-            res["reason"].tolist()))
-    ]
+    return list(map(SweepRow._make, zip(
+        (z0 for z0 in starts for _ in range(width)), itertools.cycle(spec.methods),
+        res["iterations"].tolist(), res["exact"].tolist(), final,
+        map(tuple, res["d_b_at"].tolist()), map(tuple, res["first_n"].tolist()),
+        res["reason"].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -657,21 +658,24 @@ def csv_header(dim: int, record_at: Sequence[int]) -> str:
 
 def emit_csv(rows: Sequence[SweepRow], path, record_at: Sequence[int]) -> None:
     """Write one line per row under the fixed header, each as one ``%``
-    format; floats carry 17 significant digits (``%.17g`` prints as
-    ``format(v, '.17g')``, nan and -0 included), so identical specs yield
-    byte-identical files."""
+    format after the row's ``z0`` text, formatted once per run of rows that
+    share the z0 object; floats carry 17 significant digits (``%.17g``
+    prints as ``format(v, '.17g')``, nan and -0 included), so identical
+    specs yield byte-identical files."""
     if not rows:
         raise ValueError("no rows to write")
     dim = len(rows[0].z0)
-    fmt = ",".join(["%.17g"] * dim + ["%s,%d,%s"] + ["%.17g"] * (dim + len(record_at))
+    z0_fmt = "%.17g," * dim
+    fmt = ",".join(["%s,%d,%s"] + ["%.17g"] * (dim + len(record_at))
                    + ["%d"] * len(FIRST_N_TOLS) + ["%s"])
+    words = {e: e.value for e in (*MethodKind, *Reason)}
     lines = [csv_header(dim, record_at)]
-    lines += [
-        fmt % (*row.z0, row.method.value, row.iterations,
-               "true" if row.exact else "false", *row.final, *row.d_b_at,
-               *row.first_n, row.reason.value)
-        for row in rows
-    ]
+    z0_last = None
+    for z0, method, iterations, exact, final, d_b_at, first_n, reason in rows:
+        if z0 is not z0_last:        # one object has one text: rows sharing it reuse it
+            z0_last, z0_text = z0, z0_fmt % tuple(z0.tolist())
+        lines.append(z0_text + fmt % (words[method], iterations, "true" if exact else "false",
+                                      *final.tolist(), *d_b_at, *first_n, words[reason]))
     _write_lines(lines, path)
 
 
@@ -686,8 +690,8 @@ def emit_trace(traces: dict, path) -> None:
     fmt = ",".join(["%d,%s"] + ["%.17g"] * (4 * dim + 2))
     lines = [",".join(cols)]
     for method, t in traces.items():
-        lines += [fmt % (n, method.value, *t.z[k], *t.a[k], *t.r[k], *t.pbr[k],
-                         t.d_a[k], t.d_b[k]) for k, n in enumerate(t.steps)]
+        cells = np.column_stack((t.z, t.a, t.r, t.pbr, t.d_a, t.d_b)).tolist()
+        lines += [fmt % (n, method.value, *c) for n, c in zip(t.steps, cells)]
     _write_lines(lines, path)
 
 

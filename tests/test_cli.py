@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -612,6 +614,28 @@ def test_sweep_from_the_x_axis_to_an_epigraph_ends_exact(tmp_path):
             assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
 
 
+def test_dra_ends_exact_on_a_hyperplane_through_the_orthant_apex(tmp_path):
+    # Slater's condition is sufficient, not necessary: sum(x) = 0 meets the
+    # orthant only at 0, so no point of the hyperplane is interior to it,
+    # yet DRA ends exact from every start, in run and on the sweep's stack
+    for n in (2, 10, 50):
+        Z = np.random.default_rng(1900 + n).uniform(-10, 10, (20, n))
+        doc = small_problem(tmp_path, dim=n, methods=["DRA"], start={"point": Z[0].tolist()})
+        doc["set_a"] = {"type": "hyperplane", "normal": [1] * n, "offset": 0}
+        doc["set_b"] = {"type": "orthant", "dim": n}
+        spec = cli.parse_problem(json.dumps(doc))
+        rules = cli._rules_for(d.MethodKind.DRA, spec)
+        res = cli._sweep_methods(spec.set_a, spec.set_b, spec.methods, Z, spec)
+        assert list(res["reason"]) == [d.Reason.EXACT_FIXED_POINT] * len(Z)
+        for z0, final in zip(Z, res["final"]):
+            t = d.run(spec.set_a, spec.set_b, d.MethodKind.DRA, z0, rules).termination
+            assert t.reason is d.Reason.EXACT_FIXED_POINT
+            for z in (final, t.final_point):
+                shadow = spec.set_a.project(z)
+                assert spec.set_a.distance(shadow) <= 1e-12
+                assert spec.set_b.distance(shadow) <= 1e-12
+
+
 def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
     # neither an exactness nor a feasibility rule: every row stops at the
     # cap with the flag of its last step
@@ -628,6 +652,27 @@ def test_sweep_rejects_an_unknown_method(tmp_path):
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path)))
     with pytest.raises(ValueError, match="unknown method"):
         cli._sweep_methods(spec.set_a, spec.set_b, ["DRA"], cli._starts(spec), spec)
+
+
+def test_sweep_rows_keep_their_fields_and_types(tmp_path):
+    assert cli.SweepRow._fields == ("z0", "method", "iterations", "exact", "final",
+                                    "d_b_at", "first_n", "reason")
+    plain = small_problem(tmp_path, steps=3, methods=ALL_METHODS)
+    for doc in (plain, oracle_problems(tmp_path)["lifted"]):
+        rows = cli.sweep(cli.parse_problem(json.dumps(doc)))
+        assert len(rows) == 3 * 3 * len(ALL_METHODS)
+        for row in rows:
+            for point in (row.z0, row.final):
+                assert type(point) is np.ndarray
+                assert (point.dtype, point.shape) == (np.float64, (2,))
+            assert isinstance(row.method, d.MethodKind)
+            assert type(row.iterations) is int and type(row.exact) is bool
+            assert type(row.d_b_at) is tuple and type(row.first_n) is tuple
+            assert all(type(v) is float for v in row.d_b_at)
+            assert all(type(v) is int for v in row.first_n)
+            assert isinstance(row.reason, d.Reason)
+        with pytest.raises(AttributeError):
+            rows[0].exact = not rows[0].exact
 
 
 def test_benchmark_hooks_exist():
@@ -759,6 +804,37 @@ def test_emit_csv_matches_per_cell_writer(tmp_path, dim, record_at):
     out = tmp_path / "rows.csv"
     cli.emit_csv(rows, out, record_at)
     assert out.read_bytes() == per_cell_csv(rows, record_at).encode()
+
+
+Z0_A = np.array([3 / 13, -0.0])
+Z0_B = np.array([1e-300, 123456789.125])
+
+
+@pytest.mark.parametrize("z0s", [
+    [Z0_A] * 4,                              # one object on consecutive rows
+    [Z0_A, Z0_A, Z0_B, Z0_B, Z0_A],          # an A, B, A order of shared objects
+    [Z0_A, Z0_A.copy(), Z0_A.copy(), Z0_B, Z0_B.copy()],  # equal but distinct arrays
+], ids=["shared", "a_b_a", "equal_copies"])
+def test_emit_csv_formats_z0_by_object(tmp_path, z0s):
+    # emit_csv formats a z0 once for the rows that share its object; every
+    # row still prints its own start
+    rows = [cli.SweepRow(z0, method, 7 * k, bool(k % 2), Z0_A * k, (0.5 * k, math.nan),
+                         (k, cli.NOT_REACHED), reason)
+            for k, (z0, method, reason) in enumerate(
+                zip(z0s, itertools.cycle(d.MethodKind), itertools.cycle(d.Reason)))]
+    out = tmp_path / "rows.csv"
+    cli.emit_csv(rows, out, [5, 10])
+    assert out.read_bytes() == per_cell_csv(rows, [5, 10]).encode()
+
+
+def test_emit_csv_of_two_sweeps_concatenated(tmp_path):
+    grid = small_problem(tmp_path, steps=3)
+    point = small_problem(tmp_path, start={"point": [-100.0, 100.0]})
+    rows = [row for doc in (grid, point, grid)
+            for row in cli.sweep(cli.parse_problem(json.dumps(doc)))]
+    out = tmp_path / "rows.csv"
+    cli.emit_csv(rows, out, [5, 10])
+    assert out.read_bytes() == per_cell_csv(rows, [5, 10]).encode()
 
 
 @pytest.mark.parametrize("name", ["line", "lifted"])
