@@ -49,6 +49,7 @@ from .sets import (
     Box,
     ConvexSet,
     Diagonal,
+    DimensionMismatchError,
     Epigraph1D,
     Halfspace,
     Hyperplane,
@@ -475,20 +476,24 @@ def _sweep_methods(set_a, set_b, methods, Z, spec: ProblemSpec) -> dict:
     step projects onto each set once per stage: P_A z_n of the DRA and
     SPINGARN rows; P_B of every row's point; d_A(w) of the feasibility
     test; the update, P_B(2 P_A z_n - z_n) on the DRA rows and P_A on the
-    MAP and MRP rows (SPINGARN steps its own pair).  It computes only what
-    the rules read: the exactness flag of the running rows under an
-    ExactFixedPoint rule, else of the rows that stop; as in ``run``, d_B(w)
-    at the monitored point w (the distance already taken when w is the
-    method's point, else one more call onto B, and onto A for w = P_A z_n),
-    then d_A(w) only where d_B(w) < tol, which a nan never passes.  A
-    method that is no MethodKind raises ValueError before the first step;
-    Z is checked once, so, as in ``run``, an overflow shows up in the next
-    Z and raises ValueError.
+    MAP and MRP rows (SPINGARN steps its own pair).  Each rule is tested at
+    every step on the running rows that carry it, and computes only what it
+    reads: the exactness flag of the running rows under an ExactFixedPoint
+    rule, else of the rows that stop; as in ``run``, d_B(w) at the
+    monitored point w (the distance already taken when w is the method's
+    point, else one more call onto B, and onto A for w = P_A z_n), then
+    d_A(w) only where d_B(w) < tol, which a nan never passes.  No set is
+    projected on zero rows.  Sets of different dimensions raise
+    DimensionMismatchError and a method that is no MethodKind raises
+    ValueError before the first step; Z is checked once, so, as in ``run``,
+    an overflow shows up in the next Z and raises ValueError.
 
     Returns per-row arrays under the names of the SweepRow fields, start i
     and ``methods[k]`` in row i * len(methods) + k, ``reason`` an object
     array of Reason members.
     """
+    if set_a.dim != set_b.dim:   # as run refuses the pair
+        raise DimensionMismatchError(f"sets have dimensions {set_a.dim} and {set_b.dim}")
     Z = as_rows(Z, set_a.dim)
     for method in methods:
         if method not in _BLOCKS:
@@ -511,7 +516,6 @@ def _sweep_methods(set_a, set_b, methods, Z, spec: ProblemSpec) -> dict:
     _, s1, s2, s3, s4 = bounds           # DRA | SPINGARN | MAP | MRP rows
     rows = np.concatenate(rows)
     cap, last, eta, tol, tol_other = rule = np.repeat(np.array(rules).T, count, axis=1)
-    min_cap = int(cap.min())
     Z = np.concatenate([Z] * width)
     tols = np.array(FIRST_N_TOLS)
     out = {"iterations": np.zeros(s4, dtype=int), "exact": np.zeros(s4, dtype=bool),
@@ -523,11 +527,8 @@ def _sweep_methods(set_a, set_b, methods, Z, spec: ProblemSpec) -> dict:
     Z_prev = Z                           # the last iterate (Z at n = 0)
     first = out["first_n"].copy()
     pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
-    n = live = 0
+    n = 0
     while True:
-        if live != len(set(bounds)):     # a block has emptied: which rules are left
-            live, given = len(set(bounds)), rule[2:] > 0
-            (with_eta, with_tol, with_other), every_eta = given.any(axis=1), given[0].all()
         point = Z                        # P_A z_n on the DRA and SPINGARN rows, else z_n
         if s2:
             point = set_a._project_rows(Z[:s2])
@@ -542,33 +543,29 @@ def _sweep_methods(set_a, set_b, methods, Z, spec: ProblemSpec) -> dict:
 
         if n_running:
             feasible, fixed = np.zeros((2, s4), dtype=bool)
-            if with_tol or with_other:
-                i = (running & (d < tol)).nonzero()[0]    # w is the point: d_B(w) is d
-                W, t = point.take(i, axis=0), tol[i]
-                if with_other:           # w is z_n on DRA and SPINGARN rows, else P_A z_n
-                    j = (running & (tol_other > 0)).nonzero()[0]
-                    Wj, k = Z.take(j, axis=0), j.searchsorted(s2)
-                    if k < j.size:
-                        Wj[k:] = set_a._project_rows(Wj[k:])
-                    k = (_norms(Wj - set_b._project_rows(Wj)) < tol_other[j]).nonzero()[0]
-                    i, W, t = (np.concatenate(p) for p in
-                               ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]])))
-                if i.size:
-                    feasible[i] = _norms(W - set_a._project_rows(W)) < t
-            if with_eta and n:
-                i = (running if every_eta else running & (eta > 0)).nonzero()[0]
+            i = (running & (d < tol)).nonzero()[0]    # w is the point: d_B(w) is d
+            W, t = point.take(i, axis=0), tol[i]
+            j = (running & (tol_other > 0)).nonzero()[0]
+            if j.size:                   # w is z_n on DRA and SPINGARN rows, else P_A z_n
+                Wj, k = Z.take(j, axis=0), j.searchsorted(s2)
+                if k < j.size:
+                    Wj[k:] = set_a._project_rows(Wj[k:])
+                k = (_norms(Wj - set_b._project_rows(Wj)) < tol_other[j]).nonzero()[0]
+                i, W, t = (np.concatenate(p) for p in
+                           ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]])))
+            if i.size:
+                feasible[i] = _norms(W - set_a._project_rows(W)) < t
+            i = (running & (eta > 0)).nonzero()[0]
+            if n and i.size:
                 fixed[i] = _exact_rows(Z, Z_prev, i, eta[i])
-            stop = feasible | fixed
-            if n >= min_cap:
-                stop |= running & (n >= cap)
-            i = stop.nonzero()[0]
+            i = (feasible | fixed | (running & (n >= cap))).nonzero()[0]
             if i.size:
                 out_i = rows[i]
                 out["iterations"][out_i] = n
                 if n:
                     out["exact"][out_i] = fixed[i]
-                    if not every_eta:    # rows with no eta rule take the flag here
-                        off = i[np.isnan(eta[i])] if with_eta else i
+                    off = i[np.isnan(eta[i])]    # rows with no eta rule take the flag here
+                    if off.size:
                         out["exact"][rows[off]] = _exact_rows(Z, Z_prev, off, None)
                 out["reason"][out_i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
                 out["reason"][out_i[fixed[i]]] = Reason.EXACT_FIXED_POINT

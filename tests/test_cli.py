@@ -646,6 +646,49 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
         assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
 
 
+def test_sweep_matches_run_under_random_rule_plans(tmp_path, monkeypatch):
+    # each row is tested by the rules its method carries, whatever rules
+    # the other methods in the batch carry: seeded plans of an optional
+    # exactness rule, an optional feasibility rule on either monitor and a
+    # cap, for random method subsets and orders
+    rng = np.random.default_rng(2004)
+    seen = set()
+    for _ in range(30):
+        methods = rng.permutation(ALL_METHODS)[:rng.integers(1, 5)].tolist()
+        plan = {}
+        for method in map(d.MethodKind, methods):
+            rules = [d.MaxIter(int(rng.integers(1, 61)))]
+            if rng.random() < 0.5:
+                rules.append(d.ExactFixedPoint(10 ** rng.uniform(-14, -2)))
+            if rng.random() < 0.5:
+                rules.append(d.Feasibility(10 ** rng.uniform(-9, -1),
+                                           list(d.Monitor)[rng.integers(2)]))
+            plan[method] = [rules[k] for k in rng.permutation(len(rules))]
+        monkeypatch.setattr(cli, "_rules_for", lambda method, spec: plan[method])
+        doc = small_problem(tmp_path, steps=3, methods=methods)
+        doc["outputs"]["record_at"] = [0, 3, 9]
+        spec = cli.parse_problem(json.dumps(doc))
+        for row in cli.sweep(spec):
+            t = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method]).termination
+            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+            seen.add((row.reason, row.exact))
+    assert {(d.Reason.FEASIBILITY, False), (d.Reason.EXACT_FIXED_POINT, True),
+            (d.Reason.MAX_ITER, False), (d.Reason.MAX_ITER, True)} <= seen
+
+
+def test_sweep_rejects_sets_of_different_dimensions(tmp_path):
+    # as run does: a line of R^2 against the orthant of R^3 is refused
+    # before the first step, not stepped from 2-D starts
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
+    set_a, set_b = d.Affine([[1, 5]], [6]), d.Orthant(3)
+    Z = np.array([[1.0, 2.0], [-3.0, 4.0]])
+    with pytest.raises(d.DimensionMismatchError, match="^sets have dimensions 2 and 3$"):
+        d.run(set_a, set_b, d.MethodKind.DRA, Z[0])
+    for methods in [[m] for m in spec.methods] + [spec.methods]:
+        with pytest.raises(d.DimensionMismatchError, match="^sets have dimensions 2 and 3$"):
+            cli._sweep_methods(set_a, set_b, methods, Z, spec)
+
+
 def test_sweep_rejects_an_unknown_method(tmp_path):
     # a method name instead of a MethodKind: the sweep raises before its
     # first step, rather than stepping by some other rule

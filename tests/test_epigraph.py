@@ -362,6 +362,26 @@ def test_run_epi_on_custom_functions():
             assert rho == 0.0 and f(x) <= 1e-9
 
 
+def test_run_epi_ends_exact_whenever_inf_f_is_negative():
+    # the hyperplane-epigraph theorem: with inf f < 0, DR on (x-axis, epi f)
+    # converges finitely, also for inf f near 0 (quadratic(2, -2.4, 0.7) has
+    # inf f = -0.02); the last shadow lies in epi f
+    rng = np.random.default_rng(2003)
+    fs = [d.quadratic(2.0, -2.4, 0.7)]
+    while len(fs) < 15:
+        f = d.quadratic(rng.integers(1, 40) / 10, rng.integers(-30, 31) / 10,
+                        rng.integers(-40, 11) / 10)
+        if f.inf_value < 0:
+            fs.append(f)
+    fs += [d.absshift(rng.integers(1, 40) / 10, -rng.integers(1, 40) / 10) for _ in range(5)]
+    for f in fs:
+        for z0 in rng.uniform(-5, 5, (5, 2)):
+            tr = d.run_epi(f, z0)
+            assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT
+            x, y = tr.a[-1]
+            assert f(x) <= y
+
+
 def test_run_epi_requires_negative_infimum():
     with pytest.raises(d.PreconditionViolatedError):
         d.run_epi(d.quadratic(1.0, 0.0, 1.0), (0.0, 0.0))

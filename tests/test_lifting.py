@@ -144,3 +144,23 @@ def test_solve_lifted_supports_map():
     x, trace = d.solve_lifted(lp, d.MethodKind.MAP, [10.0, 10.0], d.Feasibility(1e-6))
     assert trace.termination.reason is d.Reason.FEASIBILITY
     assert -x[1] - 1e-5 <= x[0] <= 2.0 + 1e-5
+
+
+def test_polyhedral_lift_with_a_slater_point_ends_exact():
+    # Spingarn's polyhedral case: M halfspaces with a strict interior point,
+    # lifted; DRA and Spingarn's method on the lifted pair end exact, and
+    # the restricted shadow lies in every halfspace
+    rng = np.random.default_rng(2002)
+    for _ in range(40):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        normals = rng.standard_normal((m, n))
+        offsets = normals @ rng.uniform(-5, 5, n) + rng.uniform(0.1, 2, m)
+        halfspaces = [d.Halfspace(a, c) for a, c in zip(normals, offsets)]
+        lp = d.lift(halfspaces)
+        for x0 in rng.uniform(-20, 20, (5, n)):
+            for method in (d.MethodKind.DRA, d.MethodKind.SPINGARN):
+                _, trace = d.solve_lifted(lp, method, x0,
+                                          [d.ExactFixedPoint(), d.MaxIter(20000)])
+                assert trace.termination.reason is d.Reason.EXACT_FIXED_POINT
+                x = lp.restrict(trace.a[-1])
+                assert max(h.distance(x) for h in halfspaces) <= 1e-9

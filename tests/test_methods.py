@@ -593,3 +593,37 @@ def test_step_inner_product_identity_on_linear_subspace():
             for k in range(m):
                 val = float((tr.z[n + 1] - tr.z[k + 1]) @ (diffs[n] - diffs[k]))
                 assert val >= -1e-9 * (1 + np.linalg.norm(z0) ** 2)
+
+
+def _null_basis(L):
+    """An orthonormal basis of the null space of a full-row-rank L, as columns."""
+    return np.linalg.svd(L)[2][L.shape[0]:].T
+
+
+def test_linear_rates_on_two_subspaces_are_the_friedrichs_cosine():
+    # two random subspaces {x : L x = 0}: DRA converges at cos(theta_F)
+    # (Bauschke, Bello Cruz, Nghia, Phan & Wang 2014) and MAP at its
+    # square (Deutsch); the principal cosines equal to 1 span the
+    # intersection and are dropped; the ratio of the last two step norms
+    # is read where the steps are still far above rounding
+    rng = np.random.default_rng(2001)
+    cases = 0
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        LA, LB = (rng.standard_normal((int(rng.integers(1, n)), n)) for _ in range(2))
+        if any(np.linalg.matrix_rank(L) < L.shape[0] for L in (LA, LB)):
+            continue
+        cosines = np.linalg.svd(_null_basis(LA).T @ _null_basis(LB), compute_uv=False)
+        cos_f = cosines[cosines < 1 - 1e-9].max(initial=0.0)
+        set_a, set_b = (d.Affine(L, np.zeros(L.shape[0])) for L in (LA, LB))
+        z0 = rng.uniform(-10, 10, n)
+        for method, rate in ((d.MethodKind.DRA, cos_f), (d.MethodKind.MAP, cos_f**2)):
+            if not 0.05 <= rate <= 0.97:
+                continue
+            n_max = math.ceil(math.log(1e-9) / math.log(rate)) + 2
+            tr = d.run(set_a, set_b, method, z0, d.MaxIter(n_max))
+            steps = np.linalg.norm(np.diff(np.array(tr.z), axis=0), axis=1)
+            k = np.flatnonzero(steps > 1e-8 * steps[0])[-1]
+            assert abs(steps[k] / steps[k - 1] - rate) <= 1e-3
+            cases += 1
+    assert cases >= 40
