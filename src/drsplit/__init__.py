@@ -29,6 +29,7 @@ from .methods import (
     map_step,
     mrp_step,
     run,
+    run_rows,
     shadow,
     spingarn_step,
 )

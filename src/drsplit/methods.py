@@ -8,8 +8,9 @@ Four methods over a pair of sets (A, B):
 * SPINGARN -- the partial-inverse update on pairs (a, b) in A x A-perp,
   equivalent to the DRA applied to z = a - b when A is a linear subspace
 
-All drivers share the trace format, the stopping rules and the one
-definition of each update rule (``_step``, ``_Spingarn``); runs share nothing.
+Two drivers, ``run`` on one point and ``run_rows`` on a stack of starts,
+share the trace's stopping rules and the one definition of each update
+rule (``_step``, ``_Spingarn``); runs share nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .sets import (
     DimensionMismatchError,
     Hyperplane,
     Shifted,
+    as_rows,
     as_vector,
     is_linear_subspace,
 )
@@ -37,6 +39,7 @@ from .trace import (
     Termination,
     _exact_step,
     _norm,
+    _norms,
     normalize_rules,
 )
 
@@ -247,6 +250,159 @@ def run(
         ),
         translation=pair.shift if pair else None,
     )
+
+
+FIRST_N_TOLS = (1e-2, 1e-4)
+NOT_REACHED = -1
+_SHADOW_METHODS = (MethodKind.DRA, MethodKind.SPINGARN)  # their point is P_A z_n
+_BLOCKS = (*_SHADOW_METHODS, MethodKind.MAP, MethodKind.MRP)  # the batch's block order
+
+
+def _exact_rows(Z, Z_prev, i, eta) -> np.ndarray:
+    """The exactness flag of the last step of the rows i of Z."""
+    Zp = Z_prev.take(i, axis=0)
+    return _exact_step(_norms(Z.take(i, axis=0) - Zp), 1.0 + _norms(Zp), eta)
+
+
+def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -> dict:
+    """Run each method of ``plans`` from every row of Z, as ``run`` would
+    with ``stop=plans[method]`` from each row alone: ``plans`` maps each
+    MethodKind, in the caller's order, to a rule, a list of rules or None.
+
+    The rows of all methods step together, a block per method in the order
+    of _BLOCKS.  Each row records d_B of its method's point (P_A z_n for DRA
+    and SPINGARN, z_n for MAP and MRP) at each index in ``record_at`` and
+    the first index where it falls below each of FIRST_N_TOLS; it steps on
+    after its rules fire until both are known or n reaches its cap.  A step
+    projects onto each set once per stage: P_A z_n of the DRA and SPINGARN
+    rows; P_B of every row's point; d_A(w) of the feasibility test; the
+    update, P_B(2 P_A z_n - z_n) on the DRA rows and P_A on the MAP and MRP
+    rows (SPINGARN steps its own pair).  Each rule is tested at every step
+    on the running rows that carry it, and computes only what it reads: the
+    exactness flag of the running rows under an ExactFixedPoint rule, else
+    of the rows that stop; as in ``run``, d_B(w) at the monitored point w,
+    then d_A(w) only where d_B(w) < tol, which a nan never passes.  No set
+    is projected on zero rows, and zero rows give empty columns.  Sets of
+    different dimensions raise DimensionMismatchError, and a key that is no
+    MethodKind or a plan that ``normalize_rules`` refuses raises ValueError,
+    before any projection; Z is checked once, so, as in ``run``, an overflow
+    shows up in the next Z and raises ValueError.
+
+    Returns per-row arrays iterations, exact, final, d_b_at (a column per
+    record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
+    members); row i * len(plans) + k holds start i and the k-th method.
+    """
+    if set_a.dim != set_b.dim:   # as run refuses the pair
+        raise DimensionMismatchError(f"sets have dimensions {set_a.dim} and {set_b.dim}")
+    Z = as_rows(Z, set_a.dim)
+    for method in plans:
+        if method not in _BLOCKS:
+            raise ValueError(f"unknown method {method!r}")
+    count, width = Z.shape[0], len(plans)
+    # per block: each row's output index, the block's end in the batch, and
+    # its (cap, last record, eta, tol at its method's point, tol at the
+    # other point), with nan for a rule that its plan does not give
+    rows, rules, bounds = [], [], [0]
+    for kind in _BLOCKS:
+        if kind in plans:
+            eta, feas, cap = normalize_rules(plans[kind])
+            tol = [math.nan, math.nan]
+            if feas is not None:
+                tol[(feas.monitor is Monitor.SHADOW) != (kind in _SHADOW_METHODS)] = feas.tol
+            rules.append((cap, max((n for n in record_at if n <= cap), default=0),
+                          math.nan if eta is None else eta, *tol))
+            rows.append(np.arange(count) * width + list(plans).index(kind))
+        bounds.append(bounds[-1] + count * (kind in plans))
+    _, s1, s2, s3, s4 = bounds           # DRA | SPINGARN | MAP | MRP rows
+    rows = np.concatenate(rows)
+    cap, last, eta, tol, tol_other = rule = np.repeat(np.array(rules).T, count, axis=1)
+    Z = np.concatenate([Z] * width)
+    tols = np.array(FIRST_N_TOLS)
+    out = {"iterations": np.zeros(s4, dtype=int), "exact": np.zeros(s4, dtype=bool),
+           "reason": np.empty(s4, dtype=object), "final": np.empty_like(Z),
+           "d_b_at": np.full((s4, len(record_at)), np.nan),
+           "first_n": np.full((s4, len(tols)), NOT_REACHED)}
+    running = np.ones(s4, dtype=bool)
+    n_running = s4
+    Z_prev = Z                           # the last iterate (Z at n = 0)
+    first = out["first_n"].copy()
+    pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
+    n = 0
+    while s4:
+        point = Z                        # P_A z_n on the DRA and SPINGARN rows, else z_n
+        if s2:
+            point = set_a._project_rows(Z[:s2])
+            if s2 < s4:
+                point = np.concatenate((point, Z[s2:]))
+        PB = set_b._project_rows(point)
+        d = _norms(point - PB)
+        for j, m in enumerate(record_at):
+            if m == n:
+                out["d_b_at"][rows, j] = d
+        first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
+
+        if n_running:
+            feasible, fixed = np.zeros((2, s4), dtype=bool)
+            i = (running & (d < tol)).nonzero()[0]    # w is the point: d_B(w) is d
+            W, t = point.take(i, axis=0), tol[i]
+            j = (running & (tol_other > 0)).nonzero()[0]
+            if j.size:                   # w is z_n on DRA and SPINGARN rows, else P_A z_n
+                Wj, k = Z.take(j, axis=0), j.searchsorted(s2)
+                if k < j.size:
+                    Wj[k:] = set_a._project_rows(Wj[k:])
+                k = (_norms(Wj - set_b._project_rows(Wj)) < tol_other[j]).nonzero()[0]
+                i, W, t = (np.concatenate(p) for p in
+                           ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]])))
+            if i.size:
+                feasible[i] = _norms(W - set_a._project_rows(W)) < t
+            i = (running & (eta > 0)).nonzero()[0]
+            if n and i.size:
+                fixed[i] = _exact_rows(Z, Z_prev, i, eta[i])
+            i = (feasible | fixed | (running & (n >= cap))).nonzero()[0]
+            if i.size:
+                out_i = rows[i]
+                out["iterations"][out_i] = n
+                if n:
+                    out["exact"][out_i] = fixed[i]
+                    off = i[np.isnan(eta[i])]    # rows with no eta rule take the flag here
+                    if off.size:
+                        out["exact"][rows[off]] = _exact_rows(Z, Z_prev, off, None)
+                out["reason"][out_i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
+                out["reason"][out_i[fixed[i]]] = Reason.EXACT_FIXED_POINT
+                out["reason"][out_i[feasible[i]]] = Reason.FEASIBILITY
+                out["final"][out_i] = Z.take(i, axis=0)
+                running[i] = False
+                n_running -= i.size
+        if n_running < s4:
+            done = ~running & ((n >= cap) | ((n >= last) & (first != NOT_REACHED).all(axis=1)))
+            if done.any():
+                i = done.nonzero()[0]
+                out["first_n"][rows[i]] = first.take(i, axis=0)
+                if pair:
+                    i = (~done[s1:s2]).nonzero()[0]
+                    pair.a, pair.b = pair.a.take(i, axis=0), pair.b.take(i, axis=0)
+                keep = (~done).nonzero()[0]     # take, not a mask: far cheaper on 2-D rows
+                _, s1, s2, s3, s4 = bounds = keep.searchsorted(bounds).tolist()
+                rows, running, first, Z, Z_prev, point, PB = (
+                    v.take(keep, axis=0) for v in (rows, running, first, Z, Z_prev, point, PB))
+                cap, last, eta, tol, tol_other = rule = rule.take(keep, axis=1)
+                if not s4:
+                    return out
+
+        parts = [_step(MethodKind.DRA, None, set_b._project_rows, Z[:s1], point[:s1])] if s1 else []
+        if s2 > s1:
+            parts.append(pair.step())
+        if s4 > s2:   # MAP and MRP end in P_A; with np.asarray, an identity on arrays,
+            # in its place, _step gives the rows of their one call onto A
+            X = [_step(kind, np.asarray, None, Z[lo:hi], pbz=PB[lo:hi])
+                 for kind, lo, hi in ((MethodKind.MAP, s2, s3), (MethodKind.MRP, s3, s4)) if lo < hi]
+            parts.append(set_a._project_rows(np.concatenate(X) if len(X) > 1 else X[0]))
+        Z_next = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        if not np.isfinite(Z_next).all():
+            raise ValueError("vector coordinates must be finite")
+        Z_prev, Z = Z, Z_next
+        n += 1
+    return out
 
 
 def shadow(trace: IterationTrace) -> tuple:

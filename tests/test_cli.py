@@ -273,7 +273,8 @@ def test_sweep_flags_max_iter_rows(tmp_path):
     spec = cli.parse_problem(json.dumps(doc))
     rows = cli.sweep(spec)
     assert all(r.reason is d.Reason.MAX_ITER for r in rows if r.method is not d.MethodKind.DRA)
-    assert all(r.first_n == (cli.NOT_REACHED, cli.NOT_REACHED) or r.first_n[0] >= 0 for r in rows)
+    never = (d.methods.NOT_REACHED,) * 2
+    assert all(r.first_n == never or r.first_n[0] >= 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ class _MonitoredRun:
         for n in range(cap + 1):
             if self.distance_at(n, cap) < tol:
                 return n
-        return cli.NOT_REACHED
+        return d.methods.NOT_REACHED
 
 
 def reference_sweep(spec):
@@ -346,7 +347,7 @@ def reference_sweep(spec):
                 exact=trace.termination.exact,
                 final=restrict(trace.final_point),
                 d_b_at=tuple(mon.distance_at(n, spec.max_iter) for n in spec.record_at),
-                first_n=tuple(mon.first_below(t, spec.max_iter) for t in cli.FIRST_N_TOLS),
+                first_n=tuple(mon.first_below(t, spec.max_iter) for t in d.methods.FIRST_N_TOLS),
                 reason=trace.termination.reason,
             ))
     return rows
@@ -394,6 +395,14 @@ def oracle_problems(tmp_path):
             "hyperplane": hyperplane}
 
 
+def plan_rows(set_a, set_b, plans, Z, record_at=()):
+    """run_rows' columns as SweepRows: start i and the k-th plan in row
+    i * len(plans) + k."""
+    res = d.run_rows(set_a, set_b, plans, Z, record_at)
+    return [cli.SweepRow(z0, method, *(res[f][i] for f in cli.SweepRow._fields[2:]))
+            for i, (z0, method) in enumerate(itertools.product(Z, plans))]
+
+
 def assert_rows_match(rows, expected, rtol):
     assert len(rows) == len(expected)
     for got, want in zip(rows, expected):
@@ -420,7 +429,7 @@ def test_sweep_matches_reference_sweep(tmp_path, name):
     if name == "capped":
         # the cap truncates some runs before either tolerance is reached,
         # and an index past the cap has no distance
-        assert any(r.first_n[1] == cli.NOT_REACHED for r in rows)
+        assert any(r.first_n[1] == d.methods.NOT_REACHED for r in rows)
         assert any(r.reason is d.Reason.MAX_ITER for r in rows)
         assert all(np.isnan(r.d_b_at[2]) and not np.isnan(r.d_b_at[1]) for r in rows)
 
@@ -469,7 +478,7 @@ def test_sweep_steps_all_methods_in_one_loop(tmp_path, monkeypatch):
 
     for name, s in (("a", spec.set_a), ("b", spec.set_b)):
         monkeypatch.setattr(s, "_project_rows", logged(name, s._project_rows), raising=False)
-    monkeypatch.setattr(cli, "_norms", logged("norms", cli._norms))
+    monkeypatch.setattr(d.methods, "_norms", logged("norms", d.methods._norms))
     rows = cli.sweep(spec)
     steps = [max(r.iterations for r in rows if r.method is m) for m in spec.methods]
     assert steps == [114, 310, 153]
@@ -492,7 +501,7 @@ def test_sweep_overflow_fails_loudly(tmp_path, method):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="vector coordinates must be finite") as exc:
             cli.sweep(spec)
-    assert exc.traceback[-1].name == "_sweep_methods"
+    assert exc.traceback[-1].name == "run_rows"
 
 
 def test_sweep_certifies_nothing_on_an_infinite_bound(tmp_path):
@@ -506,19 +515,18 @@ def test_sweep_certifies_nothing_on_an_infinite_bound(tmp_path):
 
 
 @pytest.mark.parametrize("monitor", list(d.Monitor), ids=lambda m: m.value)
-def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monkeypatch, monitor):
-    # the sweep takes its eta, feasibility rule and cap from _rules_for
-    # alone, so other rules stop each row as they stop run from its start:
-    # a feasibility rule on either point, for DRA (whose point is the
-    # shadow) and for MAP (whose point is the iterate)
+def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monitor):
+    # run_rows takes its eta, feasibility rule and cap from the plans alone,
+    # so rules other than _rules_for's stop each row as they stop run from
+    # its start: a feasibility rule on either point, for DRA (whose point
+    # is the shadow) and for MAP (whose point is the iterate)
     rules = {
         d.MethodKind.DRA: [d.Feasibility(1e-2, monitor), d.MaxIter(25)],
         d.MethodKind.MAP: [d.Feasibility(1e-9, monitor), d.ExactFixedPoint(1e-2),
                            d.MaxIter(30)],
     }
-    monkeypatch.setattr(cli, "_rules_for", lambda method, spec: rules[method])
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=["DRA", "MAP"])))
-    rows = cli.sweep(spec)
+    rows = plan_rows(spec.set_a, spec.set_b, rules, cli._starts(spec))
     assert {r.reason for r in rows} == set(d.Reason)
     for row in rows:
         t = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method]).termination
@@ -540,7 +548,7 @@ def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, s
     doc["stopping"]["monitor"] = monitor
     spec = cli.parse_problem(json.dumps(doc))
     counts = {"a": 0, "norms": 0}
-    project_a, norms = spec.set_a._project_rows, cli._norms
+    project_a, norms = spec.set_a._project_rows, d.methods._norms
 
     def counted_project_a(X):
         counts["a"] += X.shape[0]
@@ -551,7 +559,7 @@ def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, s
         return norms(D)
 
     monkeypatch.setattr(spec.set_a, "_project_rows", counted_project_a, raising=False)
-    monkeypatch.setattr(cli, "_norms", counted_norms)
+    monkeypatch.setattr(d.methods, "_norms", counted_norms)
     rows = cli.sweep(spec)
     assert tuple(sum(r.iterations for r in rows if r.method is m) for m in spec.methods) == steps
     # projecting A and taking every norm at every step would give 62,906
@@ -614,39 +622,36 @@ def test_sweep_from_the_x_axis_to_an_epigraph_ends_exact(tmp_path):
             assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
 
 
-def test_dra_ends_exact_on_a_hyperplane_through_the_orthant_apex(tmp_path):
+def test_dra_ends_exact_on_a_hyperplane_through_the_orthant_apex():
     # Slater's condition is sufficient, not necessary: sum(x) = 0 meets the
     # orthant only at 0, so no point of the hyperplane is interior to it,
-    # yet DRA ends exact from every start, in run and on the sweep's stack
+    # yet DRA ends exact from every start, in run and in run_rows
     for n in (2, 10, 50):
         Z = np.random.default_rng(1900 + n).uniform(-10, 10, (20, n))
-        doc = small_problem(tmp_path, dim=n, methods=["DRA"], start={"point": Z[0].tolist()})
-        doc["set_a"] = {"type": "hyperplane", "normal": [1] * n, "offset": 0}
-        doc["set_b"] = {"type": "orthant", "dim": n}
-        spec = cli.parse_problem(json.dumps(doc))
-        rules = cli._rules_for(d.MethodKind.DRA, spec)
-        res = cli._sweep_methods(spec.set_a, spec.set_b, spec.methods, Z, spec)
+        set_a, set_b = d.Hyperplane([1] * n, 0), d.Orthant(n)
+        rules = [d.ExactFixedPoint(1e-14), d.MaxIter(100000)]
+        res = d.run_rows(set_a, set_b, {d.MethodKind.DRA: rules}, Z)
         assert list(res["reason"]) == [d.Reason.EXACT_FIXED_POINT] * len(Z)
         for z0, final in zip(Z, res["final"]):
-            t = d.run(spec.set_a, spec.set_b, d.MethodKind.DRA, z0, rules).termination
+            t = d.run(set_a, set_b, d.MethodKind.DRA, z0, rules).termination
             assert t.reason is d.Reason.EXACT_FIXED_POINT
             for z in (final, t.final_point):
-                shadow = spec.set_a.project(z)
-                assert spec.set_a.distance(shadow) <= 1e-12
-                assert spec.set_b.distance(shadow) <= 1e-12
+                shadow = set_a.project(z)
+                assert set_a.distance(shadow) <= 1e-12
+                assert set_b.distance(shadow) <= 1e-12
 
 
-def test_sweep_with_a_cap_alone_matches_run(tmp_path, monkeypatch):
+def test_sweep_with_a_cap_alone_matches_run(tmp_path):
     # neither an exactness nor a feasibility rule: every row stops at the
     # cap with the flag of its last step
-    monkeypatch.setattr(cli, "_rules_for", lambda method, spec: [d.MaxIter(4)])
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
-    for row in cli.sweep(spec):
+    plans = dict.fromkeys(spec.methods, [d.MaxIter(4)])
+    for row in plan_rows(spec.set_a, spec.set_b, plans, cli._starts(spec)):
         t = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)]).termination
         assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
 
 
-def test_sweep_matches_run_under_random_rule_plans(tmp_path, monkeypatch):
+def test_sweep_matches_run_under_random_rule_plans(tmp_path):
     # each row is tested by the rules its method carries, whatever rules
     # the other methods in the batch carry: seeded plans of an optional
     # exactness rule, an optional feasibility rule on either monitor and a
@@ -664,11 +669,8 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path, monkeypatch):
                 rules.append(d.Feasibility(10 ** rng.uniform(-9, -1),
                                            list(d.Monitor)[rng.integers(2)]))
             plan[method] = [rules[k] for k in rng.permutation(len(rules))]
-        monkeypatch.setattr(cli, "_rules_for", lambda method, spec: plan[method])
-        doc = small_problem(tmp_path, steps=3, methods=methods)
-        doc["outputs"]["record_at"] = [0, 3, 9]
-        spec = cli.parse_problem(json.dumps(doc))
-        for row in cli.sweep(spec):
+        spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=3, methods=methods)))
+        for row in plan_rows(spec.set_a, spec.set_b, plan, cli._starts(spec), [0, 3, 9]):
             t = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method]).termination
             assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
             seen.add((row.reason, row.exact))
@@ -676,17 +678,17 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path, monkeypatch):
             (d.Reason.MAX_ITER, False), (d.Reason.MAX_ITER, True)} <= seen
 
 
-def test_sweep_rejects_sets_of_different_dimensions(tmp_path):
+def test_sweep_rejects_sets_of_different_dimensions():
     # as run does: a line of R^2 against the orthant of R^3 is refused
     # before the first step, not stepped from 2-D starts
-    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
     set_a, set_b = d.Affine([[1, 5]], [6]), d.Orthant(3)
     Z = np.array([[1.0, 2.0], [-3.0, 4.0]])
     with pytest.raises(d.DimensionMismatchError, match="^sets have dimensions 2 and 3$"):
         d.run(set_a, set_b, d.MethodKind.DRA, Z[0])
-    for methods in [[m] for m in spec.methods] + [spec.methods]:
+    kinds = list(map(d.MethodKind, ALL_METHODS))
+    for methods in [[m] for m in kinds] + [kinds]:
         with pytest.raises(d.DimensionMismatchError, match="^sets have dimensions 2 and 3$"):
-            cli._sweep_methods(set_a, set_b, methods, Z, spec)
+            d.run_rows(set_a, set_b, dict.fromkeys(methods), Z)
 
 
 def test_sweep_rejects_an_unknown_method(tmp_path):
@@ -694,7 +696,7 @@ def test_sweep_rejects_an_unknown_method(tmp_path):
     # first step, rather than stepping by some other rule
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path)))
     with pytest.raises(ValueError, match="unknown method"):
-        cli._sweep_methods(spec.set_a, spec.set_b, ["DRA"], cli._starts(spec), spec)
+        d.run_rows(spec.set_a, spec.set_b, {"DRA": None}, cli._starts(spec))
 
 
 def test_sweep_rows_keep_their_fields_and_types(tmp_path):
@@ -732,6 +734,14 @@ def test_benchmark_hooks_exist():
     with tracing.Tracer().instrument():
         pass
     assert cli.run is d.methods.run
+
+
+def test_run_rows_is_the_one_row_driver():
+    # the row engine has one home, methods; cli maps a problem to rule
+    # plans and writes the rows, and holds no stepping code of its own
+    assert d.run_rows is d.methods.run_rows
+    for name in ("_sweep_methods", "_exact_rows", "_step", "_Spingarn", "_norms"):
+        assert not hasattr(cli, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +843,8 @@ def test_emit_csv_matches_per_cell_writer(tmp_path, dim, record_at):
 
     rows = []
     for k, method in enumerate(d.MethodKind):
-        for j, first_n in enumerate([(3, 17), (0, cli.NOT_REACHED),
-                                     (cli.NOT_REACHED, cli.NOT_REACHED)]):
+        for j, first_n in enumerate([(3, 17), (0, d.methods.NOT_REACHED),
+                                     (d.methods.NOT_REACHED, d.methods.NOT_REACHED)]):
             i = 3 * k + j
             rows.append(cli.SweepRow(
                 z0=np.array(cells(i, dim)), method=method, iterations=1000 * i,
@@ -862,7 +872,7 @@ def test_emit_csv_formats_z0_by_object(tmp_path, z0s):
     # emit_csv formats a z0 once for the rows that share its object; every
     # row still prints its own start
     rows = [cli.SweepRow(z0, method, 7 * k, bool(k % 2), Z0_A * k, (0.5 * k, math.nan),
-                         (k, cli.NOT_REACHED), reason)
+                         (k, d.methods.NOT_REACHED), reason)
             for k, (z0, method, reason) in enumerate(
                 zip(z0s, itertools.cycle(d.MethodKind), itertools.cycle(d.Reason)))]
     out = tmp_path / "rows.csv"
@@ -1242,7 +1252,8 @@ def test_batched_restriction_equals_restrict(tmp_path):
         rows = cli.sweep(spec)
         Z = np.array([lp.embed(z0) for z0 in cli._starts(spec)])
         for k, method in enumerate(spec.methods):
-            final = cli._sweep_methods(lp.set_a, lp.set_b, [method], Z, spec)["final"]
+            plan = {method: cli._rules_for(method, spec)}
+            final = d.run_rows(lp.set_a, lp.set_b, plan, Z, spec.record_at)["final"]
             for row, F in zip(rows[k::len(spec.methods)], final):
                 assert row.method is method
                 assert np.array_equal(row.final.view(np.int64), lp.restrict(F).view(np.int64))

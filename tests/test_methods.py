@@ -494,6 +494,89 @@ def test_shadow_sequence(line_orthant):
 
 
 # ---------------------------------------------------------------------------
+# the row driver
+
+
+def refuse_projections(monkeypatch, *sets):
+    """Make every projection onto the given sets fail the test."""
+    def refused(X):
+        raise AssertionError("a set was projected")
+    for s in sets:
+        for name in ("_project", "_project_rows"):
+            monkeypatch.setattr(s, name, refused)
+
+
+def test_run_rows_on_zero_rows_gives_empty_columns(line_orthant, monkeypatch):
+    # a (0, dim) stack projects nothing and gives each column its shape and
+    # dtype with zero rows; the checks of the sets and the plan keys come first
+    set_a, set_b = line_orthant
+    Z = np.zeros((0, 2))
+    refuse_projections(monkeypatch, set_a, set_b)
+    rules = [d.ExactFixedPoint(), d.Feasibility(1e-4), d.MaxIter(50)]
+    for methods in [[m] for m in d.MethodKind] + [list(d.MethodKind)]:
+        res = d.run_rows(set_a, set_b, dict.fromkeys(methods, rules), Z, (5, 10))
+        assert {k: (v.shape, v.dtype) for k, v in res.items()} == {
+            "final": ((0, 2), np.float64), "d_b_at": ((0, 2), np.float64),
+            "first_n": ((0, 2), np.dtype(int)), "iterations": ((0,), np.dtype(int)),
+            "exact": ((0,), np.bool_), "reason": ((0,), np.object_)}
+    with pytest.raises(ValueError, match="unknown method"):
+        d.run_rows(set_a, set_b, {"DRA": None}, Z)
+    with pytest.raises(d.DimensionMismatchError, match="^sets have dimensions 2 and 3$"):
+        d.run_rows(set_a, d.Orthant(3), {d.MethodKind.DRA: None}, Z)
+
+
+def test_run_rows_reads_each_plan_as_run_reads_stop(line_orthant, monkeypatch):
+    # a plan goes through normalize_rules, as run's stop does: a bare rule
+    # gives the rows of the list that holds it, and a plan that run refuses
+    # raises run's ValueError before any set is projected
+    set_a, set_b = line_orthant
+    Z = np.random.default_rng(2101).uniform(-100, 100, (9, 2))
+    bare = d.run_rows(set_a, set_b, dict.fromkeys(d.MethodKind, d.MaxIter(4)), Z, (0, 3, 9))
+    listed = d.run_rows(set_a, set_b, dict.fromkeys(d.MethodKind, [d.MaxIter(4)]), Z, (0, 3, 9))
+    assert bare.keys() == listed.keys()
+    for key in bare:
+        np.testing.assert_array_equal(bare[key], listed[key])
+    assert (bare["iterations"] == 4).all() and set(bare["reason"]) == {d.Reason.MAX_ITER}
+    bad = [d.ExactFixedPoint(), d.ExactFixedPoint(1e-10), d.MaxIter(5)]
+    with pytest.raises(ValueError) as from_run:
+        d.run(set_a, set_b, d.MethodKind.DRA, Z[0], bad)
+    refuse_projections(monkeypatch, set_a, set_b)
+    for method in d.MethodKind:
+        for plans in ({method: bad}, {**dict.fromkeys(d.MethodKind), method: bad}):
+            with pytest.raises(ValueError) as from_rows:
+                d.run_rows(set_a, set_b, plans, Z)
+            assert str(from_rows.value) == str(from_run.value)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (3, 8), (5, 12), (10, 20)])
+def test_dra_rows_end_exact_on_affine_polyhedral_slater_instances(m, n):
+    # the paper's affine-polyhedral case: A = {L x = b} with
+    # L full row rank meets B in a point x_bar interior to B, so DRA ends
+    # exact from every start, with the shadow in A and in B; B is the
+    # orthant, a box and a product of 2-D halfspaces, each around x_bar
+    rng = np.random.default_rng(2110 + n)
+    L = rng.standard_normal((m, n))
+    assert np.linalg.matrix_rank(L) == m
+    x_bar = rng.uniform(0.1, 1, n)
+    b = L @ x_bar
+    Z = rng.uniform(-10, 10, (50, n))
+    normals = rng.standard_normal((n // 2, 2))
+    halfspaces = [d.Halfspace(v, v @ x_bar[2 * k:2 * k + 2] + rng.uniform(0.1, 1))
+                  for k, v in enumerate(normals)]
+    set_a = d.Affine(L, b)
+    plan = {d.MethodKind.DRA: [d.ExactFixedPoint(1e-14), d.MaxIter(10_000)]}
+    for set_b in (d.Orthant(n),
+                  d.Box(x_bar - rng.uniform(0.1, 1, n), x_bar + rng.uniform(0.1, 1, n)),
+                  d.Product(halfspaces)):
+        res = d.run_rows(set_a, set_b, plan, Z)
+        assert list(res["reason"]) == [d.Reason.EXACT_FIXED_POINT] * len(Z)
+        for z in res["final"]:
+            shadow = set_a.project(z)
+            assert np.abs(L @ shadow - b).max() <= 1e-12
+            assert set_b.distance(shadow) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # operator identities
 
 
