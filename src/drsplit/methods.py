@@ -179,10 +179,16 @@ def run(
     d_A(w) < tol only where that passes, so a nan never passes.  The run
     ends at the first record where a rule fires; feasibility wins over
     exactness and exactness over the cap, which is recorded as the reason,
-    not raised.  ``exact`` is the last step's ``_exact_step`` flag.  z0 is
-    checked once; an iterate that is not finite (an overflow) raises
-    ValueError.  A step makes only the projections its update and the
-    active rules use; the trace derives P_B r_n and d_B(z_n) on first access.
+    not raised.  ``exact`` is the last step's ``_exact_step`` flag, taken at
+    the stop from the last two iterates unless an ExactFixedPoint rule reads
+    it at every step.  z0 is checked once; an iterate that is not finite (an
+    overflow) raises ValueError.  A step makes only the projections its
+    update and the active rules read: DRA's P_A z_n and P_B(2 P_A z_n - z_n),
+    MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
+    iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
+    and P_B(a_n), and either one P_A of its point where d_B < tol.  The
+    trace stores the shadows where every record computed them (DRA, a rule
+    on the shadow) and derives them otherwise, as it derives P_B r_n.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -194,52 +200,63 @@ def run(
     project_a, project_b = set_a._project, set_b._project
     pair = _Spingarn(set_a, set_b, z) if method is MethodKind.SPINGARN else None
 
-    # P_B z is needed at every record only by a feasibility rule on the
-    # iterate; MAP and MRP otherwise project it when they step
-    b_rule = feas is not None and feas.monitor is Monitor.ITERATE
-    z_list, a_list = [], []
+    # P_A z is needed at every record only by DRA's update and a rule on
+    # the shadow; P_B z only by a rule on the iterate, and MAP and MRP
+    # otherwise project it when they step
+    shadow_rule = feas is not None and feas.monitor is Monitor.SHADOW
+    a_list = [] if method is MethodKind.DRA or shadow_rule else None
+    z_list = []
     n = 0
     hit = False
     residual = None
     while True:
-        a = project_a(z)
-        pbz = project_b(z) if b_rule else None
-
+        a = pbz = None
+        if a_list is not None:
+            a = project_a(z)
+            a_list.append(a)
         if feas is None:
             feasible = False
-        elif b_rule:
-            feasible = _norm(z - pbz) < feas.tol and _norm(z - a) < feas.tol
-        else:
+        elif shadow_rule:
             feasible = (_norm(a - project_b(a)) < feas.tol
                         and _norm(a - project_a(a)) < feas.tol)
+        else:
+            pbz = project_b(z)
+            feasible = (_norm(z - pbz) < feas.tol
+                        and _norm(z - (project_a(z) if a is None else a)) < feas.tol)
         if feasible:
             reason = Reason.FEASIBILITY
-        elif hit and eta is not None:
+        elif hit:
             reason = Reason.EXACT_FIXED_POINT
         elif n >= n_max:
             reason = Reason.MAX_ITER
         else:
             reason = None
         z_list.append(z)
-        a_list.append(a)
         if reason is not None:
             break
 
         z_next = pair.step() if pair else _step(method, project_a, project_b, z, a, pbz)
 
-        residual = _norm(z_next - z)
         # z0 was checked once and the projectors take unchecked input, so an
-        # overflow shows up here; z is finite, so a finite residual means a
-        # finite z_next
-        if not math.isfinite(residual) and not np.isfinite(z_next).all():
+        # overflow shows up here; z is finite, so a finite residual (or
+        # squared norm) means a finite z_next
+        if eta is not None:
+            residual = _norm(z_next - z)
+            finite = math.isfinite(residual)
+            hit = _exact_step(residual, 1.0 + _norm(z), eta)
+        else:
+            finite = math.isfinite(z_next.dot(z_next))
+        if not finite and not np.isfinite(z_next).all():
             raise ValueError("vector coordinates must be finite")
-        hit = _exact_step(residual, 1.0 + _norm(z), eta)
         z = z_next
         n += 1
 
+    if eta is None and n:   # the flag no rule read, from the last step alone
+        residual = _norm(z - z_list[-2])
+        hit = _exact_step(residual, 1.0 + _norm(z_list[-2]), None)
     return IterationTrace(
         z=tuple(z_list),
-        a=tuple(a_list),
+        set_a=set_a,
         set_b=set_b,
         termination=Termination(
             reason=reason,
@@ -248,6 +265,7 @@ def run(
             exact=hit,
             step_residual=residual,
         ),
+        shadows=None if a_list is None else tuple(a_list),
         translation=pair.shift if pair else None,
     )
 
@@ -406,5 +424,6 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
 
 
 def shadow(trace: IterationTrace) -> tuple:
-    """The shadow sequence (P_A z_n) stored in a trace."""
+    """The shadow sequence (P_A z_n) of a trace: the one ``run`` stored, or
+    else derived from the iterates on first access (see IterationTrace)."""
     return trace.a

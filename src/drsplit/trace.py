@@ -83,21 +83,32 @@ class Termination:
 class IterationTrace:
     """Full per-iteration record of a run.
 
-    Stores, for each step n = 0 .. iterations, the governing iterate z_n
-    and its projection a_n onto the first set, plus the second set
-    ``set_b``.  The reflection ``r`` (r_n = 2 a_n - z_n), its projection
+    Stores, for each step n = 0 .. iterations, the governing iterate z_n,
+    plus the two sets ``set_a`` and ``set_b``; ``shadows`` holds the
+    shadows a_n = P_A z_n where the run computed them at every record
+    (DRA, or a feasibility rule on the shadow), else None.  The shadow
+    column ``a``, the reflection ``r`` (r_n = 2 a_n - z_n), its projection
     ``pbr`` onto the second set, the distances ``d_a`` = ||z_n - a_n|| and
     ``d_b`` = d_B(z_n), and ``steps`` are computed from these on first
-    access, with the arithmetic ``run`` uses; ``pbr`` and ``d_b`` cost one
-    projection onto the second set per record.
+    access, with the arithmetic ``run`` uses; ``a`` is ``shadows`` when
+    stored and otherwise costs one projection onto the first set per
+    record, and ``pbr`` and ``d_b`` cost one projection onto the second
+    set per record.
     """
 
     z: tuple
-    a: tuple
+    set_a: ConvexSet
     set_b: ConvexSet
     termination: Termination
+    shadows: Optional[tuple] = None
     cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
+
+    @cached_property
+    def a(self) -> tuple:
+        if self.shadows is not None:
+            return self.shadows
+        return tuple(self.set_a._project(z) for z in self.z)
 
     @cached_property
     def r(self) -> tuple:
@@ -135,12 +146,16 @@ def normalize_rules(stop) -> tuple:
     """Read a rule, a sequence of rules or None as (eta, feas, n_max): the
     ExactFixedPoint eta or None, the Feasibility rule or None, and the least
     MaxIter cap (DEFAULT_MAX_ITER without one).  Only one rule of each of
-    the first two kinds can decide a run; a second one raises ValueError."""
-    if isinstance(stop, (ExactFixedPoint, Feasibility, MaxIter)):
-        stop = (stop,)
+    the first two kinds can decide a run; a second one raises ValueError,
+    as do an entry that is no rule, a monitor that is no Monitor member and
+    a cap that is no integer of at least 1 (a bool is none)."""
+    try:
+        rules = () if stop is None else (stop,) if isinstance(stop, StoppingRule) else tuple(stop)
+    except TypeError:
+        raise ValueError(f"not a stopping rule: {stop!r}") from None
     eta = feas = None
     caps = []
-    for rule in stop or ():
+    for rule in rules:
         if isinstance(rule, ExactFixedPoint):
             if eta is not None or not rule.eta > 0:
                 raise ValueError("give at most one ExactFixedPoint rule, with eta > 0")
@@ -148,11 +163,16 @@ def normalize_rules(stop) -> tuple:
         elif isinstance(rule, Feasibility):
             if feas is not None or not rule.tol > 0:
                 raise ValueError("give at most one Feasibility rule, with tol > 0")
+            if not isinstance(rule.monitor, Monitor):
+                raise ValueError(f"Feasibility.monitor must be a Monitor, got {rule.monitor!r}")
             feas = rule
         elif isinstance(rule, MaxIter):
-            if rule.n_max < 1:
-                raise ValueError("MaxIter.n_max must be at least 1")
-            caps.append(rule.n_max)
+            n = rule.n_max
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"MaxIter.n_max must be an integer of at least 1, got {n!r}")
+            caps.append(n)
+        else:
+            raise ValueError(f"not a stopping rule: {rule!r}")
     return eta, feas, min(caps, default=DEFAULT_MAX_ITER)
 
 

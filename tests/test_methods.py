@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import drsplit as d
-from drsplit.trace import DEFAULT_MAX_ITER, normalize_rules
+from drsplit.trace import DEFAULT_ETA, DEFAULT_MAX_ITER, _exact_step, normalize_rules
 from conftest import (
     LINE_A,
     LINE_L,
@@ -350,10 +350,33 @@ def test_normalize_rules_returns_what_the_drivers_use(line_orthant):
     assert normalize_rules(None) == (None, None, DEFAULT_MAX_ITER)
     assert normalize_rules(d.ExactFixedPoint(1e-9)) == (1e-9, None, DEFAULT_MAX_ITER)
     assert normalize_rules([feas, d.MaxIter(7), d.MaxIter(3)]) == (None, feas, 3)
+    assert normalize_rules((d.MaxIter(np.int64(4)),)) == (None, None, 4)
     # repeated caps keep the least
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.MAP, [100.0, -100.0], [d.MaxIter(7), d.MaxIter(3)])
     assert tr.iterations == 3 and tr.termination.reason is d.Reason.MAX_ITER
+
+
+@pytest.mark.parametrize("stop", [
+    ["eta", 3], [d.ExactFixedPoint(), None], 5,
+    d.Feasibility(1e-4, "iterate"), [d.Feasibility(1e-4, "bogus"), d.MaxIter(5)],
+    d.MaxIter(2.5), [d.MaxIter(True)],
+])
+def test_rules_that_are_no_rules_raise(line_orthant, monkeypatch, stop):
+    # an entry that is no rule was dropped (["eta", 3] ran to the default
+    # cap), a string monitor was read as the shadow by run and as the
+    # iterate by run_rows, and a fractional or bool cap passed; all raise
+    # ValueError in normalize_rules, before any set is projected
+    set_a, set_b = line_orthant
+    with pytest.raises(ValueError) as from_rules:
+        normalize_rules(stop)
+    refuse_projections(monkeypatch, set_a, set_b)
+    with pytest.raises(ValueError) as from_run:
+        d.run(set_a, set_b, d.MethodKind.DRA, [-70.0, 30.0], stop)
+    for method in d.MethodKind:
+        with pytest.raises(ValueError) as from_rows:
+            d.run_rows(set_a, set_b, {method: stop}, np.array([[-70.0, 30.0]]))
+        assert str(from_rows.value) == str(from_run.value) == str(from_rules.value)
 
 
 @pytest.mark.parametrize("method", [d.MethodKind.DRA, d.MethodKind.SPINGARN])
@@ -387,15 +410,21 @@ def test_run_dimension_mismatch():
 
 
 def test_run_overflow_fails_loudly():
-    # the start is finite, but the first step overflows
+    # the start is finite, but the first step overflows; without an eta
+    # rule no step residual is taken, and the check falls back on z_next
     cases = [
-        (d.Hyperplane([1.0, 1.0], 0.0), d.MethodKind.MRP, [1e308, -1e308]),
-        (d.Hyperplane([1.0, -1.0], 0.0), d.MethodKind.DRA, [-1.7e308, 1.7e308]),
+        (d.Hyperplane([1.0, 1.0], 0.0), d.MethodKind.MRP, [1e308, -1e308], d.MaxIter(50)),
+        (d.Hyperplane([1.0, -1.0], 0.0), d.MethodKind.DRA, [-1.7e308, 1.7e308],
+         [d.ExactFixedPoint(), d.MaxIter(50)]),
+        (d.Hyperplane([1.0, 1.0], 0.0), d.MethodKind.MAP, [1e308, 1e308],
+         [d.Feasibility(1e-4), d.MaxIter(1)]),
+        (d.Hyperplane([1.0, -1.0], 0.0), d.MethodKind.SPINGARN, [-1.7e308, 1.7e308],
+         d.MaxIter(1)),
     ]
-    for set_a, method, z0 in cases:
+    for set_a, method, z0, rules in cases:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
-                d.run(set_a, d.Orthant(2), method, z0, d.MaxIter(50))
+                d.run(set_a, d.Orthant(2), method, z0, rules)
 
 
 @pytest.mark.parametrize("method", list(d.MethodKind))
@@ -420,6 +449,21 @@ def test_run_overflowing_residual_is_not_a_failure():
     assert tr.iterations == 1
     assert tr.termination.step_residual == math.inf
     assert np.array_equal(tr.final_point, [1e308, 0.0])
+
+
+def test_run_overflowing_squared_norm_is_not_a_failure(line_orthant):
+    # without an eta rule the overflow check squares z_1 = P_A P_B z_0, which
+    # overflows near 1e200 though z_1 is finite; so does the step residual,
+    # taken once at the stop
+    set_a, set_b = line_orthant
+    for rules in ([d.Feasibility(1e-4), d.MaxIter(1)], d.MaxIter(1)):
+        with np.errstate(over="ignore"):
+            tr = d.run(set_a, set_b, d.MethodKind.MAP, [1e200, 0.0], rules)
+        assert tr.termination.reason is d.Reason.MAX_ITER
+        assert tr.iterations == 1
+        assert tr.termination.step_residual == math.inf
+        assert tr.termination.exact is False
+        assert np.isfinite(tr.final_point).all()
 
 
 def test_trace_consistency_invariants(line_orthant):
@@ -453,32 +497,59 @@ class CountingSet(d.ConvexSet):
 
 @pytest.mark.parametrize("method, rules, per_step, per_record", [
     (d.MethodKind.DRA, d.ExactFixedPoint(), (0, 1), (1, 0)),
-    (d.MethodKind.MAP, d.Feasibility(1e-9), (1, 0), (1, 1)),
-    (d.MethodKind.MRP, d.Feasibility(1e-9), (1, 0), (1, 1)),
+    (d.MethodKind.MAP, d.Feasibility(1e-9), (1, 0), (0, 1)),
+    (d.MethodKind.MRP, d.Feasibility(1e-9), (1, 0), (0, 1)),
     (d.MethodKind.DRA, d.Feasibility(1e-9, d.Monitor.SHADOW), (0, 1), (1, 1)),
+    (d.MethodKind.MAP, d.Feasibility(1e-9, d.Monitor.SHADOW), (1, 1), (1, 1)),
 ])
 def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
                                               per_step, per_record):
     # calls onto (A, B): per_step for each step, per_record for each record
-    # (a run of n steps has n + 1 records); DRA projects P_A z and
-    # P_B(2a - z), MAP and MRP P_A z, P_B z for the rule and the step's P_A.
-    # A rule on the shadow takes P_B(a) at each record and P_A(a) only
-    # where d_B(a) < tol, which here is at the last record alone
-    at_stop = int(getattr(rules, "monitor", None) is d.Monitor.SHADOW)
+    # (a run of n steps has n + 1 records), plus one onto A at each record
+    # where d_B(w) < tol at the monitored point w; DRA projects P_A z and
+    # P_B(2a - z), MAP and MRP P_B z and the step's P_A. A rule on the
+    # iterate takes P_B z at each record, which MAP and MRP reuse for their
+    # step; a rule on the shadow takes P_A z and P_B(a)
+    shadow_rule = getattr(rules, "monitor", None) is d.Monitor.SHADOW
     set_a, set_b = (CountingSet(s) for s in line_orthant)
     tr = d.run(set_a, set_b, method, [-70.0, 30.0], [rules, d.MaxIter(40)])
     steps, records = tr.iterations, len(tr)
     assert steps >= 2
+    base_a, base_b = line_orthant
+    tol = getattr(rules, "tol", 0.0)
+    passed = sum(base_b.distance(base_a.project(z) if shadow_rule else z) < tol for z in tr.z)
+    assert passed == (tr.termination.reason is d.Reason.FEASIBILITY)
     assert (set_a.calls, set_b.calls) == tuple(
-        s * steps + r * records + f for s, r, f in zip(per_step, per_record, (at_stop, 0)))
-    # pbr and d_b each cost one projection onto B per record, once
-    for name in ("pbr", "d_b"):
-        before = set_b.calls
-        getattr(tr, name)
-        assert set_b.calls == before + records
-        getattr(tr, name)
-        assert set_b.calls == before + records
-    assert set_a.calls == per_step[0] * steps + per_record[0] * records + at_stop
+        s * steps + r * records + f for s, r, f in zip(per_step, per_record, (passed, 0)))
+    # the shadows are stored where every record computed them, else the
+    # first read of a costs one projection onto A per record; pbr and d_b
+    # each cost one projection onto B per record; a second read costs none
+    stored = method is d.MethodKind.DRA or shadow_rule
+    for name, cost in (("a", (0 if stored else records, 0)),
+                       ("pbr", (0, records)), ("d_b", (0, records))):
+        for want in (cost, (0, 0)):
+            before = (set_a.calls, set_b.calls)
+            getattr(tr, name)
+            assert (set_a.calls - before[0], set_b.calls - before[1]) == want
+
+
+@pytest.mark.parametrize("method", list(d.MethodKind))
+@pytest.mark.parametrize("rule", [None, d.Feasibility(1e-4),
+                                  d.Feasibility(1e-4, d.Monitor.SHADOW)],
+                         ids=["cap", "iterate", "shadow"])
+def test_run_takes_the_flag_at_the_stop_and_derives_the_shadows(line_orthant, method, rule):
+    # without an eta rule the step residual and the exactness flag are taken
+    # once, from the last two iterates, and the trace derives any shadows
+    # that the run did not compute at every record
+    set_a, set_b = line_orthant
+    tr = d.run(set_a, set_b, method, [-70.0, 30.0], [d.MaxIter(40)] + [rule] * (rule is not None))
+    assert tr.iterations >= 2
+    residual = tr.termination.step_residual
+    assert residual == np.linalg.norm(tr.z[-1] - tr.z[-2])
+    assert tr.termination.exact == _exact_step(residual, 1.0 + np.linalg.norm(tr.z[-2]), DEFAULT_ETA)
+    assert tr.a is tr.a and len(tr.a) == len(tr.z)
+    for z, a in zip(tr.z, tr.a):
+        assert np.array_equal(bits(a), bits(set_a.project(z)))
 
 
 def test_shadow_sequence(line_orthant):
