@@ -40,6 +40,7 @@ from .trace import (
     _exact_step,
     _norm,
     _norms,
+    _rows,
     normalize_rules,
 )
 
@@ -164,6 +165,9 @@ class _Spingarn:
         return self.a - self.b if self.shift is None else self.a - self.b + self.shift
 
 
+_BLOCK = 1024   # records that ``run`` gathers into one flat block of a column
+
+
 def run(
     set_a: ConvexSet,
     set_b: ConvexSet,
@@ -187,8 +191,9 @@ def run(
     MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
     iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
     and P_B(a_n), and either one P_A of its point where d_B < tol.  The
-    trace stores the shadows where every record computed them (DRA, a rule
-    on the shadow) and derives them otherwise, as it derives P_B r_n.
+    trace stores the iterates, and the shadows where every record computed
+    them (DRA, a rule on the shadow), each as one read-only (records, dim)
+    array; it derives the shadows otherwise, as it derives P_B r_n.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -234,6 +239,12 @@ def run(
         z_list.append(z)
         if reason is not None:
             break
+        if (n + 1) % _BLOCK == 0:
+            # the last _BLOCK vectors become one flat block, so that a long
+            # run keeps 8 bytes per coordinate, not a numpy object per vector
+            z_list[-_BLOCK:] = [np.concatenate(z_list[-_BLOCK:])]
+            if a_list is not None:
+                a_list[-_BLOCK:] = [np.concatenate(a_list[-_BLOCK:])]
 
         z_next = pair.step() if pair else _step(method, project_a, project_b, z, a, pbz)
 
@@ -248,24 +259,25 @@ def run(
             finite = math.isfinite(z_next.dot(z_next))
         if not finite and not np.isfinite(z_next).all():
             raise ValueError("vector coordinates must be finite")
-        z = z_next
+        z_prev, z = z, z_next
         n += 1
 
     if eta is None and n:   # the flag no rule read, from the last step alone
-        residual = _norm(z - z_list[-2])
-        hit = _exact_step(residual, 1.0 + _norm(z_list[-2]), None)
+        residual = _norm(z - z_prev)
+        hit = _exact_step(residual, 1.0 + _norm(z_prev), None)
+    z_rows = _rows(z_list, set_a.dim)
     return IterationTrace(
-        z=tuple(z_list),
+        z=z_rows,
         set_a=set_a,
         set_b=set_b,
         termination=Termination(
             reason=reason,
             iterations=n,
-            final_point=z,
+            final_point=z_rows[-1],   # read-only, and never the caller's z0
             exact=hit,
             step_residual=residual,
         ),
-        shadows=None if a_list is None else tuple(a_list),
+        shadows=None if a_list is None else _rows(a_list, set_a.dim),
         translation=pair.shift if pair else None,
     )
 
@@ -423,7 +435,8 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     return out
 
 
-def shadow(trace: IterationTrace) -> tuple:
-    """The shadow sequence (P_A z_n) of a trace: the one ``run`` stored, or
-    else derived from the iterates on first access (see IterationTrace)."""
+def shadow(trace: IterationTrace) -> np.ndarray:
+    """The shadow sequence (P_A z_n) of a trace, one row per record: the
+    one ``run`` stored, or else derived from the iterates on first access
+    (see IterationTrace)."""
     return trace.a

@@ -48,7 +48,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector coordinates must be finite")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.shape[0]}")

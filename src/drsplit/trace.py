@@ -28,6 +28,18 @@ def _norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt((D * D).sum(axis=1))
 
 
+def _read_only(v: np.ndarray) -> np.ndarray:
+    """v, marked read-only, as every trace column is."""
+    v.flags.writeable = False
+    return v
+
+
+def _rows(parts: list, dim: int) -> np.ndarray:
+    """One read-only (records, dim) array of a column's vectors, or of flat
+    blocks of them, in order."""
+    return _read_only(np.concatenate(parts).reshape(-1, dim))
+
+
 class Monitor(Enum):
     """Which point a feasibility rule measures: the iterate z_n itself or
     its shadow P_A(z_n)."""
@@ -83,48 +95,50 @@ class Termination:
 class IterationTrace:
     """Full per-iteration record of a run.
 
-    Stores, for each step n = 0 .. iterations, the governing iterate z_n,
-    plus the two sets ``set_a`` and ``set_b``; ``shadows`` holds the
-    shadows a_n = P_A z_n where the run computed them at every record
-    (DRA, or a feasibility rule on the shadow), else None.  The shadow
-    column ``a``, the reflection ``r`` (r_n = 2 a_n - z_n), its projection
-    ``pbr`` onto the second set, the distances ``d_a`` = ||z_n - a_n|| and
-    ``d_b`` = d_B(z_n), and ``steps`` are computed from these on first
-    access, with the arithmetic ``run`` uses; ``a`` is ``shadows`` when
-    stored and otherwise costs one projection onto the first set per
-    record, and ``pbr`` and ``d_b`` cost one projection onto the second
-    set per record.
+    Stores, for each step n = 0 .. iterations, the governing iterate z_n
+    as row n of ``z``, plus the two sets ``set_a`` and ``set_b``;
+    ``shadows`` holds the shadows a_n = P_A z_n where the run computed
+    them at every record (DRA, or a feasibility rule on the shadow), else
+    None.  The shadow column ``a``, the reflection ``r`` (r_n = 2 a_n -
+    z_n), its projection ``pbr`` onto the second set, the distances
+    ``d_a`` = ||z_n - a_n|| and ``d_b`` = d_B(z_n), and ``steps`` are
+    computed from these on first access, with the arithmetic ``run`` uses;
+    ``a`` is ``shadows`` when stored and otherwise costs one projection
+    onto the first set per record, and ``pbr`` and ``d_b`` cost one
+    projection onto the second set per record.  Every column is one
+    read-only float array, (iterations + 1, dim) for the points and
+    (iterations + 1,) for the distances.
     """
 
-    z: tuple
+    z: np.ndarray
     set_a: ConvexSet
     set_b: ConvexSet
     termination: Termination
-    shadows: Optional[tuple] = None
+    shadows: Optional[np.ndarray] = None
     cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
 
     @cached_property
-    def a(self) -> tuple:
+    def a(self) -> np.ndarray:
         if self.shadows is not None:
             return self.shadows
-        return tuple(self.set_a._project(z) for z in self.z)
+        return _rows([self.set_a._project(z) for z in self.z], self.set_a.dim)
 
     @cached_property
-    def r(self) -> tuple:
-        return tuple(2.0 * a - z for z, a in zip(self.z, self.a))
+    def r(self) -> np.ndarray:
+        return _read_only(2.0 * self.a - self.z)
 
     @cached_property
-    def pbr(self) -> tuple:
-        return tuple(self.set_b._project(r) for r in self.r)
+    def pbr(self) -> np.ndarray:
+        return _rows([self.set_b._project(r) for r in self.r], self.set_b.dim)
 
     @cached_property
-    def d_a(self) -> tuple:
-        return tuple(_norm(z - a) for z, a in zip(self.z, self.a))
+    def d_a(self) -> np.ndarray:
+        return _read_only(np.array([_norm(v) for v in self.z - self.a]))
 
     @cached_property
-    def d_b(self) -> tuple:
-        return tuple(_norm(z - self.set_b._project(z)) for z in self.z)
+    def d_b(self) -> np.ndarray:
+        return _read_only(np.array([_norm(z - self.set_b._project(z)) for z in self.z]))
 
     @property
     def steps(self) -> tuple:
@@ -147,8 +161,9 @@ def normalize_rules(stop) -> tuple:
     ExactFixedPoint eta or None, the Feasibility rule or None, and the least
     MaxIter cap (DEFAULT_MAX_ITER without one).  Only one rule of each of
     the first two kinds can decide a run; a second one raises ValueError,
-    as do an entry that is no rule, a monitor that is no Monitor member and
-    a cap that is no integer of at least 1 (a bool is none)."""
+    as do an entry that is no rule, an eta or tol that is no real number
+    above 0, a monitor that is no Monitor member and a cap that is no
+    integer of at least 1 (a bool is neither number)."""
     try:
         rules = () if stop is None else (stop,) if isinstance(stop, StoppingRule) else tuple(stop)
     except TypeError:
@@ -157,11 +172,11 @@ def normalize_rules(stop) -> tuple:
     caps = []
     for rule in rules:
         if isinstance(rule, ExactFixedPoint):
-            if eta is not None or not rule.eta > 0:
+            if eta is not None or not _positive(rule.eta):
                 raise ValueError("give at most one ExactFixedPoint rule, with eta > 0")
             eta = rule.eta
         elif isinstance(rule, Feasibility):
-            if feas is not None or not rule.tol > 0:
+            if feas is not None or not _positive(rule.tol):
                 raise ValueError("give at most one Feasibility rule, with tol > 0")
             if not isinstance(rule.monitor, Monitor):
                 raise ValueError(f"Feasibility.monitor must be a Monitor, got {rule.monitor!r}")
@@ -174,6 +189,12 @@ def normalize_rules(stop) -> tuple:
         else:
             raise ValueError(f"not a stopping rule: {rule!r}")
     return eta, feas, min(caps, default=DEFAULT_MAX_ITER)
+
+
+def _positive(x) -> bool:
+    """x is a Python or numpy int or float above 0, and not a bool."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return real and x > 0
 
 
 def _exact_step(residual, scale, eta):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import drsplit as d
+from drsplit.methods import _BLOCK
 from drsplit.trace import DEFAULT_ETA, DEFAULT_MAX_ITER, _exact_step, normalize_rules
 from conftest import (
     LINE_A,
@@ -351,6 +353,9 @@ def test_normalize_rules_returns_what_the_drivers_use(line_orthant):
     assert normalize_rules(d.ExactFixedPoint(1e-9)) == (1e-9, None, DEFAULT_MAX_ITER)
     assert normalize_rules([feas, d.MaxIter(7), d.MaxIter(3)]) == (None, feas, 3)
     assert normalize_rules((d.MaxIter(np.int64(4)),)) == (None, None, 4)
+    # any real number above 0 is an eta or a tol, a numpy one too
+    assert normalize_rules(d.ExactFixedPoint(np.float32(0.5)))[0] == 0.5
+    assert normalize_rules([d.Feasibility(np.int64(2))])[1].tol == 2
     # repeated caps keep the least
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.MAP, [100.0, -100.0], [d.MaxIter(7), d.MaxIter(3)])
@@ -361,11 +366,14 @@ def test_normalize_rules_returns_what_the_drivers_use(line_orthant):
     ["eta", 3], [d.ExactFixedPoint(), None], 5,
     d.Feasibility(1e-4, "iterate"), [d.Feasibility(1e-4, "bogus"), d.MaxIter(5)],
     d.MaxIter(2.5), [d.MaxIter(True)],
+    d.ExactFixedPoint(True), [d.Feasibility(True), d.MaxIter(5)],
+    d.ExactFixedPoint("x"), d.Feasibility("1e-4"), d.Feasibility(np.True_),
 ])
 def test_rules_that_are_no_rules_raise(line_orthant, monkeypatch, stop):
     # an entry that is no rule was dropped (["eta", 3] ran to the default
     # cap), a string monitor was read as the shadow by run and as the
-    # iterate by run_rows, and a fractional or bool cap passed; all raise
+    # iterate by run_rows, a fractional or bool cap passed, a bool eta or
+    # tol passed as 1 and a string one raised TypeError; all raise
     # ValueError in normalize_rules, before any set is projected
     set_a, set_b = line_orthant
     with pytest.raises(ValueError) as from_rules:
@@ -562,6 +570,72 @@ def test_shadow_sequence(line_orthant):
     tr_fix = d.run(set_a, set_b, d.MethodKind.DRA, [1.0, 1.0], d.ExactFixedPoint())
     for a in d.shadow(tr_fix):
         assert np.allclose(a, [1.0, 1.0], rtol=0, atol=1e-12)
+
+
+def test_trace_keeps_no_reference_to_the_start(line_orthant):
+    # a run that stopped at z0 returned the caller's own array as its final
+    # point, so writing into z0 afterwards changed the trace
+    z0 = np.array([6.0, 0.0])
+    tr = d.run(*line_orthant, d.MethodKind.MAP, z0, d.Feasibility(1e-4))
+    z0[0] = 99.0
+    assert tr.iterations == 0
+    assert tr.final_point.tolist() == tr.z[0].tolist() == [6.0, 0.0]
+
+
+def infeasible_line():
+    """The line x + 5y = -6 against the orthant: no common point."""
+    return d.Affine(LINE_L, [-6.0]), d.Orthant(2)
+
+
+@pytest.mark.parametrize("method, retained, peak", [
+    (d.MethodKind.DRA, 40, 96), (d.MethodKind.MAP, 20, None)])
+def test_long_runs_keep_eight_bytes_per_coordinate(method, retained, peak):
+    # a run keeps each stored column as one float array, not one numpy
+    # object per vector (272 B a record for DRA's iterate and shadow);
+    # bytes per record, with the run's own working set in the peak
+    set_a, set_b = infeasible_line()
+    d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(5))
+    tracemalloc.start()
+    try:
+        tr = d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(20_000))
+        kept, top = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.termination.reason is d.Reason.MAX_ITER and len(tr) == 20_001
+    assert kept <= retained * len(tr)
+    if peak is not None:
+        assert top <= peak * len(tr)
+
+
+@pytest.mark.parametrize("method", list(d.MethodKind))
+@pytest.mark.parametrize("cap", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
+def test_trace_columns_are_read_only_arrays(method, cap):
+    # every column is one read-only array of a row per record, and a run
+    # that crosses the blocks of its stored columns keeps every record: each
+    # iterate is the step function's image of the one before, to the bit
+    set_a, set_b = infeasible_line()
+    tr = d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(cap))
+    assert tr.iterations == cap and len(tr) == tr.iterations + 1
+    assert (tr.shadows is not None) == (method is d.MethodKind.DRA)
+    columns = {name: getattr(tr, name) for name in ("z", "a", "r", "pbr", "d_a", "d_b")}
+    if tr.shadows is not None:
+        columns["shadows"] = tr.shadows
+    for name, col in columns.items():
+        shape = (len(tr),) if name.startswith("d_") else (len(tr), 2)
+        assert col.shape == shape and col.dtype == np.float64 and col.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0.0
+    assert np.array_equal(bits(tr.z[-1]), bits(tr.final_point))
+    with pytest.raises(ValueError, match="read-only"):
+        tr.final_point[0] = 0.0
+    if method is not d.MethodKind.SPINGARN:
+        step = {d.MethodKind.DRA: lambda z: d.dra_step(set_a, set_b, z)[0],
+                d.MethodKind.MAP: lambda z: d.map_step(set_a, set_b, z),
+                d.MethodKind.MRP: lambda z: d.mrp_step(set_a, set_b, z)}[method]
+        for n in range(tr.iterations):
+            assert np.array_equal(bits(step(tr.z[n])), bits(tr.z[n + 1]))
+    for z, a in zip(tr.z, tr.a):
+        assert np.array_equal(bits(a), bits(set_a.project(z)))
 
 
 # ---------------------------------------------------------------------------
