@@ -30,6 +30,8 @@ _BISECT_TOL = 1e-12
 # steps; the cap only guards against a loop that does not halve
 _BISECT_MAX_STEPS = 1100
 
+_X_AXIS = None  # run_epi's first set: built on first use, arrays read-only
+
 
 class NoConvergenceError(RuntimeError):
     """Bracketed root search failed to meet tolerance within its step cap."""
@@ -59,12 +61,12 @@ class WitnessFamily(Enum):
     QUADRATIC = "quadratic"
 
 
-def _as_point(z) -> EpiPoint:
+def _as_point(z) -> Tuple[float, float]:
     x, rho = z
     x, rho = float(x), float(rho)
     if not (math.isfinite(x) and math.isfinite(rho)):
         raise ValueError("epigraph points must have finite coordinates")
-    return EpiPoint(x, rho)
+    return x, rho
 
 
 def _residual(f: ConvexFunction1D, x: float, rho: float, p: float) -> float:
@@ -131,27 +133,29 @@ def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
     lands within rounding of u and can pass it, so a step that would cross
     u stops at u, and the next step, which moves back toward x, ends the
     loop there.  Raises OverflowError where f(x) - rho, f'(x) or 2 q2 is
-    beyond the float range.
+    beyond the float range.  f - rho and f' are evaluated from the
+    coefficients in the builtin's own order: the bits of f and f.subgrad.
     """
-    q2 = f.params[0]
+    q2, q1, q0 = f.params
     if q2 == 0.0:
         # constant f: the epigraph is a halfplane, abscissa unchanged
         return x
-    side = 1.0 if x > f.minimizer else -1.0
+    u = f.minimizer
+    side = 1.0 if x > u else -1.0
     # g and g' are divided by c and c^2, c = 2^k above |f'| and sqrt(q2 (f - rho))
     # at x, where both are largest: exact scalings, so the step keeps the bits
     # of g/g' but cannot overflow ((f - rho) f' alone overflows from |x| ~ 1e103)
-    k = max(0, math.frexp(f.subgrad(x))[1],
-            (math.frexp(q2)[1] + math.frexp(f(x) - rho)[1]) // 2)
+    k = max(0, math.frexp(2.0 * q2 * x + q1)[1],
+            (math.frexp(q2)[1] + math.frexp((q2 * x + q1) * x + q0 - rho)[1]) // 2)
     inv = math.ldexp(1.0, -k)
     p = x
     while True:
-        excess = f(p) - rho
-        slope = f.subgrad(p) * inv
+        excess = (q2 * p + q1) * p + q0 - rho
+        slope = (2.0 * q2 * p + q1) * inv
         dg = inv * inv + slope * slope + 2.0 * q2 * (excess * inv) * inv
         p_next = p - ((p - x) * inv * inv / dg + excess * (slope * inv / dg))
-        if side * (p_next - f.minimizer) < 0:
-            p_next = f.minimizer
+        if side * (p_next - u) < 0:
+            p_next = u
         if not side * (p - p_next) > 0:
             if not math.isfinite(dg):  # then the first step is 0 or NaN
                 raise OverflowError(f"projecting ({x!r}, {rho!r}) overflows")
@@ -283,23 +287,28 @@ def run_epi(
     Requires inf f < 0 (the epigraph then meets the open lower halfplane,
     which makes the iteration finitely convergent).  The run goes through
     ``methods.run`` on (Hyperplane([0, 1], 0), Epigraph1D(f)), whose step
-    is the closed form of ``dr_step_epi``; the region tag of every visited
-    point is then computed from the trace with ``classify_region``.
+    is the closed form of ``dr_step_epi``; every run shares one read-only
+    x-axis, and the region tags come from the trace by ``classify_region``.
     """
     # methods and sets import this module, so import them on first use
     from .methods import MethodKind, run
     from .sets import Epigraph1D, Hyperplane
 
+    global _X_AXIS
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
+    if _X_AXIS is None:
+        axis = Hyperplane([0.0, 1.0], 0.0)
+        axis.normal.flags.writeable = axis._n.flags.writeable = False
+        _X_AXIS = axis
     trace = run(
-        Hyperplane([0.0, 1.0], 0.0),
+        _X_AXIS,
         Epigraph1D(f),
         MethodKind.DRA,
         z0,
         [ExactFixedPoint(eta), MaxIter(max_iter)],
     )
-    return replace(trace, cases=tuple(classify_region(f, z) for z in trace.z))
+    return replace(trace, cases=tuple(classify_region(f, z) for z in trace.z.tolist()))
 
 
 def _fix_segment_distance(pt: EpiPoint) -> float:

@@ -10,7 +10,7 @@ Four methods over a pair of sets (A, B):
 
 Two drivers, ``run`` on one point and ``run_rows`` on a stack of starts,
 share the trace's stopping rules and the one definition of each update
-rule (``_step``, ``_Spingarn``); runs share nothing.
+rule (``_step``, ``_Spingarn``); runs share nothing mutable.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .trace import (
     _exact_step,
     _norm,
     _norms,
+    _read_only,
     _rows,
     normalize_rules,
 )
@@ -278,7 +279,7 @@ def run(
             step_residual=residual,
         ),
         shadows=None if a_list is None else _rows(a_list, set_a.dim),
-        translation=pair.shift if pair else None,
+        translation=None if pair is None or pair.shift is None else _read_only(pair.shift),
     )
 
 

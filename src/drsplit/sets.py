@@ -204,7 +204,7 @@ class Hyperplane(_NormalSet):
     """{x : <normal, x> = offset}."""
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x - ((self._n @ x - self._c) / self._nn) * self._n
+        return x - ((self._n.dot(x) - self._c) / self._nn) * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         t = ((X * self._n).sum(axis=1) - self._c) / self._nn
@@ -370,7 +370,7 @@ class Epigraph1D(ConvexSet):
         self.f = f
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(_epigraph.project_epigraph(self.f, (x[0], x[1])))
+        return np.asarray(_epigraph.project_epigraph(self.f, x.tolist()))
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         # ``project_epigraph`` on every row at once

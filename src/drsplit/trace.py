@@ -165,7 +165,7 @@ def normalize_rules(stop) -> tuple:
     above 0, a monitor that is no Monitor member and a cap that is no
     integer of at least 1 (a bool is neither number)."""
     try:
-        rules = () if stop is None else (stop,) if isinstance(stop, StoppingRule) else tuple(stop)
+        rules = () if stop is None else (stop,) if isinstance(stop, (ExactFixedPoint, Feasibility, MaxIter)) else tuple(stop)
     except TypeError:
         raise ValueError(f"not a stopping rule: {stop!r}") from None
     eta = feas = None

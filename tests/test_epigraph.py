@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +240,23 @@ def test_projection_of_minimizer_abscissa_is_vertical():
     assert (p, fp) == (0.0, -1.0)
 
 
+@pytest.mark.parametrize("f", [QUAD, ABS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_non_finite_points_raise(f, bad, axis):
+    z = [0.5, -2.0]
+    z[axis] = bad
+    message = "epigraph points must have finite coordinates"
+    epi = d.Epigraph1D(f)
+    for call in (lambda: d.project_epigraph(f, z), lambda: d.classify_region(f, z),
+                 lambda: d.dr_step_epi(f, z), lambda: epi._project(np.array(z))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    # the public projector checks its input as every set does, first
+    with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+        epi.project(z)
+
+
 def test_invalid_subgradient_selection_raises():
     bad = d.custom(lambda x: x * x - 1, lambda x: 2 * x + 5, 0.0)
     with pytest.raises(d.NoConvergenceError):
@@ -436,6 +455,80 @@ def test_run_epi_follows_the_closed_form_case_analysis():
                 assert np.array_equal(tr.z[n + 1], z_next)
                 assert tr.cases[n] is region
             assert tr.cases[-1] is d.classify_region(f, tr.z[-1])
+
+
+PINNED_FUNCTIONS = (d.quadratic(1.0, 0.0, -1.0), d.quadratic(0.5, 1.0, -3.0),
+                    d.quadratic(2.0, -2.4, 0.7), d.quadratic(1e-3, 0.0, -2.0),
+                    d.absshift(2.0, -1.0))
+
+
+def _pinned_starts(f):
+    """40 seeded starts, then the origin, its signed zeros, x = u above and
+    below the graph and (1e6, -1e6)."""
+    rng = np.random.default_rng(2400)
+    Z = rng.uniform(-10.0, 10.0, (40, 2))
+    u = f.minimizer
+    extra = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, -3.0), (3.0, -0.0),
+             (u, -5.0), (u, 5.0), (1e6, -1e6)]
+    return np.concatenate([Z, np.array(extra)])
+
+
+def _epigraph_bit_digest():
+    """(count, SHA-256) of the bits of every epigraph path on the pinned
+    functions and starts: the scalar projector, ``Epigraph1D.project`` and
+    ``project_rows``, one closed-form DR step with its region, ``run`` with
+    every method under each kind of rule, and ``run_epi``."""
+    h = hashlib.sha256()
+    count = 0
+
+    def floats(*xs):
+        h.update(struct.pack(f"<{len(xs)}d", *xs))
+
+    def trace(tr):
+        h.update(np.ascontiguousarray(tr.z).tobytes())
+        if tr.shadows is not None:
+            h.update(np.ascontiguousarray(tr.shadows).tobytes())
+        t = tr.termination
+        h.update(f"{t.reason.value} {t.iterations} {t.exact}".encode())
+        floats(math.nan if t.step_residual is None else t.step_residual)
+
+    axis = d.Hyperplane([0.0, 1.0], 0.0)
+    rules = ([d.ExactFixedPoint(), d.MaxIter(20)],
+             [d.Feasibility(1e-6), d.MaxIter(20)],
+             [d.Feasibility(1e-6, d.Monitor.SHADOW), d.MaxIter(20)])
+    for f in PINNED_FUNCTIONS:
+        epi = d.Epigraph1D(f)
+        Z = _pinned_starts(f)
+        h.update(epi.project_rows(Z).tobytes())
+        for z in Z:
+            floats(*d.project_epigraph(f, (z[0], z[1])))
+            h.update(epi.project(z).tobytes())
+            z_next, region = d.dr_step_epi(f, z)
+            floats(*z_next)
+            h.update(region.value.encode())
+            for method in d.MethodKind:
+                for stop in rules:
+                    trace(d.run(axis, epi, method, z, stop))
+            tr = d.run_epi(f, z, max_iter=300)
+            trace(tr)
+            h.update(" ".join(c.value for c in tr.cases).encode())
+            count += 1
+    return count, h.hexdigest()
+
+
+def test_epigraph_bits_are_pinned():
+    # recorded before the Newton kernel read the coefficients in local
+    # floats and ``run_epi`` shared one x-axis: a change in the float
+    # arithmetic of any epigraph path moves it
+    assert _epigraph_bit_digest() == (
+        245, "a77ec9d59634634f6696fc4eecb926b33101a27e24a3f2c57a1cb99d6754359d"
+    )
+    # every run shares one read-only x-axis
+    axis = d.run_epi(QUAD, (5.0, 3.0)).set_a
+    assert d.run_epi(ABS, (7.0, -2.0)).set_a is axis
+    for v in (axis.normal, axis._n):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
 
 
 @pytest.mark.parametrize(

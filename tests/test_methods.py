@@ -638,6 +638,16 @@ def test_trace_columns_are_read_only_arrays(method, cap):
         assert np.array_equal(bits(a), bits(set_a.project(z)))
 
 
+@pytest.mark.parametrize("set_a", [d.Affine(LINE_L, LINE_A), d.Hyperplane([1.0, 5.0], 6.0)])
+def test_spingarn_translation_is_read_only(set_a):
+    # the shift of an affine first set is a trace column like the others
+    tr = d.run(set_a, d.Orthant(2), d.MethodKind.SPINGARN, [37.0, -11.0], d.MaxIter(5))
+    shift = tr.translation.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        tr.translation[0] = 5.0
+    assert np.array_equal(bits(tr.translation), bits(shift))
+
+
 # ---------------------------------------------------------------------------
 # the row driver
 
