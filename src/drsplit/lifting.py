@@ -33,11 +33,12 @@ class LiftedProblem:
     set_b: Product
 
     def embed(self, x) -> np.ndarray:
-        return np.tile(_points(x, self.base_dim), self.copies)
+        return np.concatenate((_points(x, self.base_dim),) * self.copies, axis=-1)
 
     def restrict(self, xx) -> np.ndarray:
         xx = _points(xx, self.copies * self.base_dim)
-        return xx.reshape(*xx.shape[:-1], self.copies, self.base_dim).mean(axis=-2)
+        blocks = xx.reshape(*xx.shape[:-1], self.copies, self.base_dim)
+        return np.add.reduce(blocks, axis=-2) / self.copies
 
 
 def _points(x, dim: int) -> np.ndarray:

@@ -14,6 +14,12 @@ except an epigraph of a custom function, whose ``fn`` and ``subgrad`` take
 one float, so its rows are projected one by one.  Polygon and epigraph
 rows have the bits of ``project`` on that row.  Affine rows accumulate
 P x column by column, left to right, in O(N * dim) memory for N rows.
+Hyperplane, halfspace, box, ball, polygon and diagonal rows compute on the
+coordinate columns X[:, k] as 1-D arrays and write one (N, dim) result.
+Their inner products and norms (``trace._dots``) add the column products
+left to right from 0.0 below 8 terms, the bits of numpy's ``sum(axis=1)``
+there; that is numpy's order, not a promise of numpy's, so the tests are
+the guarantee.  From 8 terms that sum, which is pairwise, is taken.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
-from .trace import _norm, _norms
+from .trace import _dots, _norm, _norms
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -207,8 +213,11 @@ class Hyperplane(_NormalSet):
         return x - ((self._n.dot(x) - self._c) / self._nn) * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        t = ((X * self._n).sum(axis=1) - self._c) / self._nn
-        return X - t[:, None] * self._n
+        t = (_dots(X, self._n) - self._c) / self._nn
+        out = np.empty(X.shape)
+        for k, n in enumerate(self._n.tolist()):
+            np.subtract(X[:, k], t * n, out=out[:, k])
+        return out
 
     def is_linear(self) -> bool:
         return self.offset == 0.0
@@ -218,15 +227,18 @@ class Halfspace(_NormalSet):
     """{x : <normal, x> <= offset}."""
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        excess = self._n @ x - self._c
+        excess = float(self._n.dot(x)) - self._c
         if excess <= 0.0:
             return x.copy()
         return x - (excess / self._nn) * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        excess = (X * self._n).sum(axis=1) - self._c
-        moved = X - (excess / self._nn)[:, None] * self._n
-        return np.where((excess > 0.0)[:, None], moved, X)
+        excess = _dots(X, self._n) - self._c
+        outside, t = excess > 0.0, excess / self._nn
+        out = np.empty(X.shape)
+        for k, n in enumerate(self._n.tolist()):
+            out[:, k] = np.where(outside, X[:, k] - t * n, X[:, k])
+        return out
 
 
 class Box(ConvexSet):
@@ -243,7 +255,11 @@ class Box(ConvexSet):
         # the bits of ``np.clip``, without its per-call wrapper cost
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
-    _project_rows = _project
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        out = np.empty(X.shape)
+        for k, (lo, hi) in enumerate(zip(self.lo.tolist(), self.hi.tolist())):
+            np.minimum(np.maximum(X[:, k], lo, out=out[:, k]), hi, out=out[:, k])
+        return out
 
 
 class Orthant(ConvexSet):
@@ -276,11 +292,16 @@ class Ball(ConvexSet):
         return self.center + (self.radius / nd) * d
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        D = X - self.center
+        D = np.empty(X.shape)
+        for k, c in enumerate(self.center.tolist()):
+            np.subtract(X[:, k], c, out=D[:, k])
         nd = _norms(D)
         outside = nd > self.radius
         scale = self.radius / np.where(outside, nd, 1.0)
-        return np.where(outside[:, None], self.center + scale[:, None] * D, X)
+        out = np.empty(X.shape)
+        for k, c in enumerate(self.center.tolist()):
+            out[:, k] = np.where(outside, c + scale * D[:, k], X[:, k])
+        return out
 
 
 class Polygon2D(ConvexSet):
@@ -298,9 +319,8 @@ class Polygon2D(ConvexSet):
         if v.shape[0] < 3:
             raise ValueError("need at least three 2-D vertices")
         edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
-            edges, -1, axis=0
-        )[:, 0]
+        after = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
         scale = float(np.max(np.abs(v))) or 1.0
         if area2 <= 0.0:
@@ -309,9 +329,6 @@ class Polygon2D(ConvexSet):
             raise ValueError("vertices do not describe a convex polygon")
         sq = np.einsum("ij,ij->i", edges, edges)
         self.vertices = v
-        self._edges = edges
-        self._edge_pos = sq > 0
-        self._edge_div = np.where(self._edge_pos, sq, 1.0)
         # (vx, vy, ex, ey, |e|^2) per edge, as Python floats for ``_project``
         self._edge_list = tuple(zip(*v.T.tolist(), *edges.T.tolist(), sq.tolist()))
 
@@ -341,23 +358,27 @@ class Polygon2D(ConvexSet):
         return np.array(out)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # ``_project`` over an (N, edges) array, for the rows outside
-        v, e = self.vertices, self._edges
-        rel_x = X[:, :1] - v[:, 0]
-        rel_y = X[:, 1:] - v[:, 1]
-        i = np.flatnonzero(~(e[:, 0] * rel_y - e[:, 1] * rel_x >= 0.0).all(axis=1))
-        # take, not [i]: far cheaper on 2-D rows
-        rel_x, rel_y, Xi = (a.take(i, axis=0) for a in (rel_x, rel_y, X))
-        t = (rel_x * e[:, 0] + rel_y * e[:, 1] + 0.0) / self._edge_div
-        t = np.minimum(np.maximum(np.where(self._edge_pos, t, 0.0), 0.0), 1.0)
-        cand_x = v[:, 0] + t * e[:, 0]
-        cand_y = v[:, 1] + t * e[:, 1]
-        dx, dy = cand_x - Xi[:, :1], cand_y - Xi[:, 1:]
-        k = np.argmin(dx * dx + dy * dy, axis=1)
-        rows = np.arange(i.size)
-        out = X.copy()
-        out[i, 0] = cand_x[rows, k]
-        out[i, 1] = cand_y[rows, k]
+        # ``_project`` on the coordinate columns, edge by edge: the inside
+        # test, then the rows outside, where a later edge wins only on a
+        # strictly smaller distance or on the first NaN, as in argmin
+        x, y = X[:, 0], X[:, 1]
+        inside = True
+        for vx, vy, ex, ey, _ in self._edge_list:
+            inside = inside & (ex * (y - vy) - ey * (x - vx) >= 0.0)
+        i = np.flatnonzero(~inside)
+        x, y = x.take(i), y.take(i)
+        best, px, py = (np.empty(i.size) for _ in range(3))
+        for k, (vx, vy, ex, ey, sq) in enumerate(self._edge_list):
+            t = ((x - vx) * ex + (y - vy) * ey + 0.0) / sq if sq > 0.0 else 0.0
+            t = np.minimum(np.maximum(t, 0.0), 1.0)
+            cx, cy = vx + t * ex, vy + t * ey
+            dx, dy = cx - x, cy - y
+            dist = dx * dx + dy * dy
+            take = ~(dist >= best) & (best == best) if k else True
+            for kept, new in ((best, dist), (px, cx), (py, cy)):
+                np.copyto(kept, new, where=take)
+        out = np.array(X)
+        out[i, 0], out[i, 1] = px, py
         return out
 
 
@@ -413,12 +434,16 @@ class Diagonal(ConvexSet):
         return np.concatenate((mean,) * c)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # block by block, in the order ``mean(axis=0)`` adds them
-        b = self.base_dim
-        total = X[:, :b].copy()
-        for k in range(1, self.copies):
-            total += X[:, k * b : (k + 1) * b]
-        return np.tile(total / self.copies, (1, self.copies))
+        # one coordinate column at a time, adding the blocks in the order
+        # ``mean(axis=0)`` adds them; the means go to every block
+        b, c = self.base_dim, self.copies
+        means = []
+        for j in range(b):
+            total = X[:, j].copy()
+            for k in range(1, c):
+                total += X[:, k * b + j]
+            means.append(total / c)
+        return np.column_stack(means * c)
 
     def is_linear(self) -> bool:
         return True

@@ -23,9 +23,22 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _dots(X: np.ndarray, W) -> np.ndarray:
+    """<x_i, w_i> for each row x_i of a stack, against one vector W or the
+    rows of a stack W, with the bits of ``(X * W).sum(axis=1)``: below 8
+    terms numpy adds left to right from 0.0, as the column loop does; from
+    8 its order is pairwise, and that sum is taken."""
+    if X.shape[1] >= 8:
+        return (X * W).sum(axis=1)
+    acc = np.zeros(X.shape[0])
+    for k in range(X.shape[1]):
+        acc += X[:, k] * W[..., k]
+    return acc
+
+
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a stack."""
-    return np.sqrt((D * D).sum(axis=1))
+    return np.sqrt(_dots(D, D))
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:

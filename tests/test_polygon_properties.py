@@ -52,7 +52,7 @@ def polygons_with_probes(draw):
     ]
     v = s.vertices
     along = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(v), max_size=len(v))))
-    on_edges = v + along[:, None] * s._edges
+    on_edges = v + along[:, None] * (np.roll(v, -1, axis=0) - v)
     return s, np.concatenate([np.array(far), v, on_edges])
 
 

@@ -125,14 +125,34 @@ def test_affine_rows_have_the_bits_of_the_summed_products(dim):
 
 
 def test_affine_rows_do_not_depend_on_the_stack():
+    # every descriptor of the zoo, and wide ones (dim >= 8): each row of an
+    # odd stack has the bits of that row projected alone, of the reversed
+    # stack's row and of the row 5 places down a longer stack, and a (0, dim)
+    # stack projects to an empty (0, dim) result
     rng = np.random.default_rng(350)
-    s = _random_affine(rng, 20, 50)
-    X = rng.normal(size=(64, 50)) * 10.0
-    whole = s._project_rows(X)
-    assert np.array_equal(s._project_rows(X[::-1]), whole[::-1])
-    for k in range(0, 64, 7):
-        assert np.array_equal(s._project_rows(X[k:k + 1]), whole[k:k + 1])
-    np.testing.assert_allclose(whole, [s.project(x) for x in X], rtol=0, atol=1e-12)
+    wide = [
+        ("affine20x50", _random_affine(rng, 20, 50)),
+        ("hyperplane9", d.Hyperplane(rng.normal(size=9), 1.5)),
+        ("halfspace8", d.Halfspace(rng.normal(size=8), -0.5)),
+        ("box9", d.Box(-np.arange(9.0), np.arange(9.0))),
+        ("ball20", d.Ball(rng.normal(size=20), 4.0)),
+        ("diagonal4x3", d.Diagonal(4, 3)),
+        ("diagonal9x1", d.Diagonal(9, 1)),
+        ("product8", d.Product([d.Ball([0.0, 1.0], 2.0), d.Halfspace(np.ones(8), 1.0)])),
+    ]
+    for name, s in descriptor_zoo() + wide:
+        X = rng.normal(size=(63, s.dim)) * 10.0
+        X[rng.random(X.shape) < 0.1] = -0.0
+        whole = s.project_rows(X).view(np.int64)
+        assert np.array_equal(s.project_rows(X[::-1]).view(np.int64), whole[::-1]), name
+        shifted = s.project_rows(np.concatenate([X[-5:], X])).view(np.int64)
+        assert np.array_equal(shifted[5:], whole), name
+        for k in range(63):
+            assert np.array_equal(s.project_rows(X[k:k + 1]).view(np.int64), whole[k:k + 1]), name
+        np.testing.assert_allclose(whole.view(float), [s.project(x) for x in X],
+                                   rtol=1e-13, atol=1e-12, err_msg=name)
+        empty = s.project_rows(np.zeros((0, s.dim)))
+        assert empty.shape == (0, s.dim) and empty.dtype == float, name
 
 
 def test_affine_rows_take_memory_linear_in_the_stack():
@@ -508,6 +528,98 @@ def test_scalar_projector_bits_are_pinned():
     assert count == 20_907
     assert h.hexdigest() == (
         "1a1ce4cfe53491abd4976eb79b830107f12dbee99c4e63f6c0e546998eb3b76c"
+    )
+
+
+def _row_pin_sets():
+    """(name, set, pool) triples for the row-form pin: every descriptor, the
+    normal sets, boxes and balls at several dimensions, diagonals of several
+    shapes, and products and shifts of them as the lifted problems build.  A
+    pool holds 530 rows: random rows at magnitudes from 1e-8 to 1e8 with
+    signed zeros, their projections (on the boundary, or inside) and those
+    moved off it by 1e-12 relative; polygon and epigraph pools hold their
+    bit probes first."""
+    rng = np.random.default_rng(2500)
+    sets = []
+    for dim in (2, 3, 7, 8, 9, 20):
+        n = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, dim)
+        n[rng.random(dim) < 0.2] = 0.0
+        n[0] = 1.0
+        lo = rng.uniform(-5, 0, dim) * 10.0 ** rng.uniform(-8, 8, dim)
+        lo[::3] = -0.0
+        sets += [
+            (f"hyperplane{dim}", d.Hyperplane(n, float(rng.normal()))),
+            (f"halfspace{dim}", d.Halfspace(n, 0.0)),
+            (f"box{dim}", d.Box(lo, lo + rng.uniform(0, 10, dim))),
+            (f"ball{dim}", d.Ball(rng.normal(size=dim), float(rng.uniform(0.5, 4)))),
+            (f"orthant{dim}", d.Orthant(dim)),
+        ]
+    sets += [
+        ("affine1x2", d.Affine(LINE_L, LINE_A)),
+        ("affine3x7", _random_affine(rng, 3, 7)),
+        ("affine3x9", _random_affine(rng, 3, 9)),
+        ("desk", d.Polygon2D(DESK_POLYGON)),
+        ("zero_edge", BIT_CASES[1][1]),
+        ("hexagon", d.Polygon2D(1e3 * np.stack([np.cos(np.arange(6) * np.pi / 3),
+                                                 np.sin(np.arange(6) * np.pi / 3)], 1))),
+        ("quad", d.Epigraph1D(d.quadratic(1, 0, -1))),
+        ("quad_shifted", d.Epigraph1D(d.quadratic(0.5, 1, -3))),
+        ("absshift", d.Epigraph1D(d.absshift(1, -1))),
+    ]
+    sets += [(f"diagonal{c}x{b}", d.Diagonal(c, b))
+             for c, b in ((1, 2), (2, 1), (2, 4), (3, 2), (5, 2), (8, 1), (9, 3))]
+    lifted = [d.Halfspace([-1, -1], 0), d.Halfspace([1, 0], 2), d.Box([-5, -5], [5, 5]),
+              d.Ball([1, 1], 3), d.Polygon2D(DESK_POLYGON)]
+    named = dict(sets)
+    sets += [
+        ("product_lifted", d.Product(lifted)),
+        ("product_zoo", dict(descriptor_zoo())["product"]),
+        ("product_wide", d.Product([named["hyperplane8"], named["box8"], d.Diagonal(2, 4)])),
+        ("shifted_ball", d.Shifted(named["ball3"], [1.5, -0.0, -2.0])),
+        ("shifted_halfspace", d.Shifted(named["halfspace9"], rng.normal(size=9))),
+        ("shifted_polygon", d.Shifted(d.Polygon2D(DESK_POLYGON), [-0.0, 3.0])),
+    ]
+    for name, s in sets:
+        if isinstance(s, d.Polygon2D):
+            probes = _polygon_probes(s.vertices)
+        elif isinstance(s, d.Epigraph1D):
+            probes = _epigraph_probes(s.f)
+        else:
+            probes = np.zeros((0, s.dim))
+        X = rng.normal(size=(530, s.dim))
+        X[:265] *= 10.0 ** rng.uniform(-8, 8, size=(265, 1))
+        X[265:] *= 10.0 ** rng.uniform(-8, 8, size=(265, s.dim))
+        X[rng.random(X.shape) < 0.15] = 0.0
+        X[rng.random(X.shape) < 0.15] = -0.0
+        P = s.project_rows(X[:120])
+        near = P * (1.0 + 1e-12 * rng.normal(size=P.shape))
+        pool = np.concatenate([probes, P, near, X[240:]])[:530]
+        yield name, s, pool
+
+
+def test_row_projector_bits_are_pinned():
+    # every descriptor's row form and ``trace._norms`` on stacks of 1, 2, 7
+    # and 530 rows, C-contiguous and as strided columns of a wider stack, as
+    # ``Product`` passes them: a change in the rows' float arithmetic moves it
+    from drsplit.trace import _norms
+
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2501)
+    count = 0
+    for name, s, pool in _row_pin_sets():
+        for n in (1, 2, 7, 530):
+            X = pool[np.sort(rng.choice(530, n, replace=False))]
+            wide = np.full((n, s.dim + 5), 7.0)
+            wide[:, 2:-3] = X
+            for stack in (X, wide[:, 2:-3]):
+                h.update(f"{name} {stack.shape} {stack.strides}".encode())
+                h.update(s.project_rows(stack).view(np.int64).tobytes())
+                if name.startswith("ball"):
+                    h.update(_norms(stack).view(np.int64).tobytes())
+                count += n
+    assert count == 52 * 2 * 540
+    assert h.hexdigest() == (
+        "059fa1a21dd836951f4d9e860a4d74e3396734c542ddbf4fe2fcd0b862ed9cac"
     )
 
 
