@@ -443,7 +443,7 @@ class Diagonal(ConvexSet):
             for k in range(1, c):
                 total += X[:, k * b + j]
             means.append(total / c)
-        return np.column_stack(means * c)
+        return np.array(means * c).T.copy()
 
     def is_linear(self) -> bool:
         return True
