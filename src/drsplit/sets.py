@@ -319,8 +319,9 @@ class Polygon2D(ConvexSet):
         if v.shape[0] < 3:
             raise ValueError("need at least three 2-D vertices")
         edges = np.roll(v, -1, axis=0) - v
-        after = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
+        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(
+            edges, -1, axis=0
+        )[:, 0]
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
         scale = float(np.max(np.abs(v))) or 1.0
         if area2 <= 0.0:

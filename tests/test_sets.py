@@ -425,6 +425,13 @@ def _polygon_probes(vertices):
     return np.concatenate([X, -X])
 
 
+def _huge_probes():
+    """Points of size 1e300 and 1e308, and their negatives: a polygon's
+    candidate distances overflow there, and some are NaN."""
+    huge = np.array([[1e300, -1e300], [1e300, 1e300], [-1e300, 0.0], [-0.0, 1e300], [1e308, 1e308]])
+    return np.concatenate([huge, -huge])
+
+
 def _epigraph_probes(f):
     """Points on the graph of f, inside and outside its epigraph, at x == u
     and at magnitudes from 1e-8 to 1e8."""
@@ -437,6 +444,8 @@ BIT_CASES = [
     # (-0.0, -1.0) projects onto the -0.0 vertex, whose y sign then follows
     # the sign of the edge parameter t, +0.0 in ``project``
     ("zero_edge", d.Polygon2D([(0.0, -0.0), (4, 0), (4, 0), (4, 3), (0, 3)])),
+    # every edge slanted: the huge probes give NaN distances on early edges
+    ("diamond", d.Polygon2D([(4, 0), (0, 4), (-4, 0), (0, -4)])),
     ("quad", d.Epigraph1D(d.quadratic(1, 0, -1))),
     ("quad_shifted", d.Epigraph1D(d.quadratic(0.5, 1, -3))),
     ("constant", d.Epigraph1D(d.quadratic(0, 0, -1))),
@@ -447,12 +456,14 @@ BIT_CASES = [
 @pytest.mark.parametrize("s", [pytest.param(s, id=name) for name, s in BIT_CASES])
 def test_project_rows_bits_equal_project(s):
     if isinstance(s, d.Polygon2D):
-        X = _polygon_probes(s.vertices)
+        # beyond the float range the first NaN distance wins, as in argmin
+        X = np.concatenate([_polygon_probes(s.vertices), _huge_probes()])
     else:
         X = _epigraph_probes(s.f)
-    rows = s.project_rows(X)
-    for x, row in zip(X, rows):
-        assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = s.project_rows(X)
+        for x, row in zip(X, rows):
+            assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
 
 
 @pytest.mark.parametrize("f", [d.quadratic(1, 0, -1), d.quadratic(0.5, 1, -3), d.absshift(2, 0)],
@@ -504,8 +515,7 @@ def _projector_probe_corpus():
         polygons.append(scale * (ring + rng.uniform(-1.0, 1.0, 2)))
     m = _signed_magnitudes()
     pairs = np.stack(np.meshgrid(m, m), -1).reshape(-1, 2)
-    huge = np.array([[1e300, -1e300], [1e300, 1e300], [-1e300, 0.0], [-0.0, 1e300], [1e308, 1e308]])
-    huge = np.concatenate([huge, -huge])
+    huge = _huge_probes()
     for v in polygons:
         yield d.Polygon2D(v), np.concatenate([_polygon_probes(v), pairs, huge])
     for lo, hi in (([-1.0, 0.0], [2.0, 0.5]), ([-0.0, 0.0], [0.0, -0.0]), ([0.0, -0.0], [1e-8, 1e8])):
