@@ -14,12 +14,12 @@ except an epigraph of a custom function, whose ``fn`` and ``subgrad`` take
 one float, so its rows are projected one by one.  Polygon and epigraph
 rows have the bits of ``project`` on that row.  Affine rows accumulate
 P x column by column, left to right, in O(N * dim) memory for N rows.
-Hyperplane, halfspace, box, ball, polygon and diagonal rows compute on the
-coordinate columns X[:, k] as 1-D arrays and write one (N, dim) result.
-Their inner products and norms (``trace._dots``) add the column products
-left to right from 0.0 below 8 terms, the bits of numpy's ``sum(axis=1)``
-there; that is numpy's order, not a promise of numpy's, so the tests are
-the guarantee.  From 8 terms that sum, which is pairwise, is taken.
+Halfspace, box, ball, polygon and diagonal rows compute on the coordinate
+columns X[:, k] as 1-D arrays and write one (N, dim) result.  Row inner
+products and norms (``trace._dots``, also in hyperplane rows) add the
+column products left to right from 0.0 below 8 terms, the bits of numpy's
+``sum(axis=1)`` there; that is numpy's order, not a promise of numpy's, so
+the tests are the guarantee.  From 8 terms that sum, which is pairwise, is taken.
 """
 
 from __future__ import annotations
@@ -214,10 +214,7 @@ class Hyperplane(_NormalSet):
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         t = (_dots(X, self._n) - self._c) / self._nn
-        out = np.empty(X.shape)
-        for k, n in enumerate(self._n.tolist()):
-            np.subtract(X[:, k], t * n, out=out[:, k])
-        return out
+        return X - t[:, None] * self._n
 
     def is_linear(self) -> bool:
         return self.offset == 0.0
