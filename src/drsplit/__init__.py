@@ -49,12 +49,7 @@ from .sets import (
     RankDeficientError,
     Shifted,
     as_vector,
-    distance,
     is_linear_subspace,
-    project,
-    project_affine,
-    project_orthant,
-    reflect,
 )
 from .trace import (
     ExactFixedPoint,

@@ -7,19 +7,18 @@ in closed form except ``Epigraph1D``, which finds the boundary abscissa by
 Newton's method (quadratics) or bisection (custom functions).  All
 operations are pure functions of immutable inputs.
 
-Row-wise projectors use elementwise arithmetic only, never a matrix
-product over the stack, so each row's result is the same bits whichever
-other rows share the stack.  Every descriptor projects a stack at once
-except an epigraph of a custom function, whose ``fn`` and ``subgrad`` take
-one float, so its rows are projected one by one.  Polygon and epigraph
-rows have the bits of ``project`` on that row.  Affine rows accumulate
-P x column by column, left to right, in O(N * dim) memory for N rows.
-Halfspace, box, ball, polygon and diagonal rows compute on the coordinate
-columns X[:, k] as 1-D arrays and write one (N, dim) result.  Row inner
-products and norms (``trace._dots``, also in hyperplane rows) add the
-column products left to right from 0.0 below 8 terms, the bits of numpy's
-``sum(axis=1)`` there; that is numpy's order, not a promise of numpy's, so
-the tests are the guarantee.  From 8 terms that sum, which is pairwise, is taken.
+Each projector is one algorithm in two shapes.  ``project_rows`` works
+elementwise on the coordinate columns X[:, k], never with a matrix product
+over the stack, so a row's bits do not depend on the other rows;
+``project`` makes the same operations in the same order on one point, in
+Python floats where that is faster, so it has the row form's bits on that
+point.  The one exception is ``Affine`` from dim 8, whose ``project``
+takes the BLAS product P x.  Inner products and norms (``trace._dot``
+and ``trace._dots``) add the products left to right from 0.0 below 8
+terms, the bits of numpy's ``sum(axis=1)`` there, and take numpy's
+pairwise sum from 8; that is numpy's order, not a promise of numpy's, so
+the tests are the guarantee.  Only an epigraph of a custom function,
+whose ``fn`` and ``subgrad`` take one float, projects its rows one by one.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
-from .trace import _dots, _norm, _norms
+from .trace import _dot, _dots, _norm, _norms
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -111,9 +110,6 @@ class ConvexSet:
         x = as_vector(x, self.dim)
         return _norm(x - self._project(x))
 
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        return self.distance(x) <= tol
-
 
 def _cho_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve (C C^T) X = B for a lower-triangular C with a positive
@@ -138,7 +134,9 @@ class Affine(ConvexSet):
     below RANK_TOL times the squared norm of its row) is rejected at
     construction.  A stack of N rows is projected as P x + q with the
     products x_k P[:, k] added column by column, left to right, in
-    O(N * dim) memory.
+    O(N * dim) memory; one point below dim 8 in the same order, in Python
+    floats, and from dim 8 as the BLAS product P @ x + q, whose last bits
+    may differ from the rows'.
     """
 
     def __init__(self, L, a):
@@ -174,9 +172,21 @@ class Affine(ConvexSet):
         w = _cho_solve(C, Ls)
         self._P = np.eye(self.dim) - Ls.T @ w
         self._q = Ls.T @ _cho_solve(C, np.ldexp(a, -e))
+        # P's rows and q as Python floats for ``_project``, below dim 8
+        self._Pq = tuple(zip(self._P.tolist(), self._q.tolist())) if self.dim < 8 else None
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return self._P @ x + self._q
+        if self._Pq is None:
+            return self._P @ x + self._q
+        # the row form's order: x_0 P_j0, each later x_k P_jk added, then q_j
+        xs = x.tolist()
+        out = []
+        for row, q in self._Pq:
+            acc = xs[0] * row[0]
+            for k in range(1, len(xs)):
+                acc += xs[k] * row[k]
+            out.append(acc + q)
+        return np.array(out)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         P = self._P
@@ -210,7 +220,8 @@ class Hyperplane(_NormalSet):
     """{x : <normal, x> = offset}."""
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x - ((self._n.dot(x) - self._c) / self._nn) * self._n
+        t = (_dot(x, self._n) - self._c) / self._nn
+        return x - t * self._n
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         t = (_dots(X, self._n) - self._c) / self._nn
@@ -224,8 +235,8 @@ class Halfspace(_NormalSet):
     """{x : <normal, x> <= offset}."""
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        excess = float(self._n.dot(x)) - self._c
-        if excess <= 0.0:
+        excess = _dot(x, self._n) - self._c
+        if not excess > 0.0:
             return x.copy()
         return x - (excess / self._nn) * self._n
 
@@ -284,7 +295,7 @@ class Ball(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
         nd = _norm(d)
-        if nd <= self.radius:
+        if not nd > self.radius:
             return x.copy()
         return self.center + (self.radius / nd) * d
 
@@ -424,24 +435,23 @@ class Diagonal(ConvexSet):
         self.base_dim = _size(base_dim, "base_dim")
         self.dim = self.copies * self.base_dim
 
+    def _tiled_means(self, cols: list) -> list:
+        """The blocks' mean, tiled, from the floats of one point or the
+        columns of a stack: block 0, then each later block added to it, so
+        both forms have one arithmetic and a -0.0 sum stays -0.0."""
+        means = []
+        for j in range(self.base_dim):
+            total = cols[j]
+            for k in range(j + self.base_dim, self.dim, self.base_dim):
+                total = total + cols[k]
+            means.append(total / self.copies)
+        return means * self.copies
+
     def _project(self, x: np.ndarray) -> np.ndarray:
-        # ``mean(axis=0)`` and ``np.tile`` with the same bits, without their
-        # per-call wrapper cost
-        c = self.copies
-        mean = np.add.reduce(x.reshape(c, self.base_dim), axis=0) / c
-        return np.concatenate((mean,) * c)
+        return np.array(self._tiled_means(x.tolist()))
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # one coordinate column at a time, adding the blocks in the order
-        # ``mean(axis=0)`` adds them; the means go to every block
-        b, c = self.base_dim, self.copies
-        means = []
-        for j in range(b):
-            total = X[:, j].copy()
-            for k in range(1, c):
-                total += X[:, k * b + j]
-            means.append(total / c)
-        return np.array(means * c).T.copy()
+        return np.array(self._tiled_means(list(X.T))).T.copy()
 
     def is_linear(self) -> bool:
         return True
@@ -495,28 +505,3 @@ def is_linear_subspace(s: ConvexSet) -> bool:
     hyperplanes through the origin, and diagonals."""
     checker = getattr(s, "is_linear", None)
     return bool(checker()) if checker is not None else False
-
-
-def project(s: ConvexSet, x) -> np.ndarray:
-    """Nearest point of the set to x."""
-    return s.project(x)
-
-
-def reflect(s: ConvexSet, x) -> np.ndarray:
-    """Reflection of x through its projection: 2 P(x) - x."""
-    return s.reflect(x)
-
-
-def distance(s: ConvexSet, x) -> float:
-    """Euclidean distance of x to the set."""
-    return s.distance(x)
-
-
-def project_affine(L, a, x) -> np.ndarray:
-    """Project x onto {y : L y = a}; L must have full row rank."""
-    return Affine(L, a).project(x)
-
-
-def project_orthant(x) -> np.ndarray:
-    """Componentwise positive part."""
-    return np.maximum(as_vector(x), 0.0)

@@ -17,10 +17,27 @@ DEFAULT_ETA = 1e-14
 DEFAULT_MAX_ITER = 100_000
 
 
+def _dot(x: np.ndarray, w: np.ndarray) -> float:
+    """<x, w> of two vectors with the bits of ``_dots`` on one row: below 8
+    terms the products added left to right from 0.0 in Python floats, from
+    8 numpy's pairwise sum of them."""
+    if len(x) >= 8:
+        return np.add.reduce(x * w)
+    acc = 0.0
+    for xk, wk in zip(x.tolist(), w.tolist()):
+        acc += xk * wk
+    return acc
+
+
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector: the same bits as np.linalg.norm,
-    which computes sqrt(v.dot(v)), without its per-call overhead."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a real vector, the square root of ``_dot(v, v)``
+    with its bits and those of ``_norms``; one list of floats, not two."""
+    if len(v) >= 8:
+        return math.sqrt(np.add.reduce(v * v))
+    acc = 0.0
+    for vk in v.tolist():
+        acc += vk * vk
+    return math.sqrt(acc)
 
 
 def _dots(X: np.ndarray, W) -> np.ndarray:
@@ -115,12 +132,13 @@ class IterationTrace:
     None.  The shadow column ``a``, the reflection ``r`` (r_n = 2 a_n -
     z_n), its projection ``pbr`` onto the second set, the distances
     ``d_a`` = ||z_n - a_n|| and ``d_b`` = d_B(z_n), and ``steps`` are
-    computed from these on first access, with the arithmetic ``run`` uses;
-    ``a`` is ``shadows`` when stored and otherwise costs one projection
-    onto the first set per record, and ``pbr`` and ``d_b`` cost one
-    projection onto the second set per record.  Every column is one
-    read-only float array, (iterations + 1, dim) for the points and
-    (iterations + 1,) for the distances.
+    computed from these on first access.  Each derived column is one row
+    call on a stacked column: ``a``, where not stored, one ``_project_rows``
+    onto the first set, ``pbr`` and ``d_b`` one onto the second, and the
+    distances one ``_norms``.  The row forms have the bits of the scalar
+    projectors that ``run`` calls, except an ``Affine`` set from dim 8 (see
+    ``sets``).  Every column is one read-only float array, (iterations + 1,
+    dim) for the points and (iterations + 1,) for the distances.
     """
 
     z: np.ndarray
@@ -135,7 +153,7 @@ class IterationTrace:
     def a(self) -> np.ndarray:
         if self.shadows is not None:
             return self.shadows
-        return _rows([self.set_a._project(z) for z in self.z], self.set_a.dim)
+        return _read_only(self.set_a._project_rows(self.z))
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -143,15 +161,15 @@ class IterationTrace:
 
     @cached_property
     def pbr(self) -> np.ndarray:
-        return _rows([self.set_b._project(r) for r in self.r], self.set_b.dim)
+        return _read_only(self.set_b._project_rows(self.r))
 
     @cached_property
     def d_a(self) -> np.ndarray:
-        return _read_only(np.array([_norm(v) for v in self.z - self.a]))
+        return _read_only(_norms(self.z - self.a))
 
     @cached_property
     def d_b(self) -> np.ndarray:
-        return _read_only(np.array([_norm(z - self.set_b._project(z)) for z in self.z]))
+        return _read_only(_norms(self.z - self.set_b._project_rows(self.z)))
 
     @property
     def steps(self) -> tuple:

@@ -422,7 +422,9 @@ def assert_rows_match(rows, expected, rtol):
 def test_sweep_matches_reference_sweep(tmp_path, name):
     spec = cli.parse_problem(json.dumps(oracle_problems(tmp_path)[name]))
     rows = cli.sweep(spec)
-    assert_rows_match(rows, reference_sweep(spec), rtol=1e-12)
+    # rtol=0: each scalar projector has its row form's bits, so the sweep
+    # and the one-start reference agree to the last bit
+    assert_rows_match(rows, reference_sweep(spec), rtol=0)
     if name == "infeasible":
         assert all(r.reason is d.Reason.MAX_ITER for r in rows)
         assert any(r.exact for r in rows if r.method is d.MethodKind.MAP)
@@ -649,6 +651,7 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path):
     for row in plan_rows(spec.set_a, spec.set_b, plans, cli._starts(spec)):
         t = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)]).termination
         assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
+        assert np.array_equal(row.final.view(np.int64), t.final_point.view(np.int64))
 
 
 def test_sweep_matches_run_under_random_rule_plans(tmp_path):
@@ -673,9 +676,36 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path):
         for row in plan_rows(spec.set_a, spec.set_b, plan, cli._starts(spec), [0, 3, 9]):
             t = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method]).termination
             assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+            assert np.array_equal(row.final.view(np.int64), t.final_point.view(np.int64))
             seen.add((row.reason, row.exact))
     assert {(d.Reason.FEASIBILITY, False), (d.Reason.EXACT_FIXED_POINT, True),
             (d.Reason.MAX_ITER, False), (d.Reason.MAX_ITER, True)} <= seen
+
+
+@pytest.mark.parametrize("name", ["line", "epigraph", "lifted"])
+def test_run_rows_equals_run_to_the_bit(name):
+    # one arithmetic per projector: every row of run_rows ends as run from
+    # its start alone, final point to the last bit (the sign of zero
+    # included), iterations, reason and exact flag.  The 11 x 11 line grid
+    # with all four methods, and 5 x 5 grids of the benchmark's epigraph
+    # and lifted problem files
+    if name == "line":
+        doc = {"dim": 2, **LINE_GRID, "stopping": {"eta": 1e-14, "tol": 1e-4,
+                                                    "monitor": "iterate", "max_iter": 100000}}
+    else:
+        problem = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / f"{name}.json"
+        doc = json.loads(problem.read_text())
+        doc["start"]["grid"]["steps"] = 5
+    spec = cli.parse_problem(json.dumps(doc))
+    set_a, set_b, lp = cli._resolve_sets(spec)
+    Z = cli._starts(spec) if lp is None else lp.embed(cli._starts(spec))
+    plans = {m: cli._rules_for(m, spec) for m in spec.methods}
+    res = d.run_rows(set_a, set_b, plans, Z)
+    for i, (z0, method) in enumerate(itertools.product(Z, plans)):
+        t = d.run(set_a, set_b, method, z0, plans[method]).termination
+        got = (res["iterations"][i], res["reason"][i], res["exact"][i])
+        assert got == (t.iterations, t.reason, t.exact), (z0, method)
+        assert np.array_equal(res["final"][i].view(np.int64), t.final_point.view(np.int64)), (z0, method)
 
 
 def test_sweep_rejects_sets_of_different_dimensions():
@@ -1309,21 +1339,30 @@ def test_benchmark_sweep_csv_is_golden(tmp_path, name):
 TRACE_RUNS = {
     # point-start --trace CSVs of all four methods; SHA-256 recorded on
     # x86_64 with numpy 2.4.  They pin r, d_A and n, which the trace
-    # computes from the stored z, a and P_B r
+    # computes from the stored z, a and P_B r.  Beside each digest, every
+    # method's (iterations, reason, exact), recorded before the scalar
+    # projectors took the row forms' order: a change in the last bits
+    # moves the digest and must leave these as they are
     "line": ({"set_a": {"type": "affine", "L": [[1, 5]], "a": [6]},
               "set_b": {"type": "orthant", "dim": 2}}, [100, -100],
-             "d5bfb5eb5339c9fff3dc0fbc19513129aaddc6785936e1ffa9f267ca11d33dff"),
+             "96814791c8ec9d931afdd4e4e20fc94908bce5021cee9bb5585e0a4e06cdf272",
+             {"DRA": (92, "exact_fixed_point", True), "MAP": (310, "feasibility", False),
+              "MRP": (150, "feasibility", False), "SPINGARN": (92, "exact_fixed_point", True)}),
     "epigraph": ({"set_a": {"type": "hyperplane", "normal": [0, 1], "offset": 0},
                   "set_b": {"type": "epigraph", "f": "quadratic(1,0,-1)"}}, [5, 3],
-                 "792418a20972575dc099629cee7f512db5aa08704dc80d6fc9147d04587fd902"),
+                 "9d48370db06821174b074f4274a94e8965c0c0920466e88eff00e19304a3f290",
+                 {"DRA": (5, "exact_fixed_point", True), "MAP": (7, "feasibility", False),
+                  "MRP": (1, "feasibility", False), "SPINGARN": (5, "exact_fixed_point", True)}),
     "lifted": ({"sets": LIFTED_SETS, "lift": True}, [10, 10],
-               "935344c05401c55f0a07cdce2e27b5ac0b82492040236c0d3910720cc799c0dd"),
+               "990390b8c8e93cb575b877b5ff89ba871c2bda33ec5be068beaa915a5c82a308",
+               {"DRA": (7, "exact_fixed_point", True), "MAP": (47, "feasibility", False),
+                "MRP": (20, "feasibility", False), "SPINGARN": (7, "exact_fixed_point", True)}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_RUNS))
-def test_trace_csv_is_golden(tmp_path, name):
-    sets, point, digest = TRACE_RUNS[name]
+def test_trace_csv_is_golden(tmp_path, monkeypatch, name):
+    sets, point, digest, ends = TRACE_RUNS[name]
     doc = {
         "dim": 2,
         **sets,
@@ -1335,5 +1374,9 @@ def test_trace_csv_is_golden(tmp_path, name):
     path.write_text(json.dumps(doc))
     trace = tmp_path / f"{name}.trace.csv"
     flags = ["--out", str(tmp_path / "out.csv"), "--trace", str(trace)]
+    traces, emit = {}, cli.emit_trace
+    monkeypatch.setattr(cli, "emit_trace", lambda t, out: (traces.update(t), emit(t, out)))
     assert cli.main(["--problem", str(path), *flags]) == 0
+    assert {m.value: (t.iterations, t.termination.reason.value, t.termination.exact)
+            for m, t in traces.items()} == ends
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest

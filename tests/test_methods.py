@@ -205,6 +205,13 @@ def step_pairs():
     ]
 
 
+def numpy_norms(D):
+    """numpy's norm of each row of a stack, the square root of numpy's row
+    sum of the squares: the bits of ``run``'s norms, which
+    ``np.linalg.norm`` (a BLAS dot product) does not always have."""
+    return np.sqrt((D * D).sum(axis=1))
+
+
 def bits(v):
     return np.asarray(v).view(np.int64)
 
@@ -441,11 +448,11 @@ def test_run_norms_equal_numpy_norms(line_orthant, method):
     for z0 in ([100.0, -100.0], [-7.5, 3.25], [0.1, 40.0]):
         trace = d.run(set_a, set_b, method, z0, [d.ExactFixedPoint(), d.MaxIter(300)])
         assert trace.iterations >= 1
-        for z, a, d_a, d_b in zip(trace.z, trace.a, trace.d_a, trace.d_b):
-            assert d_a == float(np.linalg.norm(z - a))
-            assert d_b == float(np.linalg.norm(z - set_b.project(z)))
-        step = trace.z[-1] - trace.z[-2]
-        assert trace.termination.step_residual == float(np.linalg.norm(step))
+        pbz = np.array([set_b.project(z) for z in trace.z])
+        assert np.array_equal(trace.d_a, numpy_norms(trace.z - trace.a))
+        assert np.array_equal(trace.d_b, numpy_norms(trace.z - pbz))
+        step = trace.z[-1:] - trace.z[-2:-1]
+        assert trace.termination.step_residual == numpy_norms(step)[0]
 
 
 def test_run_overflowing_residual_is_not_a_failure():
@@ -483,9 +490,9 @@ def test_trace_consistency_invariants(line_orthant):
         assert tr.steps == tuple(range(len(tr.z)))
         for k in range(len(tr.z)):
             assert np.array_equal(tr.r[k], 2 * tr.a[k] - tr.z[k])
-            assert tr.d_a[k] == np.linalg.norm(tr.z[k] - tr.a[k])
+            assert tr.d_a[k] == numpy_norms(tr.z[k:k + 1] - tr.a[k:k + 1])[0]
             assert np.array_equal(tr.pbr[k], set_b.project(tr.r[k]))
-            assert tr.d_b[k] == np.linalg.norm(tr.z[k] - set_b.project(tr.z[k]))
+            assert tr.d_b[k] == numpy_norms((tr.z[k] - set_b.project(tr.z[k]))[None])[0]
         for name in ("r", "pbr", "d_a", "d_b"):
             assert getattr(tr, name) is getattr(tr, name)
 
@@ -553,8 +560,9 @@ def test_run_takes_the_flag_at_the_stop_and_derives_the_shadows(line_orthant, me
     tr = d.run(set_a, set_b, method, [-70.0, 30.0], [d.MaxIter(40)] + [rule] * (rule is not None))
     assert tr.iterations >= 2
     residual = tr.termination.step_residual
-    assert residual == np.linalg.norm(tr.z[-1] - tr.z[-2])
-    assert tr.termination.exact == _exact_step(residual, 1.0 + np.linalg.norm(tr.z[-2]), DEFAULT_ETA)
+    assert residual == numpy_norms(tr.z[-1:] - tr.z[-2:-1])[0]
+    assert tr.termination.exact == _exact_step(residual, 1.0 + numpy_norms(tr.z[-2:-1])[0],
+                                               DEFAULT_ETA)
     assert tr.a is tr.a and len(tr.a) == len(tr.z)
     for z, a in zip(tr.z, tr.a):
         assert np.array_equal(bits(a), bits(set_a.project(z)))
@@ -605,6 +613,30 @@ def test_long_runs_keep_eight_bytes_per_coordinate(method, retained, peak):
     assert kept <= retained * len(tr)
     if peak is not None:
         assert top <= peak * len(tr)
+
+
+@pytest.mark.parametrize("method", [d.MethodKind.DRA, d.MethodKind.MAP])
+def test_trace_derives_each_column_in_one_row_call(monkeypatch, method):
+    # the derived columns of a 20,001-record trace: each one that needs a
+    # projection makes one row call on the stacked column and no scalar
+    # call (DRA stores its shadows, MAP's are derived); d_a reads a
+    set_a, set_b = infeasible_line()
+    tr = d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(20_000))
+    assert len(tr) == 20_001
+    calls = []
+    for label, s in (("A", set_a), ("B", set_b)):
+        for name in ("_project", "_project_rows"):
+            def counted(X, f=getattr(s, name), key=(label, name)):
+                calls.append((*key, X.shape))
+                return f(X)
+            monkeypatch.setattr(s, name, counted)
+    rows = ("_project_rows", (20_001, 2))
+    expected = {"a": [] if method is d.MethodKind.DRA else [("A", *rows)],
+                "pbr": [("B", *rows)], "d_a": [], "d_b": [("B", *rows)]}
+    for column, want in expected.items():
+        calls.clear()
+        getattr(tr, column)
+        assert calls == want, column
 
 
 @pytest.mark.parametrize("method", list(d.MethodKind))

@@ -25,13 +25,13 @@ from drsplit import cli
 def test_project_affine_matches_rational_oracle():
     expected = affine_line_oracle((0, 0))
     assert expected == (Fraction(3, 13), Fraction(15, 13))
-    p = d.project_affine(LINE_L, LINE_A, [0.0, 0.0])
+    p = d.Affine(LINE_L, LINE_A).project([0.0, 0.0])
     assert np.allclose(p, [float(v) for v in expected], rtol=0, atol=1e-15)
 
 
 def test_project_affine_fixes_points_of_the_set():
     for x in ([6.0, 0.0], [1.0, 1.0], [-4.0, 2.0]):
-        p = d.project_affine(LINE_L, LINE_A, x)
+        p = d.Affine(LINE_L, LINE_A).project(x)
         assert np.allclose(p, x, rtol=0, atol=1e-12)
 
 
@@ -198,13 +198,12 @@ def test_normal_scaling_keeps_the_bits(kind):
         c = float(rng.normal()) * float(np.abs(n).max())
         s = kind(n, c)
         X = rng.normal(size=(5, 3)) * 10.0
-        # the scalar form takes <n, x> by a dot product, the row form by a sum
-        excess = np.array([n @ x for x in X]) - c, (X * n).sum(axis=1) - c
-        projected = np.array([s.project(x) for x in X]), s.project_rows(X)
-        for e, got in zip(excess, projected):
-            want = X - (e / (n @ n))[:, None] * n
-            if kind is d.Halfspace:
-                want = np.where((e > 0.0)[:, None], want, X)
+        # both forms take <n, x> as the row sum of the products
+        e = (X * n).sum(axis=1) - c
+        want = X - (e / (n @ n))[:, None] * n
+        if kind is d.Halfspace:
+            want = np.where((e > 0.0)[:, None], want, X)
+        for got in (np.array([s.project(x) for x in X]), s.project_rows(X)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -213,12 +212,12 @@ def test_dimension_mismatch():
     with pytest.raises(d.DimensionMismatchError):
         s.project([1.0, 2.0, 3.0])
     with pytest.raises(d.DimensionMismatchError):
-        d.distance(d.Orthant(2), [1.0, 2.0, 3.0])
+        d.Orthant(2).distance([1.0, 2.0, 3.0])
 
 
 def test_vectors_must_be_finite():
     with pytest.raises(ValueError):
-        d.project_orthant([np.nan, 1.0])
+        d.Orthant(2).project([np.nan, 1.0])
     with pytest.raises(ValueError):
         d.Ball([0.0, np.inf], 1.0)
     # a non-finite offset or function parameter is refused at construction,
@@ -249,18 +248,18 @@ def test_set_sizes_are_positive_integers():
 
 
 def test_project_orthant_clamps():
-    assert np.array_equal(d.project_orthant([100.0, -100.0]), [100.0, 0.0])
-    p = d.project_orthant([3 / 13, 15 / 13])
+    assert np.array_equal(d.Orthant(2).project([100.0, -100.0]), [100.0, 0.0])
+    p = d.Orthant(2).project([3 / 13, 15 / 13])
     assert np.array_equal(p, [3 / 13, 15 / 13])
-    assert np.array_equal(d.project_orthant([-1.0, -2.0, 0.5]), [0.0, 0.0, 0.5])
+    assert np.array_equal(d.Orthant(3).project([-1.0, -2.0, 0.5]), [0.0, 0.0, 0.5])
 
 
 def test_diagonal_projects_to_block_mean():
-    assert np.array_equal(d.project(d.Diagonal(2, 1), [0.0, 4.0]), [2.0, 2.0])
+    assert np.array_equal(d.Diagonal(2, 1).project([0.0, 4.0]), [2.0, 2.0])
 
 
 def test_ball_projects_radially():
-    assert np.array_equal(d.project(d.Ball([0.0, 0.0], 1.0), [2.0, 0.0]), [1.0, 0.0])
+    assert np.array_equal(d.Ball([0.0, 0.0], 1.0).project([2.0, 0.0]), [1.0, 0.0])
 
 
 def _polygon_brute_force(vertices, x, samples=20001):
@@ -319,7 +318,7 @@ def test_reflect_affine_example():
     ox, oy = affine_line_oracle((0, 0))
     expected = (2 * ox, 2 * oy)
     assert expected == (Fraction(6, 13), Fraction(30, 13))
-    r = d.reflect(d.Affine(LINE_L, LINE_A), [0.0, 0.0])
+    r = d.Affine(LINE_L, LINE_A).reflect([0.0, 0.0])
     assert np.allclose(r, [float(v) for v in expected], rtol=0, atol=1e-15)
 
 
@@ -327,22 +326,22 @@ def test_reflect_fixes_set_points():
     rng = np.random.default_rng(1)
     for s in (d.Affine(LINE_L, LINE_A), d.Box([-1.0], [1.0]), d.Ball([0.0, 0.0], 2.0)):
         c = sample_point(s, rng)
-        assert np.linalg.norm(d.reflect(s, c) - c) <= 1e-12 * (1 + np.linalg.norm(c))
+        assert np.linalg.norm(s.reflect(c) - c) <= 1e-12 * (1 + np.linalg.norm(c))
 
 
 def test_reflect_orthant_is_absolute_value():
     rng = np.random.default_rng(2)
     x = rng.uniform(-5, 5, 6)
-    assert np.array_equal(d.reflect(d.Orthant(6), x), np.abs(x))
+    assert np.array_equal(d.Orthant(6).reflect(x), np.abs(x))
 
 
 def test_distance_examples():
-    assert d.distance(d.Orthant(2), [1.0, 2.0]) == 0.0
-    assert d.distance(d.Orthant(2), [-3.0, 4.0]) == 3.0
+    assert d.Orthant(2).distance([1.0, 2.0]) == 0.0
+    assert d.Orthant(2).distance([-3.0, 4.0]) == 3.0
     # |<n, x> - offset| / ||n|| for the line through (0, 0)
     expected = 6 / math.sqrt(26)
-    assert abs(d.distance(d.Hyperplane([1.0, 5.0], 6.0), [0.0, 0.0]) - expected) < 1e-14
-    assert abs(d.distance(d.Affine(LINE_L, LINE_A), [0.0, 0.0]) - expected) < 1e-14
+    assert abs(d.Hyperplane([1.0, 5.0], 6.0).distance([0.0, 0.0]) - expected) < 1e-14
+    assert abs(d.Affine(LINE_L, LINE_A).distance([0.0, 0.0]) - expected) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +388,10 @@ def test_project_rows_matches_project(s, count):
         X[i] = s.project(X[i])  # every other point lies in the set
     rows = s.project_rows(X)
     assert rows.shape == (count, s.dim)
+    # every zoo set has dim <= 7, where both forms are one arithmetic
+    assert s.dim <= 7
     for i, x in enumerate(X):
-        np.testing.assert_allclose(rows[i], s.project(x), rtol=1e-13, atol=1e-13)
+        assert np.array_equal(rows[i].view(np.int64), s.project(x).view(np.int64))
         # a row's bits do not depend on the other rows of the stack
         assert np.array_equal(s.project_rows(X[i : i + 1])[0], rows[i])
 
@@ -450,11 +451,30 @@ BIT_CASES = [
     ("quad_shifted", d.Epigraph1D(d.quadratic(0.5, 1, -3))),
     ("constant", d.Epigraph1D(d.quadratic(0, 0, -1))),
     ("absshift", d.Epigraph1D(d.absshift(1, -1))),
+    # the scalar forms below follow their row forms' operations in order
+    ("affine1x2", d.Affine(LINE_L, LINE_A)),
+    ("affine3x7", _random_affine(np.random.default_rng(2600), 3, 7)),
+    ("hyperplane2", d.Hyperplane([1, 5], 6)),
+    ("hyperplane3", d.Hyperplane(np.random.default_rng(2601).normal(size=3), 0.7)),
+    ("halfspace1_5", d.Halfspace([1, 5], 6)),
+    ("halfspace0.3_-1.7", d.Halfspace([0.3, -1.7], -0.4)),
+    ("halfspace3", d.Halfspace(np.random.default_rng(2602).normal(size=3), 0.0)),
+    ("ball2", d.Ball([1, -2], 3)),
+    ("ball3", d.Ball([0.5, -0.0, 2.0], 0.25)),
+    ("diagonal1x1", d.Diagonal(1, 1)),
+    ("diagonal2x1", d.Diagonal(2, 1)),
+    ("diagonal5x2", d.Diagonal(5, 2)),
+    ("diagonal9x1", d.Diagonal(9, 1)),
+    ("product", d.Product([d.Affine(LINE_L, LINE_A), d.Halfspace([0.3, -1.7], -0.4),
+                           d.Ball([1, -2], 3), d.Diagonal(2, 1)])),
+    ("shifted", d.Shifted(d.Product([d.Hyperplane([1, 5], 6), d.Diagonal(2, 1)]),
+                          [1.5, -0.0, -2.0, 0.25])),
 ]
 
 
 @pytest.mark.parametrize("s", [pytest.param(s, id=name) for name, s in BIT_CASES])
 def test_project_rows_bits_equal_project(s):
+    # int64 views, so the sign of zero counts
     if isinstance(s, d.Polygon2D):
         X = _polygon_probes(s.vertices)
         # beyond the float range the first NaN distance wins, as in argmin;
@@ -464,8 +484,10 @@ def test_project_rows_bits_equal_project(s):
             huge_rows = s.project_rows(huge)
         for x, row in zip(huge, huge_rows):
             assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
-    else:
+    elif isinstance(s, d.Epigraph1D):
         X = _epigraph_probes(s.f)
+    else:   # a row-pin pool, signed zeros included
+        X = _row_pool(s, np.random.default_rng(2603), np.zeros((0, s.dim)))
     rows = s.project_rows(X)
     for x, row in zip(X, rows):
         assert np.array_equal(row.view(np.int64), s.project(x).view(np.int64)), x
@@ -531,7 +553,9 @@ def _projector_probe_corpus():
 
 def test_scalar_projector_bits_are_pinned():
     # recorded with ``np.clip``, ``np.linalg.norm`` and an einsum polygon
-    # projector: a change in these projectors' float arithmetic moves it
+    # projector, and re-recorded when ``Ball`` took the row norm's order
+    # (20 probes of the ball of radius 1e-8 moved one ulp): a change in
+    # these projectors' float arithmetic moves it
     h = hashlib.sha256()
     count = 0
     # huge probes overflow inside the projectors, as the recorded ones did
@@ -542,7 +566,7 @@ def test_scalar_projector_bits_are_pinned():
                 count += 1
     assert count == 20_907
     assert h.hexdigest() == (
-        "1a1ce4cfe53491abd4976eb79b830107f12dbee99c4e63f6c0e546998eb3b76c"
+        "f38b5c2e645dc44789351663d14e73c8e45b6c73564240fd773f3f1e41cf9be8"
     )
 
 
@@ -601,15 +625,21 @@ def _row_pin_sets():
             probes = _epigraph_probes(s.f)
         else:
             probes = np.zeros((0, s.dim))
-        X = rng.normal(size=(530, s.dim))
-        X[:265] *= 10.0 ** rng.uniform(-8, 8, size=(265, 1))
-        X[265:] *= 10.0 ** rng.uniform(-8, 8, size=(265, s.dim))
-        X[rng.random(X.shape) < 0.15] = 0.0
-        X[rng.random(X.shape) < 0.15] = -0.0
-        P = s.project_rows(X[:120])
-        near = P * (1.0 + 1e-12 * rng.normal(size=P.shape))
-        pool = np.concatenate([probes, P, near, X[240:]])[:530]
-        yield name, s, pool
+        yield name, s, _row_pool(s, rng, probes)
+
+
+def _row_pool(s, rng, probes):
+    """530 rows for s: the probes, then projections of random rows (on the
+    boundary, or inside), those moved off it by 1e-12 relative, and random
+    rows, at magnitudes from 1e-8 to 1e8 with signed zeros."""
+    X = rng.normal(size=(530, s.dim))
+    X[:265] *= 10.0 ** rng.uniform(-8, 8, size=(265, 1))
+    X[265:] *= 10.0 ** rng.uniform(-8, 8, size=(265, s.dim))
+    X[rng.random(X.shape) < 0.15] = 0.0
+    X[rng.random(X.shape) < 0.15] = -0.0
+    P = s.project_rows(X[:120])
+    near = P * (1.0 + 1e-12 * rng.normal(size=P.shape))
+    return np.concatenate([probes, P, near, X[240:]])[:530]
 
 
 def test_row_projector_bits_are_pinned():
@@ -636,6 +666,26 @@ def test_row_projector_bits_are_pinned():
     assert h.hexdigest() == (
         "059fa1a21dd836951f4d9e860a4d74e3396734c542ddbf4fe2fcd0b862ed9cac"
     )
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_norm_and_dot_have_the_bits_of_the_rows(dim):
+    # ``run``'s inner product and norm are the sweep's row forms on one
+    # row: left to right from 0.0 below 8 terms, numpy's sum from 8; rows of
+    # a C-contiguous stack and of a strided one, signed zeros included
+    from drsplit.trace import _dot, _dots, _norm, _norms
+
+    rng = np.random.default_rng(2610 + dim)
+    wide = rng.normal(size=(400, dim + 3))
+    wide[:200] *= 10.0 ** rng.uniform(-8, 8, size=(200, 1))
+    wide[200:] *= 10.0 ** rng.uniform(-8, 8, size=(200, dim + 3))
+    wide[rng.random(wide.shape) < 0.15] = -0.0
+    w = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3, size=dim)
+    for D in (np.ascontiguousarray(wide[:, 1:-2]), wide[:, 1:-2]):
+        norms, dots = _norms(D), _dots(D, w)
+        for v, norm, dot in zip(D, norms, dots):
+            assert np.float64(_norm(v)).view(np.int64) == norm.view(np.int64)
+            assert np.float64(_dot(v, w)).view(np.int64) == dot.view(np.int64)
 
 
 @pytest.mark.parametrize("f, z", [
