@@ -10,10 +10,9 @@ operations are pure functions of immutable inputs.
 Each projector is one algorithm in two shapes.  ``project_rows`` works
 elementwise on the coordinate columns X[:, k], never with a matrix product
 over the stack, so a row's bits do not depend on the other rows;
-``project`` makes the same operations in the same order on one point, in
-Python floats where that is faster, so it has the row form's bits on that
-point.  The one exception is ``Affine`` from dim 8, whose ``project``
-takes the BLAS product P x.  Inner products and norms (``trace._dot``
+``project`` makes the same operations in the same order on one point,
+mostly in Python floats, so it has the row form's bits on that point, at
+every dim.  Inner products and norms (``trace._dot``
 and ``trace._dots``) add the products left to right from 0.0 below 8
 terms, the bits of numpy's ``sum(axis=1)`` there, and take numpy's
 pairwise sum from 8; that is numpy's order, not a promise of numpy's, so
@@ -134,9 +133,7 @@ class Affine(ConvexSet):
     below RANK_TOL times the squared norm of its row) is rejected at
     construction.  A stack of N rows is projected as P x + q with the
     products x_k P[:, k] added column by column, left to right, in
-    O(N * dim) memory; one point below dim 8 in the same order, in Python
-    floats, and from dim 8 as the BLAS product P @ x + q, whose last bits
-    may differ from the rows'.
+    O(N * dim) memory; one point in the same order, in Python floats.
     """
 
     def __init__(self, L, a):
@@ -172,12 +169,10 @@ class Affine(ConvexSet):
         w = _cho_solve(C, Ls)
         self._P = np.eye(self.dim) - Ls.T @ w
         self._q = Ls.T @ _cho_solve(C, np.ldexp(a, -e))
-        # P's rows and q as Python floats for ``_project``, below dim 8
-        self._Pq = tuple(zip(self._P.tolist(), self._q.tolist())) if self.dim < 8 else None
+        # P's rows and q as Python floats for ``_project``
+        self._Pq = tuple(zip(self._P.tolist(), self._q.tolist()))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        if self._Pq is None:
-            return self._P @ x + self._q
         # the row form's order: x_0 P_j0, each later x_k P_jk added, then q_j
         xs = x.tolist()
         out = []

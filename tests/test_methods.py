@@ -670,6 +670,38 @@ def test_trace_columns_are_read_only_arrays(method, cap):
         assert np.array_equal(bits(a), bits(set_a.project(z)))
 
 
+@pytest.mark.parametrize("method", list(d.MethodKind))
+def test_wide_affine_runs_have_the_bits_of_the_rows(method):
+    # an Affine of R^9 (from dim 8 as below it) against a box it meets:
+    # every row of run_rows ends as run from its start alone, final point to
+    # the last bit, iterations, reason and exact; and every derived trace
+    # column has the bits of the scalar projections and distances that run
+    # computes, so a feasibility stop shows its last d_a and d_b below tol
+    rng = np.random.default_rng(2620)
+    x_bar = rng.uniform(-1.0, 1.0, 9)
+    L = rng.normal(size=(3, 9))
+    set_a, set_b = d.Affine(L, L @ x_bar), d.Box(x_bar - 0.5, x_bar + 0.5)
+    Z = rng.uniform(-20.0, 20.0, (4, 9))
+    Z[::2, ::2] = -0.0
+    tol = 1e-9
+    rules = [d.ExactFixedPoint(), d.Feasibility(tol), d.MaxIter(2_000)]
+    res = d.run_rows(set_a, set_b, {method: rules}, Z)
+    for i, z0 in enumerate(Z):
+        tr = d.run(set_a, set_b, method, z0, rules)
+        t = tr.termination
+        assert t.reason is d.Reason.FEASIBILITY and t.iterations > 1
+        assert (res["iterations"][i], res["reason"][i], res["exact"][i]) == (
+            t.iterations, t.reason, t.exact)
+        assert np.array_equal(bits(res["final"][i]), bits(t.final_point))
+        assert tr.d_a[-1] < tol and tr.d_b[-1] < tol
+        for n, z in enumerate(tr.z):
+            a = set_a.project(z)
+            assert np.array_equal(bits(tr.a[n]), bits(a))
+            assert np.array_equal(bits(tr.pbr[n]), bits(set_b.project(2.0 * a - z)))
+            assert bits(tr.d_a[n]) == bits(set_a.distance(z))
+            assert bits(tr.d_b[n]) == bits(set_b.distance(z))
+
+
 @pytest.mark.parametrize("set_a", [d.Affine(LINE_L, LINE_A), d.Hyperplane([1.0, 5.0], 6.0)])
 def test_spingarn_translation_is_read_only(set_a):
     # the shift of an affine first set is a trace column like the others

@@ -149,8 +149,8 @@ def test_affine_rows_do_not_depend_on_the_stack():
         assert np.array_equal(shifted[5:], whole), name
         for k in range(63):
             assert np.array_equal(s.project_rows(X[k:k + 1]).view(np.int64), whole[k:k + 1]), name
-        np.testing.assert_allclose(whole.view(float), [s.project(x) for x in X],
-                                   rtol=0, atol=1e-12, err_msg=name)
+        for k, x in enumerate(X):
+            assert np.array_equal(s.project(x).view(np.int64), whole[k]), name
         empty = s.project_rows(np.zeros((0, s.dim)))
         assert empty.shape == (0, s.dim) and empty.dtype == float, name
 
@@ -388,8 +388,6 @@ def test_project_rows_matches_project(s, count):
         X[i] = s.project(X[i])  # every other point lies in the set
     rows = s.project_rows(X)
     assert rows.shape == (count, s.dim)
-    # every zoo set has dim <= 7, where both forms are one arithmetic
-    assert s.dim <= 7
     for i, x in enumerate(X):
         assert np.array_equal(rows[i].view(np.int64), s.project(x).view(np.int64))
         # a row's bits do not depend on the other rows of the stack
@@ -454,6 +452,7 @@ BIT_CASES = [
     # the scalar forms below follow their row forms' operations in order
     ("affine1x2", d.Affine(LINE_L, LINE_A)),
     ("affine3x7", _random_affine(np.random.default_rng(2600), 3, 7)),
+    ("affine3x9", _random_affine(np.random.default_rng(2604), 3, 9)),
     ("hyperplane2", d.Hyperplane([1, 5], 6)),
     ("hyperplane3", d.Hyperplane(np.random.default_rng(2601).normal(size=3), 0.7)),
     ("halfspace1_5", d.Halfspace([1, 5], 6)),
@@ -666,6 +665,15 @@ def test_row_projector_bits_are_pinned():
     assert h.hexdigest() == (
         "059fa1a21dd836951f4d9e860a4d74e3396734c542ddbf4fe2fcd0b862ed9cac"
     )
+
+
+def test_row_pin_pools_project_with_the_bits_of_the_rows():
+    # every descriptor of the row pin at every dim, Affine 3x9 and the
+    # 8- to 20-D normal sets, boxes and balls included: ``project`` on each
+    # pool row has the int64 bits of that row of ``project_rows``
+    for name, s, pool in _row_pin_sets():
+        for x, row in zip(pool, s.project_rows(pool)):
+            assert np.array_equal(s.project(x).view(np.int64), row.view(np.int64)), (name, x)
 
 
 @pytest.mark.parametrize("dim", range(1, 21))
