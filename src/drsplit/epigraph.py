@@ -298,9 +298,7 @@ def run_epi(
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
     if _X_AXIS is None:
-        axis = Hyperplane([0.0, 1.0], 0.0)
-        axis.normal.flags.writeable = axis._n.flags.writeable = False
-        _X_AXIS = axis
+        _X_AXIS = Hyperplane([0.0, 1.0], 0.0)
     trace = run(
         _X_AXIS,
         Epigraph1D(f),

@@ -192,9 +192,8 @@ def run(
     MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
     iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
     and P_B(a_n), and either one P_A of its point where d_B < tol.  The
-    trace stores the iterates, and the shadows where every record computed
-    them (DRA, a rule on the shadow), each as one read-only (records, dim)
-    array; it derives the shadows otherwise, as it derives P_B r_n.
+    trace stores the iterates alone, as one read-only (records, dim) array,
+    and derives the shadows from them, as it derives P_B r_n.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -210,16 +209,14 @@ def run(
     # the shadow; P_B z only by a rule on the iterate, and MAP and MRP
     # otherwise project it when they step
     shadow_rule = feas is not None and feas.monitor is Monitor.SHADOW
-    a_list = [] if method is MethodKind.DRA or shadow_rule else None
+    needs_a = method is MethodKind.DRA or shadow_rule
     z_list = []
     n = 0
     hit = False
     residual = None
     while True:
-        a = pbz = None
-        if a_list is not None:
-            a = project_a(z)
-            a_list.append(a)
+        a = project_a(z) if needs_a else None
+        pbz = None
         if feas is None:
             feasible = False
         elif shadow_rule:
@@ -241,11 +238,9 @@ def run(
         if reason is not None:
             break
         if (n + 1) % _BLOCK == 0:
-            # the last _BLOCK vectors become one flat block, so that a long
+            # the last _BLOCK iterates become one flat block, so that a long
             # run keeps 8 bytes per coordinate, not a numpy object per vector
             z_list[-_BLOCK:] = [np.concatenate(z_list[-_BLOCK:])]
-            if a_list is not None:
-                a_list[-_BLOCK:] = [np.concatenate(a_list[-_BLOCK:])]
 
         z_next = pair.step() if pair else _step(method, project_a, project_b, z, a, pbz)
 
@@ -278,7 +273,6 @@ def run(
             exact=hit,
             step_residual=residual,
         ),
-        shadows=None if a_list is None else _rows(a_list, set_a.dim),
         translation=None if pair is None or pair.shift is None else _read_only(pair.shift),
     )
 
@@ -437,7 +431,7 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
 
 
 def shadow(trace: IterationTrace) -> np.ndarray:
-    """The shadow sequence (P_A z_n) of a trace, one row per record: the
-    one ``run`` stored, or else derived from the iterates on first access
-    (see IterationTrace)."""
+    """The shadow sequence (P_A z_n) of a trace, one row per record, which
+    the trace derives from its iterates on first access (see
+    IterationTrace)."""
     return trace.a

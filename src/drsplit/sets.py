@@ -5,7 +5,9 @@ Every descriptor knows its ambient dimension and provides ``project``,
 of points, one per row.  All projectors are exact nearest-point maps,
 in closed form except ``Epigraph1D``, which finds the boundary abscissa by
 Newton's method (quadratics) or bisection (custom functions).  All
-operations are pure functions of immutable inputs.
+operations are pure functions of immutable inputs: a descriptor keeps
+read-only copies of the arrays it is given, so a later write to the
+caller's array changes nothing, and a write to a descriptor's raises.
 
 Each projector is one algorithm in two shapes.  ``project_rows`` works
 elementwise on the coordinate columns X[:, k], never with a matrix product
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import epigraph as _epigraph
 from .functions import ConvexFunction1D, FunctionKind
-from .trace import _dot, _dots, _norm, _norms
+from .trace import _dot, _dots, _norm, _norms, _read_only
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
@@ -69,6 +71,11 @@ def as_rows(X, dim: int) -> np.ndarray:
     if not np.isfinite(R).all():
         raise ValueError("vector coordinates must be finite")
     return R
+
+
+def _own(v: np.ndarray) -> np.ndarray:
+    """A read-only copy of v, for a descriptor to keep."""
+    return _read_only(v.copy())
 
 
 def _size(value, name: str) -> int:
@@ -138,8 +145,8 @@ class Affine(ConvexSet):
 
     def __init__(self, L, a):
         L = np.atleast_2d(L)
-        L = as_rows(L, L.shape[-1])
-        a = as_vector(a, L.shape[0])
+        L = _own(as_rows(L, L.shape[-1]))
+        a = _own(as_vector(a, L.shape[0]))
         # scale row k of L and a_k by a power of two that brings the row's
         # largest |entry| into [0.5, 1): the set is the same, the Gram matrix
         # can neither overflow nor underflow, and rows in the normal range
@@ -167,8 +174,8 @@ class Affine(ConvexSet):
         self.dim = L.shape[1]
         # cache the affine form P x + q of the projector
         w = _cho_solve(C, Ls)
-        self._P = np.eye(self.dim) - Ls.T @ w
-        self._q = Ls.T @ _cho_solve(C, np.ldexp(a, -e))
+        self._P = _read_only(np.eye(self.dim) - Ls.T @ w)
+        self._q = _read_only(Ls.T @ _cho_solve(C, np.ldexp(a, -e)))
         # P's rows and q as Python floats for ``_project``
         self._Pq = tuple(zip(self._P.tolist(), self._q.tolist()))
 
@@ -200,10 +207,10 @@ class _NormalSet(ConvexSet):
     the normal's largest |entry| into [0.5, 1), as ``Affine`` does."""
 
     def __init__(self, normal, offset: float):
-        self.normal = as_vector(normal)
+        self.normal = _own(as_vector(normal))
         self.offset = as_vector(float(offset)).item()
         e = int(np.frexp(np.abs(self.normal).max(initial=0.0))[1])
-        self._n = np.ldexp(self.normal, -e)
+        self._n = _read_only(np.ldexp(self.normal, -e))
         self._nn = float(self._n @ self._n)
         if self._nn == 0.0:
             raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
@@ -248,8 +255,8 @@ class Box(ConvexSet):
     """{x : lo <= x <= hi} componentwise, with finite bounds."""
 
     def __init__(self, lo, hi):
-        self.lo = as_vector(lo)
-        self.hi = as_vector(hi, self.lo.shape[0])
+        self.lo = _own(as_vector(lo))
+        self.hi = _own(as_vector(hi, self.lo.shape[0]))
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
         self.dim = self.lo.shape[0]
@@ -281,7 +288,7 @@ class Ball(ConvexSet):
     """Closed Euclidean ball of positive radius."""
 
     def __init__(self, center, radius: float):
-        self.center = as_vector(center)
+        self.center = _own(as_vector(center))
         self.radius = float(radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -318,7 +325,7 @@ class Polygon2D(ConvexSet):
     dim = 2
 
     def __init__(self, vertices):
-        v = as_rows(vertices, 2)
+        v = _own(as_rows(vertices, 2))
         if v.shape[0] < 3:
             raise ValueError("need at least three 2-D vertices")
         edges = np.roll(v, -1, axis=0) - v
@@ -485,7 +492,7 @@ class Shifted(ConvexSet):
 
     def __init__(self, base: ConvexSet, shift):
         self.base = base
-        self.shift = as_vector(shift, base.dim)
+        self.shift = _own(as_vector(shift, base.dim))
         self.dim = base.dim
 
     def _project(self, x: np.ndarray) -> np.ndarray:

@@ -127,33 +127,29 @@ class IterationTrace:
     """Full per-iteration record of a run.
 
     Stores, for each step n = 0 .. iterations, the governing iterate z_n
-    as row n of ``z``, plus the two sets ``set_a`` and ``set_b``;
-    ``shadows`` holds the shadows a_n = P_A z_n where the run computed
-    them at every record (DRA, or a feasibility rule on the shadow), else
-    None.  The shadow column ``a``, the reflection ``r`` (r_n = 2 a_n -
-    z_n), its projection ``pbr`` onto the second set, the distances
-    ``d_a`` = ||z_n - a_n|| and ``d_b`` = d_B(z_n), and ``steps`` are
-    computed from these on first access.  Each derived column is one row
-    call on a stacked column: ``a``, where not stored, one ``_project_rows``
+    as row n of ``z``, plus the two sets ``set_a`` and ``set_b``; every
+    other column is a function of z_n.  The shadow ``a`` (a_n = P_A z_n),
+    the reflection ``r`` (r_n = 2 a_n - z_n), its projection ``pbr`` onto
+    the second set, the distances ``d_a`` = ||z_n - a_n|| and ``d_b`` =
+    d_B(z_n), and ``steps`` are computed on first access.  Each derived
+    column is one row call on a stacked column: ``a`` one ``_project_rows``
     onto the first set, ``pbr`` and ``d_b`` one onto the second, and the
     distances one ``_norms``.  The row forms have the bits of the scalar
-    projectors that ``run`` calls (see ``sets``).  Every column is one
-    read-only float array, (iterations + 1, dim) for the points and
-    (iterations + 1,) for the distances.
+    projectors that ``run`` calls (see ``sets``), so ``a`` holds the
+    shadows that ``run`` computed.  Every column is one read-only float
+    array, (iterations + 1, dim) for the points and (iterations + 1,) for
+    the distances.
     """
 
     z: np.ndarray
     set_a: ConvexSet
     set_b: ConvexSet
     termination: Termination
-    shadows: Optional[np.ndarray] = None
     cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
 
     @cached_property
     def a(self) -> np.ndarray:
-        if self.shadows is not None:
-            return self.shadows
         return _read_only(self.set_a._project_rows(self.z))
 
     @cached_property

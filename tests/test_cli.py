@@ -1258,6 +1258,80 @@ def test_main_rejects_fields_of_the_wrong_type(tmp_path, capsys, section, key, v
     assert not (tmp_path / "out.csv").exists()
 
 
+_DROP = object()   # an edit that removes its field
+
+
+@pytest.mark.parametrize(
+    "edits, flags, message",
+    [
+        pytest.param(None, [], "problem file must be a JSON object", id="document-list"),
+        pytest.param({"set_a": 5}, [], "must be an object with a 'type' tag",
+                     id="set-number"),
+        pytest.param({"set_a": {"type": "cube"}}, [], "unknown set type 'cube'",
+                     id="set-unknown-type"),
+        pytest.param({"set_b": {"type": "product", "components": [
+            {"type": "orthant"}, {"type": "orthant", "dim": 1}]}}, [],
+            "orthant needs a 'dim'", id="product-orthant-without-dim"),
+        pytest.param({"set_b": {"type": "box", "lo": [0, 0]}}, [],
+                     "missing key for 'box' descriptor", id="box-without-hi"),
+        pytest.param({"dim": 0}, [], "'dim' must be a positive integer", id="dim-zero"),
+        pytest.param({"sets": [], "lift": True}, [], "not both", id="sets-and-set_a"),
+        pytest.param({"set_a": _DROP, "set_b": _DROP, "sets": [], "lift": True}, [],
+                     "'sets' must be a nonempty list", id="sets-empty"),
+        pytest.param({"set_a": _DROP, "set_b": _DROP, "sets": [{"type": "orthant"}]}, [],
+                     "'sets' requires \"lift\": true", id="sets-without-lift"),
+        pytest.param({"set_b": {"type": "orthant", "dim": 3}}, [],
+                     "set_b has dimension 3, expected 2", id="set-dimension-mismatch"),
+        pytest.param({"methods": []}, [], "must name at least one method", id="methods-empty"),
+        pytest.param({"start.grid.steps": 0}, [], "grid needs lo <= hi and steps >= 1",
+                     id="grid-steps-zero"),
+        pytest.param({"start.grid.lo": 1, "start.grid.hi": -1}, [],
+                     "grid needs lo <= hi and steps >= 1", id="grid-lo-above-hi"),
+        pytest.param({"start.grid.lo": -1e308, "start.grid.hi": 1e308}, [],
+                     "grid span hi - lo must be a finite number", id="grid-span-overflows"),
+        pytest.param({"start": {"point": ["a", 1]}}, [], "start point must be a numeric list",
+                     id="point-string"),
+        pytest.param({"start": {"point": [[1, 2], [3]]}}, [],
+                     "start point must be a numeric list", id="point-ragged"),
+        pytest.param({"start": {"point": [1, 2, 3]}}, [],
+                     "start point must be a finite vector of length 2", id="point-length"),
+        pytest.param({"start": {}}, [], "start must contain 'point' or 'grid'",
+                     id="start-empty"),
+        pytest.param({"stopping.monitor": "both"}, [], "unknown monitor 'both'",
+                     id="monitor-unknown"),
+        pytest.param({"stopping.max_iter": 0}, [], "stopping parameters must be positive",
+                     id="max_iter-zero"),
+        pytest.param({"outputs.record_at": [-1, 5]}, [],
+                     "record_at must contain nonnegative integers", id="record_at-negative"),
+        pytest.param({}, ["--record-at", "a,b"], "--record-at expects integers",
+                     id="record-at-flag-words"),
+        pytest.param({}, ["--grid", "1,2"], "--grid expects lo,hi,steps",
+                     id="grid-flag-two-fields"),
+    ],
+)
+def test_main_rejects_malformed_problems_with_their_message(tmp_path, capsys, edits,
+                                                             flags, message):
+    # each raise site of the parser and of the overrides: main exits 2 with
+    # the site's own message and writes nothing.  ``edits`` sets (or, with
+    # _DROP, removes) fields by dotted path; None makes the document a list
+    doc = small_problem(tmp_path, steps=2)
+    for dotted, value in (edits or {}).items():
+        *parents, key = dotted.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc if edits is not None else [doc]))
+    assert cli.main(["--problem", str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err and not out
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_reference_sweep_csv_is_golden(tmp_path):
     # SHA-256 of the 5,043-row CSV of the shipped reference problem
     # (recorded on x86_64 with numpy 2.4); refactors must keep it

@@ -484,10 +484,12 @@ def _epigraph_bit_digest():
     def floats(*xs):
         h.update(struct.pack(f"<{len(xs)}d", *xs))
 
-    def trace(tr):
+    def trace(tr, with_shadows):
+        # the shadows are hashed for the runs that once stored them: DRA,
+        # a rule on the shadow and run_epi
         h.update(np.ascontiguousarray(tr.z).tobytes())
-        if tr.shadows is not None:
-            h.update(np.ascontiguousarray(tr.shadows).tobytes())
+        if with_shadows:
+            h.update(np.ascontiguousarray(tr.a).tobytes())
         t = tr.termination
         h.update(f"{t.reason.value} {t.iterations} {t.exact}".encode())
         floats(math.nan if t.step_residual is None else t.step_residual)
@@ -508,9 +510,10 @@ def _epigraph_bit_digest():
             h.update(region.value.encode())
             for method in d.MethodKind:
                 for stop in rules:
-                    trace(d.run(axis, epi, method, z, stop))
+                    trace(d.run(axis, epi, method, z, stop),
+                          method is d.MethodKind.DRA or stop is rules[2])
             tr = d.run_epi(f, z, max_iter=300)
-            trace(tr)
+            trace(tr, True)
             h.update(" ".join(c.value for c in tr.cases).encode())
             count += 1
     return count, h.hexdigest()

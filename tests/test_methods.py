@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -536,12 +537,10 @@ def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
     assert passed == (tr.termination.reason is d.Reason.FEASIBILITY)
     assert (set_a.calls, set_b.calls) == tuple(
         s * steps + r * records + f for s, r, f in zip(per_step, per_record, (passed, 0)))
-    # the shadows are stored where every record computed them, else the
-    # first read of a costs one projection onto A per record; pbr and d_b
-    # each cost one projection onto B per record; a second read costs none
-    stored = method is d.MethodKind.DRA or shadow_rule
-    for name, cost in (("a", (0 if stored else records, 0)),
-                       ("pbr", (0, records)), ("d_b", (0, records))):
+    # the trace stores the iterates alone: the first read of a costs one
+    # projection onto A per record, and pbr and d_b each cost one
+    # projection onto B per record; a second read costs none
+    for name, cost in (("a", (records, 0)), ("pbr", (0, records)), ("d_b", (0, records))):
         for want in (cost, (0, 0)):
             before = (set_a.calls, set_b.calls)
             getattr(tr, name)
@@ -554,8 +553,7 @@ def test_run_projects_only_what_its_rules_use(line_orthant, method, rules,
                          ids=["cap", "iterate", "shadow"])
 def test_run_takes_the_flag_at_the_stop_and_derives_the_shadows(line_orthant, method, rule):
     # without an eta rule the step residual and the exactness flag are taken
-    # once, from the last two iterates, and the trace derives any shadows
-    # that the run did not compute at every record
+    # once, from the last two iterates, and the trace derives the shadows
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, method, [-70.0, 30.0], [d.MaxIter(40)] + [rule] * (rule is not None))
     assert tr.iterations >= 2
@@ -595,12 +593,19 @@ def infeasible_line():
     return d.Affine(LINE_L, [-6.0]), d.Orthant(2)
 
 
+def test_a_trace_stores_its_iterates_alone():
+    # every other column is a function of z_n, derived on first read
+    assert [f.name for f in dataclasses.fields(d.IterationTrace)] == [
+        "z", "set_a", "set_b", "termination", "cases", "translation"]
+
+
 @pytest.mark.parametrize("method, retained, peak", [
-    (d.MethodKind.DRA, 40, 96), (d.MethodKind.MAP, 20, None)])
+    (d.MethodKind.DRA, 20, 48), (d.MethodKind.MAP, 20, None)])
 def test_long_runs_keep_eight_bytes_per_coordinate(method, retained, peak):
-    # a run keeps each stored column as one float array, not one numpy
-    # object per vector (272 B a record for DRA's iterate and shadow);
-    # bytes per record, with the run's own working set in the peak
+    # a run keeps its iterates as one float array, not one numpy object per
+    # vector (136 B a record), and stores no shadow column, though DRA
+    # computes P_A z_n at every record; bytes per record, with the run's
+    # own working set in the peak
     set_a, set_b = infeasible_line()
     d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(5))
     tracemalloc.start()
@@ -619,7 +624,7 @@ def test_long_runs_keep_eight_bytes_per_coordinate(method, retained, peak):
 def test_trace_derives_each_column_in_one_row_call(monkeypatch, method):
     # the derived columns of a 20,001-record trace: each one that needs a
     # projection makes one row call on the stacked column and no scalar
-    # call (DRA stores its shadows, MAP's are derived); d_a reads a
+    # call, and a is derived for every method; d_a reads a
     set_a, set_b = infeasible_line()
     tr = d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(20_000))
     assert len(tr) == 20_001
@@ -631,8 +636,7 @@ def test_trace_derives_each_column_in_one_row_call(monkeypatch, method):
                 return f(X)
             monkeypatch.setattr(s, name, counted)
     rows = ("_project_rows", (20_001, 2))
-    expected = {"a": [] if method is d.MethodKind.DRA else [("A", *rows)],
-                "pbr": [("B", *rows)], "d_a": [], "d_b": [("B", *rows)]}
+    expected = {"a": [("A", *rows)], "pbr": [("B", *rows)], "d_a": [], "d_b": [("B", *rows)]}
     for column, want in expected.items():
         calls.clear()
         getattr(tr, column)
@@ -643,15 +647,12 @@ def test_trace_derives_each_column_in_one_row_call(monkeypatch, method):
 @pytest.mark.parametrize("cap", [_BLOCK - 1, _BLOCK, 2 * _BLOCK + 5])
 def test_trace_columns_are_read_only_arrays(method, cap):
     # every column is one read-only array of a row per record, and a run
-    # that crosses the blocks of its stored columns keeps every record: each
+    # that crosses the blocks of its stored column keeps every record: each
     # iterate is the step function's image of the one before, to the bit
     set_a, set_b = infeasible_line()
     tr = d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(cap))
     assert tr.iterations == cap and len(tr) == tr.iterations + 1
-    assert (tr.shadows is not None) == (method is d.MethodKind.DRA)
     columns = {name: getattr(tr, name) for name in ("z", "a", "r", "pbr", "d_a", "d_b")}
-    if tr.shadows is not None:
-        columns["shadows"] = tr.shadows
     for name, col in columns.items():
         shape = (len(tr),) if name.startswith("d_") else (len(tr), 2)
         assert col.shape == shape and col.dtype == np.float64 and col.flags.c_contiguous

@@ -407,6 +407,41 @@ def test_project_rows_rejects_bad_input(s):
         s.project_rows(np.zeros(s.dim))
 
 
+def _rebuilt_from_arrays(s):
+    """s built again from writable float64 copies of its array inputs, and
+    those copies."""
+    if isinstance(s, d.Shifted):
+        fields, cls = ("base", "shift"), d.Shifted
+    else:
+        cls, fields = cli._DESCRIPTORS[cli.set_to_config(s)["type"]]
+    args = [getattr(s, key) for key in fields]
+    args = [np.array(v) if isinstance(v, np.ndarray) else v for v in args]
+    return cls(*args), [v for v in args if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("s", zoo_params())
+def test_descriptors_keep_their_own_read_only_arrays(s):
+    # a write to the caller's arrays after construction moves neither the
+    # projections nor the problem-file form (-5.0 everywhere would give a
+    # Box lo > hi), and a write into any array the descriptor holds raises
+    t, inputs = _rebuilt_from_arrays(s)
+    X = np.random.default_rng(27).uniform(-8.0, 8.0, (16, s.dim))
+
+    def observed():
+        config = None if isinstance(t, d.Shifted) else cli.set_to_config(t)
+        return t.project_rows(X).tobytes(), [t.project(x).tobytes() for x in X], config
+
+    before = observed()
+    for v in inputs:
+        v[...] = -5.0
+    assert observed() == before
+    held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    assert len(held) >= len(inputs)
+    for v in held:
+        with pytest.raises(ValueError, match="read-only"):
+            v.flat[0] = 1.0
+
+
 def _signed_magnitudes():
     m = np.logspace(-8, 8, 17)
     return np.concatenate([-m[::-1], [-0.0, 0.0], m])
