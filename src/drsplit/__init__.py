@@ -9,6 +9,7 @@ and a benchmark CLI emitting reproducible CSV data.
 
 from .epigraph import (
     EpiPoint,
+    Epigraph1D,
     NoConvergenceError,
     PreconditionViolatedError,
     Region,
@@ -30,7 +31,6 @@ from .methods import (
     mrp_step,
     run,
     run_rows,
-    shadow,
     spingarn_step,
 )
 from .sets import (
@@ -40,7 +40,6 @@ from .sets import (
     ConvexSet,
     Diagonal,
     DimensionMismatchError,
-    Epigraph1D,
     Halfspace,
     Hyperplane,
     Orthant,

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .epigraph import WitnessFamily, luque_witness
+from .epigraph import Epigraph1D, WitnessFamily, luque_witness
 from .functions import function_from_name
 from .lifting import lift
 # dra_step, map_step and mrp_step are unused here but stay importable from
@@ -49,7 +49,6 @@ from .sets import (
     Box,
     ConvexSet,
     Diagonal,
-    Epigraph1D,
     Halfspace,
     Hyperplane,
     Orthant,

@@ -1,11 +1,12 @@
 """Projection onto 1-D epigraphs and the hyperplane/epigraph DR iteration.
 
 Works in the plane: points are (x, rho), the first set is the x-axis, the
-second is epi f = {(x, rho) : f(x) <= rho} for a scalar convex f.  The DR
-step here is a closed-form case analysis on the region of the input point;
-it agrees with the generic two-set step on the same pair of sets.  Full
-runs (``run_epi``) go through the generic driver ``methods.run``, and their
-region tags are computed from the trace.
+second is epi f = {(x, rho) : f(x) <= rho} for a scalar convex f, whose
+projection lives here whole: its kernels, ``project_epigraph`` and the
+descriptor ``Epigraph1D``.  The DR step here is a closed-form case analysis
+on the region of the input point; it agrees with the generic two-set step.
+Full runs (``run_epi``) go through ``methods.run`` from the x-axis built at
+import, and their region tags are computed from the trace.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .functions import ConvexFunction1D, FunctionKind, absshift, quadratic
+from .methods import MethodKind, run
+from .sets import Hyperplane, _Immutable
 from .trace import DEFAULT_ETA, DEFAULT_MAX_ITER, ExactFixedPoint, IterationTrace, MaxIter
 
 # Membership at machine-boundary points: residuals within this of zero on
@@ -30,7 +33,7 @@ _BISECT_TOL = 1e-12
 # steps; the cap only guards against a loop that does not halve
 _BISECT_MAX_STEPS = 1100
 
-_X_AXIS = None  # run_epi's first set: built on first use, arrays read-only
+_X_AXIS = Hyperplane([0.0, 1.0], 0.0)  # run_epi's first set, shared by every run
 
 
 class NoConvergenceError(RuntimeError):
@@ -239,6 +242,40 @@ def project_epigraph(f: ConvexFunction1D, z) -> Tuple[float, float]:
     return (p, f(p))
 
 
+class Epigraph1D(_Immutable):
+    """{(x, rho) : f(x) <= rho} for a scalar convex f."""
+
+    dim = 2
+
+    def __init__(self, f: ConvexFunction1D):
+        self.f = f
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        # the module attribute, which a timing wrapper may replace, not an alias
+        return np.asarray(project_epigraph(self.f, x.tolist()))
+
+    def _project_rows(self, X: np.ndarray) -> np.ndarray:
+        # ``project_epigraph`` on every row at once
+        f = self.f
+        if f.kind is FunctionKind.CUSTOM:
+            return super()._project_rows(X)
+        if not np.isfinite(X).all():
+            raise ValueError("epigraph points must have finite coordinates")
+        # an overflow in f or in a projector is silent, as in float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
+            x, rho = X[i, 0], X[i, 1]
+            move = x != f.minimizer
+            if f.kind is FunctionKind.QUADRATIC:
+                p = _quadratic_projection_rows(f, x, rho, move)
+            else:
+                p = np.where(move, _absshift_projection_rows(f, x, rho), x)
+        out = X.copy()
+        out[i, 0] = p
+        out[i, 1] = f(p)
+        return out
+
+
 def classify_region(f: ConvexFunction1D, z) -> Region:
     """Classify z against B = epi f and B' (its x-axis reflection).
 
@@ -287,18 +324,11 @@ def run_epi(
     Requires inf f < 0 (the epigraph then meets the open lower halfplane,
     which makes the iteration finitely convergent).  The run goes through
     ``methods.run`` on (Hyperplane([0, 1], 0), Epigraph1D(f)), whose step
-    is the closed form of ``dr_step_epi``; every run shares one read-only
-    x-axis, and the region tags come from the trace by ``classify_region``.
+    is the closed form of ``dr_step_epi``; every run shares the x-axis built
+    at import, and the region tags come from the trace by ``classify_region``.
     """
-    # methods and sets import this module, so import them on first use
-    from .methods import MethodKind, run
-    from .sets import Epigraph1D, Hyperplane
-
-    global _X_AXIS
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
-    if _X_AXIS is None:
-        _X_AXIS = Hyperplane([0.0, 1.0], 0.0)
     trace = run(
         _X_AXIS,
         Epigraph1D(f),

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 
 class FunctionKind(Enum):
     QUADRATIC = "quadratic"
@@ -153,8 +155,6 @@ def check_convexity(
     Raises ValueError on the first violated triple/pair.  Intended for
     validating ``custom`` inputs and for test suites.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         x, y, z = np.sort(rng.uniform(lo, hi, size=3))

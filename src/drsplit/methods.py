@@ -428,10 +428,3 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
         Z_prev, Z = Z, Z_next
         n += 1
     return out
-
-
-def shadow(trace: IterationTrace) -> np.ndarray:
-    """The shadow sequence (P_A z_n) of a trace, one row per record, which
-    the trace derives from its iterates on first access (see
-    IterationTrace)."""
-    return trace.a

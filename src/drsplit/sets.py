@@ -2,12 +2,12 @@
 
 Every descriptor knows its ambient dimension and provides ``project``,
 ``reflect`` (2 P - Id) and ``distance``, plus ``project_rows`` for a stack
-of points, one per row.  All projectors are exact nearest-point maps,
-in closed form except ``Epigraph1D``, which finds the boundary abscissa by
-Newton's method (quadratics) or bisection (custom functions).  All
-operations are pure functions of immutable inputs: a descriptor keeps
-read-only copies of the arrays it is given, so a later write to the
-caller's array changes nothing, and a write to a descriptor's raises.
+of points, one per row.  All projectors here are exact nearest-point maps
+in closed form; ``epigraph.Epigraph1D``, whose projector is iterative,
+lives beside its kernels.  All operations are pure functions of immutable
+inputs: a descriptor keeps read-only copies of the arrays it is given, so
+a later write to the caller's array changes nothing, a write to a
+descriptor's array raises, and so does rebinding an attribute it holds.
 
 Each projector is one algorithm in two shapes.  ``project_rows`` works
 elementwise on the coordinate columns X[:, k], never with a matrix product
@@ -18,8 +18,7 @@ every dim.  Inner products and norms (``trace._dot``
 and ``trace._dots``) add the products left to right from 0.0 below 8
 terms, the bits of numpy's ``sum(axis=1)`` there, and take numpy's
 pairwise sum from 8; that is numpy's order, not a promise of numpy's, so
-the tests are the guarantee.  Only an epigraph of a custom function,
-whose ``fn`` and ``subgrad`` take one float, projects its rows one by one.
+the tests are the guarantee.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import epigraph as _epigraph
-from .functions import ConvexFunction1D, FunctionKind
 from .trace import _dot, _dots, _norm, _norms, _read_only
 
 # Relative pivot threshold for declaring the Gram matrix of an affine
@@ -94,7 +91,8 @@ class ConvexSet:
         raise NotImplementedError
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # row by row; only an epigraph of a custom function still needs this
+        # row by row: the row form of any subclass that defines only
+        # ``_project``, and of an epigraph of a custom function
         out = np.empty((X.shape[0], self.dim))
         for i, x in enumerate(X):
             out[i] = self._project(x)
@@ -117,6 +115,16 @@ class ConvexSet:
         return _norm(x - self._project(x))
 
 
+class _Immutable(ConvexSet):
+    """A library descriptor: what it holds is fixed at construction; only a
+    method may be shadowed on an instance (timing wrappers, test doubles)."""
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name) and not callable(getattr(type(self), name, None)):
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be rebound")
+        object.__setattr__(self, name, value)
+
+
 def _cho_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve (C C^T) X = B for a lower-triangular C with a positive
     diagonal: forward substitution, then back substitution.  Each pivot is
@@ -131,7 +139,7 @@ def _cho_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-class Affine(ConvexSet):
+class Affine(_Immutable):
     """{x : L x = a} for a full-row-rank matrix L.
 
     The projector applies the Moore-Penrose action x - L^+(Lx - a), with
@@ -201,7 +209,7 @@ class Affine(ConvexSet):
         return bool(np.all(self.a == 0.0))
 
 
-class _NormalSet(ConvexSet):
+class _NormalSet(_Immutable):
     """Hyperplane's and Halfspace's constructor: ``normal`` and ``offset``
     stay as given, the projectors scale both by the power of two that brings
     the normal's largest |entry| into [0.5, 1), as ``Affine`` does."""
@@ -251,7 +259,7 @@ class Halfspace(_NormalSet):
         return out
 
 
-class Box(ConvexSet):
+class Box(_Immutable):
     """{x : lo <= x <= hi} componentwise, with finite bounds."""
 
     def __init__(self, lo, hi):
@@ -272,7 +280,7 @@ class Box(ConvexSet):
         return out
 
 
-class Orthant(ConvexSet):
+class Orthant(_Immutable):
     """The nonnegative orthant of R^dim."""
 
     def __init__(self, dim: int):
@@ -284,7 +292,7 @@ class Orthant(ConvexSet):
     _project_rows = _project
 
 
-class Ball(ConvexSet):
+class Ball(_Immutable):
     """Closed Euclidean ball of positive radius."""
 
     def __init__(self, center, radius: float):
@@ -314,7 +322,7 @@ class Ball(ConvexSet):
         return out
 
 
-class Polygon2D(ConvexSet):
+class Polygon2D(_Immutable):
     """Convex polygon in the plane, vertices in counterclockwise order.
 
     The projector is exact: interior points pass through; otherwise the
@@ -393,40 +401,7 @@ class Polygon2D(ConvexSet):
         return out
 
 
-class Epigraph1D(ConvexSet):
-    """{(x, rho) : f(x) <= rho} for a scalar convex f."""
-
-    dim = 2
-
-    def __init__(self, f: ConvexFunction1D):
-        self.f = f
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(_epigraph.project_epigraph(self.f, x.tolist()))
-
-    def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        # ``project_epigraph`` on every row at once
-        f = self.f
-        if f.kind is FunctionKind.CUSTOM:
-            return super()._project_rows(X)
-        if not np.isfinite(X).all():
-            raise ValueError("epigraph points must have finite coordinates")
-        # an overflow in f or in a projector is silent, as in float arithmetic
-        with np.errstate(over="ignore", invalid="ignore"):
-            i = np.flatnonzero(~(f(X[:, 0]) <= X[:, 1]))
-            x, rho = X[i, 0], X[i, 1]
-            move = x != f.minimizer
-            if f.kind is FunctionKind.QUADRATIC:
-                p = _epigraph._quadratic_projection_rows(f, x, rho, move)
-            else:
-                p = np.where(move, _epigraph._absshift_projection_rows(f, x, rho), x)
-        out = X.copy()
-        out[i, 0] = p
-        out[i, 1] = f(p)
-        return out
-
-
-class Diagonal(ConvexSet):
+class Diagonal(_Immutable):
     """{(x, ..., x) : x in R^base_dim} inside R^(copies * base_dim).
 
     The projection replaces every block with the mean of the blocks.
@@ -459,7 +434,7 @@ class Diagonal(ConvexSet):
         return True
 
 
-class Product(ConvexSet):
+class Product(_Immutable):
     """Cartesian product of descriptors; projects blockwise."""
 
     def __init__(self, components: Sequence[ConvexSet]):
@@ -483,7 +458,7 @@ class Product(ConvexSet):
         )
 
 
-class Shifted(ConvexSet):
+class Shifted(_Immutable):
     """base - shift, i.e. {y : y + shift in base}.
 
     Used to reduce affine-subspace problems to linear-subspace ones; the

@@ -536,6 +536,40 @@ def test_epigraph_bits_are_pinned():
             v[0] = 1.0
 
 
+def test_scalar_projections_go_through_the_module_hook(monkeypatch):
+    # the benchmark's --trace 1 spans wrap ``drsplit.epigraph.project_epigraph``
+    # by name; a set that called the kernel by another route would leave
+    # those spans at zero without failing
+    assert d.Epigraph1D is d.epigraph.Epigraph1D
+    assert not hasattr(d.sets, "Epigraph1D")
+    calls = []
+    unwrapped = d.epigraph.project_epigraph
+
+    def counting(f, z):
+        calls.append(f)
+        return unwrapped(f, z)
+
+    monkeypatch.setattr(d.epigraph, "project_epigraph", counting)
+    epi = d.Epigraph1D(QUAD)
+    for k, z in enumerate([(3.0, -4.0), (0.5, 2.0), (-2.0, 0.0)], 1):
+        assert epi.project(z).tolist() == list(unwrapped(QUAD, z))
+        assert calls == [QUAD] * k
+    axis = d.epigraph._X_AXIS
+    for method in (d.MethodKind.DRA, d.MethodKind.MAP):
+        on_b = []
+        epi = d.Epigraph1D(ABS)
+        epi._project = lambda x, _p=epi._project: on_b.append(1) or _p(x)
+        calls.clear()
+        tr = d.run(axis, epi, method, [5.0, 3.0], d.ExactFixedPoint())
+        assert tr.iterations > 0 and len(calls) == len(on_b) >= tr.iterations
+        assert calls == [ABS] * len(calls)
+    # run_epi projects onto B once per step, on the one x-axis built at import
+    calls.clear()
+    tr = d.run_epi(QUAD, (5.0, 3.0))
+    assert tr.set_a is axis and tr.iterations > 0
+    assert calls == [QUAD] * tr.iterations
+
+
 @pytest.mark.parametrize(
     "eta, max_iter", [(float("nan"), 100), (-1.0, 100), (1e-14, 0)]
 )

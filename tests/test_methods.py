@@ -569,12 +569,12 @@ def test_run_takes_the_flag_at_the_stop_and_derives_the_shadows(line_orthant, me
 def test_shadow_sequence(line_orthant):
     set_a, set_b = line_orthant
     tr = d.run(set_a, set_b, d.MethodKind.DRA, [0.0, 0.0], d.ExactFixedPoint())
-    sh = d.shadow(tr)
+    sh = tr.a
     assert np.allclose(sh[1], FIX, rtol=0, atol=1e-12)
     for a in sh:
         assert set_a.distance(a) <= 1e-10
     tr_fix = d.run(set_a, set_b, d.MethodKind.DRA, [1.0, 1.0], d.ExactFixedPoint())
-    for a in d.shadow(tr_fix):
+    for a in tr_fix.a:
         assert np.allclose(a, [1.0, 1.0], rtol=0, atol=1e-12)
 
 

@@ -442,6 +442,54 @@ def test_descriptors_keep_their_own_read_only_arrays(s):
             v.flat[0] = 1.0
 
 
+@pytest.mark.parametrize("s", zoo_params())
+def test_descriptors_refuse_rebinding_what_they_hold(s):
+    # a rebound field left the caches built from the old one: the desk
+    # polygon with new vertices projected by its old edges and wrote the
+    # new ones to its problem-file form, and a Box with a new hi projected
+    # with lo > hi.  Every field of the problem-file form and everything
+    # else the constructor set refuses rebinding, to the same value or
+    # another, and neither the projections' bits nor the form move
+    if isinstance(s, d.Shifted):
+        fields = ("base", "shift")
+    else:
+        fields = cli._DESCRIPTORS[cli.set_to_config(s)["type"]][1]
+    X = np.random.default_rng(28).uniform(-8.0, 8.0, (16, s.dim))
+
+    def observed():
+        config = None if isinstance(s, d.Shifted) else cli.set_to_config(s)
+        return s.project_rows(X).tobytes(), [s.project(x).tobytes() for x in X], config
+
+    before = observed()
+    names = {"dim", *fields, *vars(s)}
+    for name in sorted(names):
+        value = getattr(s, name)
+        for new in (value, None):
+            with pytest.raises(AttributeError, match="cannot be rebound"):
+                setattr(s, name, new)
+        assert getattr(s, name) is value
+    assert observed() == before
+
+
+def test_methods_can_still_be_shadowed_on_a_descriptor():
+    # timing wrappers set project/distance/reflect on an instance and pop
+    # them from its __dict__ afterwards; tests shadow _project and
+    # _project_rows
+    s = d.Orthant(2)
+    calls = []
+    for name in ("project", "distance", "reflect", "_project", "_project_rows"):
+        method = getattr(s, name)
+        setattr(s, name, lambda *args, _m=method: calls.append(1) or _m(*args))
+        setattr(s, name, getattr(s, name))  # a shadow may be rebound
+    assert s.project([-1.0, 2.0]).tolist() == [0.0, 2.0]
+    assert s.project_rows([[-1.0, 2.0]]).tolist() == [[0.0, 2.0]]
+    assert len(calls) == 3  # project, its _project, and _project_rows
+    for name in ("project", "distance", "reflect"):
+        s.__dict__.pop(name)
+    del s._project, s._project_rows
+    assert vars(s) == {"dim": 2}
+
+
 def _signed_magnitudes():
     m = np.logspace(-8, 8, 17)
     return np.concatenate([-m[::-1], [-0.0, 0.0], m])
