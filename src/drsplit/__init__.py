@@ -48,7 +48,6 @@ from .sets import (
     RankDeficientError,
     Shifted,
     as_vector,
-    is_linear_subspace,
 )
 from .trace import (
     ExactFixedPoint,

@@ -424,10 +424,11 @@ class SweepRow(NamedTuple):
 
 
 def _resolve_sets(spec: ProblemSpec):
+    """(set_a, set_b, embed, restrict), with identities for a plain pair."""
     if spec.lift_sets is not None:
         lp = lift(spec.lift_sets)
-        return lp.set_a, lp.set_b, lp
-    return spec.set_a, spec.set_b, None
+        return lp.set_a, lp.set_b, lp.embed, lp.restrict
+    return spec.set_a, spec.set_b, np.asarray, np.asarray
 
 
 def _starts(spec: ProblemSpec) -> np.ndarray:
@@ -449,18 +450,17 @@ def sweep(spec: ProblemSpec) -> list:
     """Run every method from every start point and return the rows.
 
     ``run_rows`` steps the start stack under the plans of ``_rules_for``,
-    embedded and restricted by ``LiftedProblem.embed``/``restrict`` for a
-    lifted problem, and each
+    embedded and restricted by the maps of ``_resolve_sets``, and each
     result column becomes Python values once; the rows are zipped from the
     columns, each start's row object repeated once per method.  Rows that
     hit the iteration cap are flagged by their termination reason, never
     dropped.
     """
-    set_a, set_b, lp = _resolve_sets(spec)
+    set_a, set_b, embed, restrict = _resolve_sets(spec)
     starts = _starts(spec)
     res = run_rows(set_a, set_b, {m: _rules_for(m, spec) for m in spec.methods},
-                   starts if lp is None else lp.embed(starts), spec.record_at)
-    final = res["final"] if lp is None else lp.restrict(res["final"])
+                   embed(starts), spec.record_at)
+    final = restrict(res["final"])
     width = len(spec.methods)
     return list(map(SweepRow._make, zip(
         (z0 for z0 in starts for _ in range(width)), itertools.cycle(spec.methods),
@@ -642,8 +642,8 @@ def main(argv=None) -> int:
         emit_csv(rows, spec.csv_path, spec.record_at)
         if spec.trace_path is not None:
             # parsing allows a trace only with a point start
-            set_a, set_b, lp = _resolve_sets(spec)
-            z0 = spec.start_point if lp is None else lp.embed(spec.start_point)
+            set_a, set_b, embed, _ = _resolve_sets(spec)
+            z0 = embed(spec.start_point)
             traces = {m: run(set_a, set_b, m, z0, _rules_for(m, spec))
                       for m in spec.methods}
             emit_trace(traces, spec.trace_path)

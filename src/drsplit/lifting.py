@@ -20,25 +20,25 @@ from .trace import IterationTrace
 
 @dataclass(frozen=True)
 class LiftedProblem:
-    """The two-set image of an M-set feasibility problem.
+    """The two-set image of an M-set feasibility problem: the diagonal,
+    which holds the layout, and the product of the sets.
 
     ``embed`` and ``restrict`` take one point or an (N, dim) stack of
-    rows.  ``restrict`` returns the mean block, which equals any block at
-    a diagonal point and is the diagonal projection's block elsewhere.
+    rows.  ``restrict`` returns the diagonal projection's block, to the
+    bit: the mean block, which equals any block at a diagonal point.
     """
 
-    copies: int
-    base_dim: int
     set_a: Diagonal
     set_b: Product
 
     def embed(self, x) -> np.ndarray:
-        return np.concatenate((_points(x, self.base_dim),) * self.copies, axis=-1)
+        return np.concatenate((_points(x, self.set_a.base_dim),) * self.set_a.copies, axis=-1)
 
     def restrict(self, xx) -> np.ndarray:
-        xx = _points(xx, self.copies * self.base_dim)
-        blocks = xx.reshape(*xx.shape[:-1], self.copies, self.base_dim)
-        return np.add.reduce(blocks, axis=-2) / self.copies
+        xx = _points(xx, self.set_a.dim)
+        if xx.ndim == 1:
+            return np.array(self.set_a._means(xx.tolist()))
+        return np.array(self.set_a._means(list(xx.T))).T.copy()
 
 
 def _points(x, dim: int) -> np.ndarray:
@@ -58,13 +58,7 @@ def lift(sets: Sequence[ConvexSet]) -> LiftedProblem:
             raise DimensionMismatchError(
                 f"all sets must share dimension {base_dim}, got {s.dim}"
             )
-    copies = len(sets)
-    return LiftedProblem(
-        copies=copies,
-        base_dim=base_dim,
-        set_a=Diagonal(copies, base_dim),
-        set_b=Product(sets),
-    )
+    return LiftedProblem(Diagonal(len(sets), base_dim), Product(sets))
 
 
 def solve_lifted(

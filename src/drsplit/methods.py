@@ -30,7 +30,6 @@ from .sets import (
     Shifted,
     as_rows,
     as_vector,
-    is_linear_subspace,
 )
 from .trace import (
     IterationTrace,
@@ -125,7 +124,7 @@ def spingarn_step(
     set_a: ConvexSet, set_b: ConvexSet, state: SpingarnState
 ) -> SpingarnState:
     """One partial-inverse update of the pair (see ``_pair_step``)."""
-    if not is_linear_subspace(set_a):
+    if not set_a.is_linear():
         raise InvalidSubspaceError(
             "spingarn_step requires a linear-subspace descriptor for the first set"
         )
@@ -135,7 +134,7 @@ def spingarn_step(
 def _linearize(set_a: ConvexSet, set_b: ConvexSet):
     """Reduce an affine first set to a linear subspace by translating both
     sets by a point of A; returns (lin_a, shifted_b, shift or None)."""
-    if is_linear_subspace(set_a):
+    if set_a.is_linear():
         return set_a, set_b, None
     if isinstance(set_a, Affine):
         shift = set_a.project(np.zeros(set_a.dim))

@@ -6,8 +6,8 @@ of points, one per row.  All projectors here are exact nearest-point maps
 in closed form; ``epigraph.Epigraph1D``, whose projector is iterative,
 lives beside its kernels.  All operations are pure functions of immutable
 inputs: a descriptor keeps read-only copies of the arrays it is given, so
-a later write to the caller's array changes nothing, a write to a
-descriptor's array raises, and so does rebinding an attribute it holds.
+a later write to the caller's array changes nothing, and a write to its
+arrays raises, as does rebinding or deleting an attribute it holds.
 
 Each projector is one algorithm in two shapes.  ``project_rows`` works
 elementwise on the coordinate columns X[:, k], never with a matrix product
@@ -114,15 +114,24 @@ class ConvexSet:
         x = as_vector(x, self.dim)
         return _norm(x - self._project(x))
 
+    def is_linear(self) -> bool:
+        """True for a descriptor of a linear subspace."""
+        return False
+
 
 class _Immutable(ConvexSet):
     """A library descriptor: what it holds is fixed at construction; only a
-    method may be shadowed on an instance (timing wrappers, test doubles)."""
+    method may be shadowed on an instance and unshadowed (timing wrappers)."""
 
     def __setattr__(self, name, value):
         if hasattr(self, name) and not callable(getattr(type(self), name, None)):
             raise AttributeError(f"{type(self).__name__}.{name} cannot be rebound")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if not callable(getattr(type(self), name, None)):
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+        object.__delattr__(self, name)
 
 
 def _cho_solve(C: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -404,7 +413,8 @@ class Polygon2D(_Immutable):
 class Diagonal(_Immutable):
     """{(x, ..., x) : x in R^base_dim} inside R^(copies * base_dim).
 
-    The projection replaces every block with the mean of the blocks.
+    The projection replaces every block with the mean of the blocks, and
+    ``lifting.LiftedProblem.restrict`` is that mean, with the same bits.
     """
 
     def __init__(self, copies: int, base_dim: int):
@@ -412,23 +422,23 @@ class Diagonal(_Immutable):
         self.base_dim = _size(base_dim, "base_dim")
         self.dim = self.copies * self.base_dim
 
-    def _tiled_means(self, cols: list) -> list:
-        """The blocks' mean, tiled, from the floats of one point or the
-        columns of a stack: block 0, then each later block added to it, so
-        both forms have one arithmetic and a -0.0 sum stays -0.0."""
+    def _means(self, cols: list) -> list:
+        """The blocks' mean from the floats of one point or the columns of
+        a stack: block 0, then each later block added to it, so both forms
+        have one arithmetic and a -0.0 sum stays -0.0."""
         means = []
         for j in range(self.base_dim):
             total = cols[j]
             for k in range(j + self.base_dim, self.dim, self.base_dim):
                 total = total + cols[k]
             means.append(total / self.copies)
-        return means * self.copies
+        return means
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.array(self._tiled_means(x.tolist()))
+        return np.array(self._means(x.tolist()) * self.copies)
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        return np.array(self._tiled_means(list(X.T))).T.copy()
+        return np.array(self._means(list(X.T)) * self.copies).T.copy()
 
     def is_linear(self) -> bool:
         return True
@@ -475,10 +485,3 @@ class Shifted(_Immutable):
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         return self.base._project_rows(X + self.shift) - self.shift
-
-
-def is_linear_subspace(s: ConvexSet) -> bool:
-    """True for descriptors of linear subspaces: affine sets and
-    hyperplanes through the origin, and diagonals."""
-    checker = getattr(s, "is_linear", None)
-    return bool(checker()) if checker is not None else False

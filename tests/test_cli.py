@@ -697,8 +697,8 @@ def test_run_rows_equals_run_to_the_bit(name):
         doc = json.loads(problem.read_text())
         doc["start"]["grid"]["steps"] = 5
     spec = cli.parse_problem(json.dumps(doc))
-    set_a, set_b, lp = cli._resolve_sets(spec)
-    Z = cli._starts(spec) if lp is None else lp.embed(cli._starts(spec))
+    set_a, set_b, embed, _ = cli._resolve_sets(spec)
+    Z = embed(cli._starts(spec))
     plans = {m: cli._rules_for(m, spec) for m in spec.methods}
     res = d.run_rows(set_a, set_b, plans, Z)
     for i, (z0, method) in enumerate(itertools.product(Z, plans)):
@@ -925,8 +925,8 @@ def test_emit_trace_matches_per_cell_writer(tmp_path, name):
     doc = oracle_problems(tmp_path)[name]
     doc["start"] = {"point": [100.0, -100.0] if name == "line" else [7.5, -3.25]}
     spec = cli.parse_problem(json.dumps(doc))
-    set_a, set_b, lp = cli._resolve_sets(spec)
-    z0 = spec.start_point if lp is None else lp.embed(spec.start_point)
+    set_a, set_b, embed, _ = cli._resolve_sets(spec)
+    z0 = embed(spec.start_point)
     traces = {m: d.run(set_a, set_b, m, z0, cli._rules_for(m, spec))
               for m in (d.MethodKind.DRA, d.MethodKind.MAP, d.MethodKind.MRP)}
     out = tmp_path / "trace.csv"
@@ -1345,9 +1345,10 @@ def test_reference_sweep_csv_is_golden(tmp_path):
 
 def test_batched_restriction_equals_restrict(tmp_path):
     # sweep restricts every lifted final point at once with the stack form
-    # of restrict, the mean over the copies axis of the (N, copies,
-    # base_dim) stack; int64 views make the sign of zero count.  Converged rows end on the diagonal, where
-    # every block is the mean; a cap of 3 leaves DRA and SPINGARN rows off it
+    # of restrict, the diagonal projection's block on the columns of the
+    # stack; int64 views make the sign of zero count.  Converged rows end
+    # on the diagonal, where every block is the mean; a cap of 3 leaves DRA
+    # and SPINGARN rows off it
     doc = oracle_problems(tmp_path)["lifted"]
     capped = json.loads(json.dumps(doc))
     capped["stopping"]["max_iter"] = 3

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ HALFSPACE_PAIR = [d.Halfspace([-1.0, -1.0], 0.0), d.Halfspace([1.0, 0.0], 2.0)]
 
 def test_lift_shapes_and_descriptors():
     lp = d.lift(HALFSPACE_PAIR)
-    assert lp.copies == 2 and lp.base_dim == 2
+    assert lp.set_a.copies == 2 and lp.set_a.base_dim == 2
     assert isinstance(lp.set_a, d.Diagonal) and isinstance(lp.set_b, d.Product)
     assert lp.set_a.dim == lp.set_b.dim == 4
     x = np.array([1.0, -2.0])
@@ -41,6 +43,42 @@ def test_stack_forms_of_embed_and_restrict_match_the_point_forms():
             for wrong in (nonfinite, nonfinite[7]):
                 with pytest.raises(ValueError, match="finite"):
                     form(wrong)
+
+
+def test_a_lifted_problem_is_its_two_sets():
+    # the diagonal holds the layout, so no field can disagree with it
+    names = tuple(f.name for f in dataclasses.fields(d.LiftedProblem))
+    assert names == ("set_a", "set_b")
+
+
+@pytest.mark.parametrize("copies", range(1, 17))
+def test_restrict_is_the_diagonal_projections_block(copies):
+    # to the bit (int64 views), -0.0 included, point and stack: the mean
+    # block of an off-diagonal point is the block the diagonal projects to
+    rng = np.random.default_rng(copies)
+    for base_dim in range(1, 5):
+        lp = d.lift([d.Orthant(base_dim)] * copies)
+        X = rng.choice([-1.0, 1.0], (200, lp.set_a.dim)) * 10.0 ** rng.uniform(-8, 8, (200, 1))
+        X[::3, ::base_dim] = -0.0
+        X[1::7] = -0.0
+        R = lp.restrict(X)
+        assert R.flags.c_contiguous
+        want = lp.set_a.project_rows(X)[:, :base_dim]
+        assert np.array_equal(R.view(np.int64), want.view(np.int64))
+        for r, x in zip(R, X):
+            assert np.array_equal(lp.restrict(x).view(np.int64), r.view(np.int64))
+
+
+def test_solve_lifted_returns_the_final_shadows_block():
+    # nine half-lines, where a pairwise sum of the blocks differs from the
+    # diagonal's: the restricted final point is the first block of the
+    # last diagonal projection in the trace
+    rng = np.random.default_rng(29)
+    signs, offsets = rng.choice([-1.0, 1.0], 9), rng.uniform(-10, 10, 9)
+    lp = d.lift([d.Halfspace([s], c) for s, c in zip(signs, offsets)])
+    for x0 in rng.uniform(-10, 10, (50, 1)):
+        x, trace = d.solve_lifted(lp, d.MethodKind.DRA, x0, d.MaxIter(int(rng.integers(1, 6))))
+        assert np.array_equal(x.view(np.int64), trace.a[-1][:1].view(np.int64))
 
 
 def test_lift_rejects_mismatched_dims():

@@ -231,7 +231,7 @@ def test_step_functions_are_one_step_of_run(set_a, set_b):
         for method, step in ((K.MAP, d.map_step), (K.MRP, d.mrp_step)):
             t = d.run(set_a, set_b, method, z0, d.MaxIter(1))
             assert np.array_equal(bits(step(set_a, set_b, z0)), bits(t.z[1]))
-        if d.is_linear_subspace(set_a):
+        if set_a.is_linear():
             t = d.run(set_a, set_b, K.SPINGARN, z0, d.MaxIter(1))
             a0 = set_a.project(z0)
             out = d.spingarn_step(set_a, set_b, d.SpingarnState(a=a0, b=a0 - z0))

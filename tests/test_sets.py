@@ -449,7 +449,8 @@ def test_descriptors_refuse_rebinding_what_they_hold(s):
     # new ones to its problem-file form, and a Box with a new hi projected
     # with lo > hi.  Every field of the problem-file form and everything
     # else the constructor set refuses rebinding, to the same value or
-    # another, and neither the projections' bits nor the form move
+    # another, and deletion, and neither the projections' bits nor the
+    # form move
     if isinstance(s, d.Shifted):
         fields = ("base", "shift")
     else:
@@ -467,6 +468,9 @@ def test_descriptors_refuse_rebinding_what_they_hold(s):
         for new in (value, None):
             with pytest.raises(AttributeError, match="cannot be rebound"):
                 setattr(s, name, new)
+        # a deletion would let a later assignment rebind the field
+        with pytest.raises(AttributeError, match="cannot be deleted"):
+            delattr(s, name)
         assert getattr(s, name) is value
     assert observed() == before
 
@@ -484,10 +488,11 @@ def test_methods_can_still_be_shadowed_on_a_descriptor():
     assert s.project([-1.0, 2.0]).tolist() == [0.0, 2.0]
     assert s.project_rows([[-1.0, 2.0]]).tolist() == [[0.0, 2.0]]
     assert len(calls) == 3  # project, its _project, and _project_rows
-    for name in ("project", "distance", "reflect"):
+    for name in ("distance", "reflect"):
         s.__dict__.pop(name)
-    del s._project, s._project_rows
+    del s.project, s._project, s._project_rows  # the class methods come back
     assert vars(s) == {"dim": 2}
+    assert s.project([-1.0, 2.0]).tolist() == [0.0, 2.0] and len(calls) == 3
 
 
 def _signed_magnitudes():
@@ -884,9 +889,9 @@ def test_shifted_translates_projection():
 
 
 def test_is_linear_subspace():
-    assert d.is_linear_subspace(d.Affine([[1.0, 2.0]], [0.0]))
-    assert not d.is_linear_subspace(d.Affine(LINE_L, LINE_A))
-    assert d.is_linear_subspace(d.Hyperplane([1.0, 1.0], 0.0))
-    assert not d.is_linear_subspace(d.Hyperplane([1.0, 1.0], 1.0))
-    assert d.is_linear_subspace(d.Diagonal(2, 2))
-    assert not d.is_linear_subspace(d.Orthant(2))
+    assert d.Affine([[1.0, 2.0]], [0.0]).is_linear()
+    assert not d.Affine(LINE_L, LINE_A).is_linear()
+    assert d.Hyperplane([1.0, 1.0], 0.0).is_linear()
+    assert not d.Hyperplane([1.0, 1.0], 1.0).is_linear()
+    assert d.Diagonal(2, 2).is_linear()
+    assert not d.Orthant(2).is_linear()
