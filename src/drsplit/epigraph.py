@@ -81,15 +81,13 @@ def _residual(f: ConvexFunction1D, x: float, rho: float, p: float) -> float:
 def _bisect_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
     """Root of the projection equation by bisection on [min(x,u), max(x,u)].
 
-    Requires f(x) > rho.  Every sign change of the residual on the bracket
-    lies where f >= rho, and the residual is strictly increasing there (for
-    x > u; mirrored otherwise), so bisection isolates the unique projection
-    abscissa.
+    Requires f(x) > rho and x != u, as ``project_epigraph`` ensures.  Every
+    sign change of the residual on the bracket lies where f >= rho, and the
+    residual is strictly increasing there (for x > u; mirrored otherwise),
+    so bisection isolates the unique projection abscissa.
     """
     u = f.minimizer
     lo, hi = (u, x) if x >= u else (x, u)
-    if lo == hi:
-        return x
     g_lo = _residual(f, x, rho, lo)
     g_hi = _residual(f, x, rho, hi)
     if g_lo == 0.0:

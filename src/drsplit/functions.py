@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -28,19 +28,24 @@ class ConvexFunction1D:
     """A convex, continuous function on the real line.
 
     ``subgrad`` must return one element of the subdifferential at every
-    point, with ``subgrad(minimizer) == 0``.  ``inf_value`` equals
-    ``fn(minimizer)``.
+    point, with ``subgrad(minimizer) == 0``.  ``inf_value`` is
+    ``fn(minimizer)``, evaluated on each read, so it cannot disagree with
+    the function.
     """
 
     fn: Callable[[float], float]
     subgrad: Callable[[float], float]
     minimizer: float
-    inf_value: float
+    _: KW_ONLY
     kind: FunctionKind = FunctionKind.CUSTOM
     params: tuple = field(default=())
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
+
+    @property
+    def inf_value(self) -> float:
+        return float(self.fn(self.minimizer))
 
     def spec_name(self) -> str:
         """Problem-file name of a builtin, e.g. ``quadratic(1,0,-1)``."""
@@ -68,7 +73,6 @@ def quadratic(q2: float, q1: float, q0: float) -> ConvexFunction1D:
         fn=lambda x: (q2 * x + q1) * x + q0,
         subgrad=lambda x: 2.0 * q2 * x + q1,
         minimizer=u,
-        inf_value=(q2 * u + q1) * u + q0,
         kind=FunctionKind.QUADRATIC,
         params=(q2, q1, q0),
     )
@@ -89,7 +93,6 @@ def absshift(alpha: float, beta: float) -> ConvexFunction1D:
         fn=lambda x: alpha * abs(x) + beta,
         subgrad=lambda x: alpha if x > 0 else (-alpha if x < 0 else 0.0),
         minimizer=0.0,
-        inf_value=beta,
         kind=FunctionKind.ABS_SHIFT,
         params=(alpha, beta),
     )
@@ -105,14 +108,7 @@ def custom(
     Convexity is not verified here; see :func:`check_convexity` for a
     randomized spot check.
     """
-    minimizer = float(minimizer)
-    return ConvexFunction1D(
-        fn=fn,
-        subgrad=subgrad,
-        minimizer=minimizer,
-        inf_value=float(fn(minimizer)),
-        kind=FunctionKind.CUSTOM,
-    )
+    return ConvexFunction1D(fn=fn, subgrad=subgrad, minimizer=float(minimizer))
 
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")

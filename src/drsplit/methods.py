@@ -28,21 +28,13 @@ from .sets import (
     DimensionMismatchError,
     Hyperplane,
     Shifted,
-    as_rows,
-    as_vector,
-)
-from .trace import (
-    IterationTrace,
-    Monitor,
-    Reason,
-    Termination,
-    _exact_step,
     _norm,
     _norms,
     _read_only,
-    _rows,
-    normalize_rules,
+    as_rows,
+    as_vector,
 )
+from .trace import IterationTrace, Monitor, Reason, Termination, _exact_step, normalize_rules
 
 
 class MethodKind(Enum):
@@ -260,18 +252,11 @@ def run(
     if eta is None and n:   # the flag no rule read, from the last step alone
         residual = _norm(z - z_prev)
         hit = _exact_step(residual, 1.0 + _norm(z_prev), None)
-    z_rows = _rows(z_list, set_a.dim)
     return IterationTrace(
-        z=z_rows,
+        z=_read_only(np.concatenate(z_list).reshape(-1, set_a.dim)),
         set_a=set_a,
         set_b=set_b,
-        termination=Termination(
-            reason=reason,
-            iterations=n,
-            final_point=z_rows[-1],   # read-only, and never the caller's z0
-            exact=hit,
-            step_residual=residual,
-        ),
+        termination=Termination(reason=reason, exact=hit, step_residual=residual),
         translation=None if pair is None or pair.shift is None else _read_only(pair.shift),
     )
 

@@ -14,9 +14,9 @@ elementwise on the coordinate columns X[:, k], never with a matrix product
 over the stack, so a row's bits do not depend on the other rows;
 ``project`` makes the same operations in the same order on one point,
 mostly in Python floats, so it has the row form's bits on that point, at
-every dim.  Inner products and norms (``trace._dot``
-and ``trace._dots``) add the products left to right from 0.0 below 8
-terms, the bits of numpy's ``sum(axis=1)`` there, and take numpy's
+every dim.  The inner products and norms defined here (``_dot``,
+``_dots``, ``_norm``, ``_norms``) add the products left to right from 0.0
+below 8 terms, the bits of numpy's ``sum(axis=1)`` there, and take numpy's
 pairwise sum from 8; that is numpy's order, not a promise of numpy's, so
 the tests are the guarantee.
 """
@@ -29,8 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import _dot, _dots, _norm, _norms, _read_only
-
 # Relative pivot threshold for declaring the Gram matrix of an affine
 # descriptor numerically singular.
 RANK_TOL = 1e-12
@@ -42,6 +40,54 @@ class DimensionMismatchError(ValueError):
 
 class RankDeficientError(ValueError):
     """The constraint matrix of an affine set is not of full row rank."""
+
+
+def _dot(x: np.ndarray, w: np.ndarray) -> float:
+    """<x, w> of two vectors with the bits of ``_dots`` on one row: below 8
+    terms the products added left to right from 0.0 in Python floats, from
+    8 numpy's pairwise sum of them."""
+    if len(x) >= 8:
+        return np.add.reduce(x * w)
+    acc = 0.0
+    for xk, wk in zip(x.tolist(), w.tolist()):
+        acc += xk * wk
+    return acc
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, with the bits of ``_norms``: the
+    square root of ``_dot(v, v)``, below 8 terms in one loop over one list
+    of floats, which takes half of ``_dot``'s time at dim 2."""
+    if len(v) >= 8:
+        return math.sqrt(_dot(v, v))
+    acc = 0.0
+    for vk in v.tolist():
+        acc += vk * vk
+    return math.sqrt(acc)
+
+
+def _dots(X: np.ndarray, W) -> np.ndarray:
+    """<x_i, w_i> for each row x_i of a stack, against one vector W or the
+    rows of a stack W, with the bits of ``(X * W).sum(axis=1)``: below 8
+    terms numpy adds left to right from 0.0, as the column loop does; from
+    8 its order is pairwise, and that sum is taken."""
+    if X.shape[1] >= 8:
+        return (X * W).sum(axis=1)
+    acc = np.zeros(X.shape[0])
+    for k in range(X.shape[1]):
+        acc += X[:, k] * W[..., k]
+    return acc
+
+
+def _norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a stack."""
+    return np.sqrt(_dots(D, D))
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    """v, marked read-only, as every trace column is."""
+    v.flags.writeable = False
+    return v
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

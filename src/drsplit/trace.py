@@ -1,4 +1,7 @@
-"""Iteration records and stopping rules shared by all iteration drivers."""
+"""Iteration records and stopping rules shared by all iteration drivers.
+
+A trace stores each fact once: the iterates, the two sets and the run's
+decision; every other column is derived with the row kernels of ``sets``."""
 
 from __future__ import annotations
 
@@ -6,69 +9,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .sets import ConvexSet
+from .sets import ConvexSet, _norms, _read_only
 
 DEFAULT_ETA = 1e-14
 DEFAULT_MAX_ITER = 100_000
-
-
-def _dot(x: np.ndarray, w: np.ndarray) -> float:
-    """<x, w> of two vectors with the bits of ``_dots`` on one row: below 8
-    terms the products added left to right from 0.0 in Python floats, from
-    8 numpy's pairwise sum of them."""
-    if len(x) >= 8:
-        return np.add.reduce(x * w)
-    acc = 0.0
-    for xk, wk in zip(x.tolist(), w.tolist()):
-        acc += xk * wk
-    return acc
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a real vector, with the bits of ``_norms``: the
-    square root of ``_dot(v, v)``, below 8 terms in one loop over one list
-    of floats, which takes half of ``_dot``'s time at dim 2."""
-    if len(v) >= 8:
-        return math.sqrt(_dot(v, v))
-    acc = 0.0
-    for vk in v.tolist():
-        acc += vk * vk
-    return math.sqrt(acc)
-
-
-def _dots(X: np.ndarray, W) -> np.ndarray:
-    """<x_i, w_i> for each row x_i of a stack, against one vector W or the
-    rows of a stack W, with the bits of ``(X * W).sum(axis=1)``: below 8
-    terms numpy adds left to right from 0.0, as the column loop does; from
-    8 its order is pairwise, and that sum is taken."""
-    if X.shape[1] >= 8:
-        return (X * W).sum(axis=1)
-    acc = np.zeros(X.shape[0])
-    for k in range(X.shape[1]):
-        acc += X[:, k] * W[..., k]
-    return acc
-
-
-def _norms(D: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a stack."""
-    return np.sqrt(_dots(D, D))
-
-
-def _read_only(v: np.ndarray) -> np.ndarray:
-    """v, marked read-only, as every trace column is."""
-    v.flags.writeable = False
-    return v
-
-
-def _rows(parts: list, dim: int) -> np.ndarray:
-    """One read-only (records, dim) array of a column's vectors, or of flat
-    blocks of them, in order."""
-    return _read_only(np.concatenate(parts).reshape(-1, dim))
 
 
 class Monitor(Enum):
@@ -115,9 +63,11 @@ class Reason(Enum):
 
 @dataclass(frozen=True)
 class Termination:
+    """The run's decision: why it stopped, the last step's exactness flag
+    and that step's residual ||z_n - z_{n-1}||.  The step count and the
+    final point are the trace's own: ``len(z) - 1`` and ``z[-1]``."""
+
     reason: Reason
-    iterations: int
-    final_point: np.ndarray
     exact: bool
     step_residual: Optional[float] = None
 
@@ -138,7 +88,8 @@ class IterationTrace:
     projectors that ``run`` calls (see ``sets``), so ``a`` holds the
     shadows that ``run`` computed.  Every column is one read-only float
     array, (iterations + 1, dim) for the points and (iterations + 1,) for
-    the distances.
+    the distances; ``iterations`` is len(z) - 1 and ``final_point`` the
+    read-only view z[-1].
     """
 
     z: np.ndarray
@@ -174,11 +125,11 @@ class IterationTrace:
 
     @property
     def iterations(self) -> int:
-        return self.termination.iterations
+        return len(self.z) - 1
 
     @property
     def final_point(self) -> np.ndarray:
-        return self.termination.final_point
+        return self.z[-1]
 
     def __len__(self) -> int:
         return len(self.z)

@@ -154,14 +154,21 @@ def test_point_start_and_lift_route(tmp_path):
 
 
 def test_roundtrip_serialize_parse(tmp_path):
+    traced = small_problem(tmp_path, start={"point": [3, -4]})
+    traced["outputs"]["trace_path"] = str(tmp_path / "trace.csv")
     for text in (
         cli.builtin_problem_path("line_orthant.json").read_text(),
         json.dumps(small_problem(tmp_path, start={"point": [3, -4]})),
+        json.dumps(traced),
         json.dumps(oracle_problems(tmp_path)["lifted"]),
     ):
         spec = cli.parse_problem(text)
         again = cli.parse_problem(cli.serialize_problem(spec))
         assert again == spec
+    # the trace path, which only a point problem takes, is written and read back
+    spec = cli.parse_problem(json.dumps(traced))
+    assert spec.to_dict()["outputs"]["trace_path"] == traced["outputs"]["trace_path"]
+    assert cli.parse_problem(cli.serialize_problem(spec)).trace_path == spec.trace_path
 
 
 def test_epigraph_descriptor_roundtrip():
@@ -531,8 +538,9 @@ def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monitor):
     rows = plan_rows(spec.set_a, spec.set_b, rules, cli._starts(spec))
     assert {r.reason for r in rows} == set(d.Reason)
     for row in rows:
-        t = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method]).termination
-        assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+        tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method])
+        t = tr.termination
+        assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
 
 
 @pytest.mark.parametrize("monitor, steps, a_rows, norm_rows", [
@@ -585,9 +593,10 @@ def test_sweep_exact_matches_run_where_map_and_mrp_stop(tmp_path):
     for doc in docs + [capped, infeasible]:
         spec = cli.parse_problem(json.dumps(doc))
         for row in cli.sweep(spec):
-            t = d.run(spec.set_a, spec.set_b, row.method, row.z0,
-                      cli._rules_for(row.method, spec)).termination
-            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+            tr = d.run(spec.set_a, spec.set_b, row.method, row.z0,
+                       cli._rules_for(row.method, spec))
+            t = tr.termination
+            assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
             seen.add((row.iterations == 0, row.reason, row.exact))
     assert {(True, d.Reason.FEASIBILITY, False), (False, d.Reason.MAX_ITER, False),
             (False, d.Reason.MAX_ITER, True)} <= seen
@@ -619,9 +628,10 @@ def test_sweep_from_the_x_axis_to_an_epigraph_ends_exact(tmp_path):
         assert (spec.set_b.f.kind, spec.set_b.f.params) == (f.kind, f.params)
         for row in cli.sweep(spec):
             assert row.method is not d.MethodKind.DRA or row.reason is d.Reason.EXACT_FIXED_POINT
-            t = d.run(spec.set_a, spec.set_b, row.method, row.z0,
-                      cli._rules_for(row.method, spec)).termination
-            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
+            tr = d.run(spec.set_a, spec.set_b, row.method, row.z0,
+                       cli._rules_for(row.method, spec))
+            t = tr.termination
+            assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
 
 
 def test_dra_ends_exact_on_a_hyperplane_through_the_orthant_apex():
@@ -635,9 +645,10 @@ def test_dra_ends_exact_on_a_hyperplane_through_the_orthant_apex():
         res = d.run_rows(set_a, set_b, {d.MethodKind.DRA: rules}, Z)
         assert list(res["reason"]) == [d.Reason.EXACT_FIXED_POINT] * len(Z)
         for z0, final in zip(Z, res["final"]):
-            t = d.run(set_a, set_b, d.MethodKind.DRA, z0, rules).termination
+            tr = d.run(set_a, set_b, d.MethodKind.DRA, z0, rules)
+            t = tr.termination
             assert t.reason is d.Reason.EXACT_FIXED_POINT
-            for z in (final, t.final_point):
+            for z in (final, tr.final_point):
                 shadow = set_a.project(z)
                 assert set_a.distance(shadow) <= 1e-12
                 assert set_b.distance(shadow) <= 1e-12
@@ -649,9 +660,10 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path):
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
     plans = dict.fromkeys(spec.methods, [d.MaxIter(4)])
     for row in plan_rows(spec.set_a, spec.set_b, plans, cli._starts(spec)):
-        t = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)]).termination
+        tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)])
+        t = tr.termination
         assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
-        assert np.array_equal(row.final.view(np.int64), t.final_point.view(np.int64))
+        assert np.array_equal(row.final.view(np.int64), tr.final_point.view(np.int64))
 
 
 def test_sweep_matches_run_under_random_rule_plans(tmp_path):
@@ -674,9 +686,10 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path):
             plan[method] = [rules[k] for k in rng.permutation(len(rules))]
         spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=3, methods=methods)))
         for row in plan_rows(spec.set_a, spec.set_b, plan, cli._starts(spec), [0, 3, 9]):
-            t = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method]).termination
-            assert (row.iterations, row.exact, row.reason) == (t.iterations, t.exact, t.reason)
-            assert np.array_equal(row.final.view(np.int64), t.final_point.view(np.int64))
+            tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method])
+            t = tr.termination
+            assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
+            assert np.array_equal(row.final.view(np.int64), tr.final_point.view(np.int64))
             seen.add((row.reason, row.exact))
     assert {(d.Reason.FEASIBILITY, False), (d.Reason.EXACT_FIXED_POINT, True),
             (d.Reason.MAX_ITER, False), (d.Reason.MAX_ITER, True)} <= seen
@@ -702,10 +715,11 @@ def test_run_rows_equals_run_to_the_bit(name):
     plans = {m: cli._rules_for(m, spec) for m in spec.methods}
     res = d.run_rows(set_a, set_b, plans, Z)
     for i, (z0, method) in enumerate(itertools.product(Z, plans)):
-        t = d.run(set_a, set_b, method, z0, plans[method]).termination
+        tr = d.run(set_a, set_b, method, z0, plans[method])
+        t = tr.termination
         got = (res["iterations"][i], res["reason"][i], res["exact"][i])
-        assert got == (t.iterations, t.reason, t.exact), (z0, method)
-        assert np.array_equal(res["final"][i].view(np.int64), t.final_point.view(np.int64)), (z0, method)
+        assert got == (tr.iterations, t.reason, t.exact), (z0, method)
+        assert np.array_equal(res["final"][i].view(np.int64), tr.final_point.view(np.int64)), (z0, method)
 
 
 def test_sweep_rejects_sets_of_different_dimensions():

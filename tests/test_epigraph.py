@@ -261,6 +261,28 @@ def test_invalid_subgradient_selection_raises():
     bad = d.custom(lambda x: x * x - 1, lambda x: 2 * x + 5, 0.0)
     with pytest.raises(d.NoConvergenceError):
         d.project_epigraph(bad, (3.0, -2.0))
+    # the selection -2x has the wrong sign: the residual is negative at both
+    # ends of the bracket [0, 3]
+    flipped = d.custom(lambda x: x * x - 1, lambda x: -2 * x, 0.0)
+    with pytest.raises(d.NoConvergenceError, match="does not change sign on the bracket"):
+        d.project_epigraph(flipped, (3.0, 0.0))
+
+
+@pytest.mark.parametrize("f, error, message", [
+    (ABS, ValueError, "^epigraph points must have finite coordinates$"),
+    (QUAD, OverflowError, r"^projecting \(1\.5e\+308, 0\.0\) overflows$"),
+])
+def test_dra_from_the_edge_of_the_float_range_fails_loudly(f, error, message):
+    # DRA from (1.5e308, 0) on the x-axis: the absshift step overflows into
+    # a point that the row projector refuses, while the quadratic's record
+    # point already overflows its projection; run refuses the overflowed
+    # point in the scalar projector's input check
+    axis, epi, z0 = d.Hyperplane([0.0, 1.0], 0.0), d.Epigraph1D(f), (1.5e308, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match=message):
+            d.run_rows(axis, epi, {d.MethodKind.DRA: None}, np.array([z0]))
+        with pytest.raises(ValueError, match="^epigraph points must have finite coordinates$"):
+            d.run(axis, epi, d.MethodKind.DRA, z0)
 
 
 @pytest.mark.parametrize("x", [1e100, 1e120])
@@ -286,6 +308,9 @@ def test_classify_region_examples():
     # boundary counts as membership
     assert d.classify_region(QUAD, (2.0, 3.0)) is Region.IN_B_ONLY
     assert d.classify_region(QUAD, (2.0, -3.0)) is Region.IN_BPRIME_ONLY
+    # just off the kink at x = 1, f(x) = 2^-51 is in neither set but within
+    # BOUNDARY_TIE of both
+    assert d.classify_region(QUAD, (1.0000000000000002, 0.0)) is Region.IN_BOTH
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +516,7 @@ def _epigraph_bit_digest():
         if with_shadows:
             h.update(np.ascontiguousarray(tr.a).tobytes())
         t = tr.termination
-        h.update(f"{t.reason.value} {t.iterations} {t.exact}".encode())
+        h.update(f"{t.reason.value} {tr.iterations} {t.exact}".encode())
         floats(math.nan if t.step_residual is None else t.step_residual)
 
     axis = d.Hyperplane([0.0, 1.0], 0.0)
@@ -613,3 +638,8 @@ def test_witness_residual_shrinks_but_never_fixes(family):
 def test_witness_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         d.luque_witness(WitnessFamily.QUADRATIC, 0.0)
+
+
+def test_witness_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown witness family 'bogus'$"):
+        d.luque_witness("bogus", 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -81,6 +82,32 @@ def test_convexity_spot_check(f):
 
 
 def test_convexity_check_catches_nonconvex():
-    g = d.ConvexFunction1D(fn=math.sin, subgrad=math.cos, minimizer=0.0, inf_value=0.0)
+    g = d.ConvexFunction1D(fn=math.sin, subgrad=math.cos, minimizer=0.0)
     with pytest.raises(ValueError):
         check_convexity(g, cases=1000, seed=3)
+
+
+def test_convexity_check_catches_a_wrong_subgradient():
+    # abs is convex, so the chord test passes; the selection +-2 is no
+    # subgradient of it away from 0
+    g = d.ConvexFunction1D(fn=abs, subgrad=lambda x: math.copysign(2.0, x), minimizer=0.0)
+    with pytest.raises(ValueError, match="subgradient inequality violated"):
+        check_convexity(g, cases=1000, seed=3)
+
+
+def test_inf_value_is_f_at_its_minimizer():
+    # inf_value is no field that a hand-built function can contradict:
+    # run_epi checks Slater's condition inf f < 0 on f itself
+    assert "inf_value" not in {f.name for f in dataclasses.fields(d.ConvexFunction1D)}
+    above = d.ConvexFunction1D(fn=lambda x: x * x + 1.0, subgrad=lambda x: 2.0 * x,
+                               minimizer=0.0)
+    assert above.inf_value == 1.0
+    with pytest.raises(d.PreconditionViolatedError, match="requires inf f < 0"):
+        d.run_epi(above, (3.0, 4.0))
+    below = d.ConvexFunction1D(fn=lambda x: x * x - 1.0, subgrad=lambda x: 2.0 * x,
+                               minimizer=0.0)
+    assert d.run_epi(below, (3.0, 4.0)).termination.reason is d.Reason.EXACT_FIXED_POINT
+    # kind and params are keyword-only: a fourth positional argument binds
+    # to nothing
+    with pytest.raises(TypeError):
+        d.ConvexFunction1D(abs, lambda x: 0.0, 0.0, -1.0)

@@ -38,8 +38,7 @@ def _tree(name):
 
 @pytest.mark.parametrize("name", ["__init__", *MODULES])
 def test_no_import_or_global_inside_a_function(name):
-    # a deferred import hid the cycle sets -> epigraph -> methods -> sets;
-    # trace's module-level ``if TYPE_CHECKING:`` import is not in a function
+    # a deferred import hid the cycle sets -> epigraph -> methods -> sets
     found = []
     for node in ast.walk(_tree(name)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -51,16 +50,28 @@ def test_no_import_or_global_inside_a_function(name):
     assert found == []
 
 
+def _package_imports(name):
+    """The package modules that a module imports, each import a statement
+    of the module body, under no condition such as ``if TYPE_CHECKING:``."""
+    tree = _tree(name)
+    deps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            assert node in tree.body, f"{name}: conditional import at line {node.lineno}"
+            deps |= {node.module} if node.module else {a.name for a in node.names}
+    return deps & set(MODULES)
+
+
+def test_sets_imports_no_package_module_and_trace_only_sets():
+    # sets owns the inner products and norms its projectors' bits rest on,
+    # and trace derives its columns with them
+    assert _package_imports("sets") == set()
+    assert _package_imports("trace") == {"sets"}
+
+
 def test_the_module_graph_is_acyclic():
-    # functions, trace -> sets -> methods -> epigraph, lifting -> cli
-    edges = {}
-    for name in MODULES:
-        deps = set()
-        for node in _tree(name).body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                deps |= {node.module} if node.module else {a.name for a in node.names}
-        edges[name] = deps & set(MODULES)
-    assert "epigraph" not in edges["sets"]
+    # functions, sets -> trace -> methods -> epigraph, lifting -> cli
+    edges = {name: _package_imports(name) for name in MODULES}
     order = []
     while len(order) < len(edges):
         ready = sorted(n for n, deps in edges.items() if n not in order and deps <= set(order))

@@ -138,10 +138,14 @@ def test_spingarn_step_rejects_affine_offset():
 
 def test_spingarn_state_validation():
     set_a = d.Diagonal(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^state components are not orthogonal$"):
         d.SpingarnState(a=np.array([1.0, 1.0]), b=np.array([1.0, 1.0])).validate(set_a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^first component is not in the subspace$"):
         d.SpingarnState(a=np.array([1.0, 0.0]), b=np.array([0.0, 0.0])).validate(set_a)
+    # b = (1, -1) is orthogonal to a = 0, but lies in x + y = 0 itself
+    with pytest.raises(ValueError, match="^second component is not in the orthogonal complement$"):
+        d.SpingarnState(a=np.zeros(2), b=np.array([1.0, -1.0])).validate(
+            d.Hyperplane([1.0, 1.0], 0.0))
 
 
 def test_spingarn_run_preserves_state_invariants():
@@ -671,6 +675,23 @@ def test_trace_columns_are_read_only_arrays(method, cap):
         assert np.array_equal(bits(a), bits(set_a.project(z)))
 
 
+def test_a_termination_is_the_runs_decision():
+    # why the run stopped, and its last step's flag and residual; the step
+    # count and the final point are the trace's
+    assert [f.name for f in dataclasses.fields(d.Termination)] == [
+        "reason", "exact", "step_residual"]
+
+
+def test_a_trace_reads_its_count_and_final_point_from_its_iterates():
+    # a trace cut to its first k records ends at record k - 1
+    set_a, set_b = infeasible_line()
+    tr = d.run(set_a, set_b, d.MethodKind.DRA, [100.0, -100.0], d.MaxIter(6))
+    for k in range(1, len(tr) + 1):
+        cut = dataclasses.replace(tr, z=tr.z[:k])
+        assert cut.iterations == k - 1
+        assert np.array_equal(bits(cut.final_point), bits(tr.z[k - 1]))
+
+
 @pytest.mark.parametrize("method", list(d.MethodKind))
 def test_wide_affine_runs_have_the_bits_of_the_rows(method):
     # an Affine of R^9 (from dim 8 as below it) against a box it meets:
@@ -690,10 +711,10 @@ def test_wide_affine_runs_have_the_bits_of_the_rows(method):
     for i, z0 in enumerate(Z):
         tr = d.run(set_a, set_b, method, z0, rules)
         t = tr.termination
-        assert t.reason is d.Reason.FEASIBILITY and t.iterations > 1
+        assert t.reason is d.Reason.FEASIBILITY and tr.iterations > 1
         assert (res["iterations"][i], res["reason"][i], res["exact"][i]) == (
-            t.iterations, t.reason, t.exact)
-        assert np.array_equal(bits(res["final"][i]), bits(t.final_point))
+            tr.iterations, t.reason, t.exact)
+        assert np.array_equal(bits(res["final"][i]), bits(tr.final_point))
         assert tr.d_a[-1] < tol and tr.d_b[-1] < tol
         for n, z in enumerate(tr.z):
             a = set_a.project(z)

@@ -234,6 +234,24 @@ def test_vectors_must_be_finite():
             d.absshift(*params)
 
 
+def test_degenerate_inputs_are_refused():
+    # each check with its own message: a stack is no vector, a normal must
+    # be nonzero, a box's bounds ordered, a radius positive and a product
+    # nonempty
+    with pytest.raises(ValueError, match=r"^expected a vector, got array of shape \(2, 2\)$"):
+        d.sets.as_vector(np.zeros((2, 2)))
+    for kind in (d.Hyperplane, d.Halfspace):
+        with pytest.raises(ValueError, match=f"^{kind.__name__.lower()} normal must be nonzero$"):
+            kind([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="^box requires lo <= hi componentwise$"):
+        d.Box([0.0, 1.0], [1.0, 0.0])
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            d.Ball([0.0, 0.0], radius)
+    with pytest.raises(ValueError, match="^product needs at least one component$"):
+        d.Product([])
+
+
 def test_set_sizes_are_positive_integers():
     # a fraction is not truncated and a bool is not a size
     for make in (lambda: d.Orthant(2.7), lambda: d.Orthant(True),
@@ -730,10 +748,10 @@ def _row_pool(s, rng, probes):
 
 
 def test_row_projector_bits_are_pinned():
-    # every descriptor's row form and ``trace._norms`` on stacks of 1, 2, 7
+    # every descriptor's row form and ``sets._norms`` on stacks of 1, 2, 7
     # and 530 rows, C-contiguous and as strided columns of a wider stack, as
     # ``Product`` passes them: a change in the rows' float arithmetic moves it
-    from drsplit.trace import _norms
+    from drsplit.sets import _norms
 
     h = hashlib.sha256()
     rng = np.random.default_rng(2501)
@@ -769,7 +787,7 @@ def test_norm_and_dot_have_the_bits_of_the_rows(dim):
     # ``run``'s inner product and norm are the sweep's row forms on one
     # row: left to right from 0.0 below 8 terms, numpy's sum from 8; rows of
     # a C-contiguous stack and of a strided one, signed zeros included
-    from drsplit.trace import _dot, _dots, _norm, _norms
+    from drsplit.sets import _dot, _dots, _norm, _norms
 
     rng = np.random.default_rng(2610 + dim)
     wide = rng.normal(size=(400, dim + 3))
