@@ -14,6 +14,7 @@ so equal specs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 import math
@@ -154,13 +155,6 @@ def set_to_config(s: ConvexSet) -> dict:
 # problem specs
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    steps: int
-
-
 @dataclass(eq=False)
 class ProblemSpec:
     """Validated, runnable description of one experiment."""
@@ -170,8 +164,8 @@ class ProblemSpec:
     set_a: Optional[ConvexSet]
     set_b: Optional[ConvexSet]
     lift_sets: Optional[list]
-    start_point: Optional[np.ndarray]
-    grid: Optional[GridSpec]
+    start: dict              # the start section as parsed, which to_dict writes
+    starts: np.ndarray       # read-only (N, dim); a grid's rows in row-major order
     eta: float
     tol: float
     monitor: Monitor
@@ -191,11 +185,6 @@ class ProblemSpec:
                 "set_a": set_to_config(self.set_a),
                 "set_b": set_to_config(self.set_b),
             }
-        if self.grid is not None:
-            start = {"grid": {"lo": self.grid.lo, "hi": self.grid.hi,
-                              "steps": self.grid.steps}}
-        else:
-            start = {"point": self.start_point.tolist()}
         outputs = {"record_at": list(self.record_at)}
         if self.csv_path is not None:
             outputs["csv_path"] = self.csv_path
@@ -205,7 +194,7 @@ class ProblemSpec:
             "dim": self.dim,
             **sets,
             "methods": [m.value for m in self.methods],
-            "start": start,
+            "start": copy.deepcopy(self.start),
             "stopping": {
                 "eta": self.eta,
                 "tol": self.tol,
@@ -319,8 +308,6 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
             raise ValidationError(str(e)) from e
 
     start = _checked(need("start"), dict, "start")
-    start_point = None
-    grid = None
     if "grid" in start and "point" in start:
         raise ValidationError("give either 'point' or 'grid' in 'start', not both")
     if "grid" in start:
@@ -334,17 +321,22 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
             raise ValidationError("grid needs lo <= hi and steps >= 1")
         if not math.isfinite(hi - lo):  # linspace would make nan starts
             raise ValidationError("grid span hi - lo must be a finite number")
-        grid = GridSpec(lo=lo, hi=hi, steps=steps)
+        start = {"grid": {"lo": lo, "hi": hi, "steps": steps}}
+        axis = np.linspace(lo, hi, steps)
+        starts = np.column_stack((np.repeat(axis, steps), np.tile(axis, steps)))
     elif "point" in start:
         try:
-            start_point = np.asarray(start["point"], dtype=float)
+            point = np.array(start["point"], dtype=float)
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError("start point must be a numeric list",
                              fieldname="start.point") from e
-        if start_point.shape != (dim,) or not np.all(np.isfinite(start_point)):
+        if point.shape != (dim,) or not np.all(np.isfinite(point)):
             raise ValidationError(f"start point must be a finite vector of length {dim}")
+        start = {"point": point.tolist()}
+        starts = point.reshape(1, dim)
     else:
         raise ParseError("start must contain 'point' or 'grid'", fieldname="start")
+    starts.flags.writeable = False
 
     stopping = _checked(doc.get("stopping", {}), dict, "stopping")
     eta = _finite(stopping.get("eta", DEFAULT_ETA), "stopping.eta")
@@ -371,7 +363,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         # open() takes an integer as a file descriptor, and "" names no file
         if path is not None and not _checked(path, str, f"outputs.{key}"):
             raise ValidationError(f"'outputs.{key}' must not be empty")
-    if trace_path is not None and grid is not None:
+    if trace_path is not None and "point" not in start:
         raise ValidationError("trace output requires a point start")
 
     return ProblemSpec(
@@ -380,8 +372,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         set_a=set_a,
         set_b=set_b,
         lift_sets=lift_sets,
-        start_point=start_point,
-        grid=grid,
+        start=start,
+        starts=starts,
         eta=eta,
         tol=tol,
         monitor=monitor,
@@ -431,14 +423,6 @@ def _resolve_sets(spec: ProblemSpec):
     return spec.set_a, spec.set_b, np.asarray, np.asarray
 
 
-def _starts(spec: ProblemSpec) -> np.ndarray:
-    """The starts as one (N, dim) array, a grid's in row-major order."""
-    if spec.grid is None:
-        return np.asarray(spec.start_point, dtype=float).reshape(1, -1)
-    axis = np.linspace(spec.grid.lo, spec.grid.hi, spec.grid.steps)
-    return np.column_stack((np.repeat(axis, axis.size), np.tile(axis, axis.size)))
-
-
 def _rules_for(method: MethodKind, spec: ProblemSpec):
     """The one reading of a problem's stopping fields, for run and sweep."""
     if method in _SHADOW_METHODS:
@@ -457,13 +441,12 @@ def sweep(spec: ProblemSpec) -> list:
     dropped.
     """
     set_a, set_b, embed, restrict = _resolve_sets(spec)
-    starts = _starts(spec)
     res = run_rows(set_a, set_b, {m: _rules_for(m, spec) for m in spec.methods},
-                   embed(starts), spec.record_at)
+                   embed(spec.starts), spec.record_at)
     final = restrict(res["final"])
     width = len(spec.methods)
     return list(map(SweepRow._make, zip(
-        (z0 for z0 in starts for _ in range(width)), itertools.cycle(spec.methods),
+        (z0 for z0 in spec.starts for _ in range(width)), itertools.cycle(spec.methods),
         res["iterations"].tolist(), res["exact"].tolist(), final,
         map(tuple, res["d_b_at"].tolist()), map(tuple, res["first_n"].tolist()),
         res["reason"].tolist())))
@@ -643,7 +626,7 @@ def main(argv=None) -> int:
         if spec.trace_path is not None:
             # parsing allows a trace only with a point start
             set_a, set_b, embed, _ = _resolve_sets(spec)
-            z0 = embed(spec.start_point)
+            z0 = embed(spec.starts[0])
             traces = {m: run(set_a, set_b, m, z0, _rules_for(m, spec))
                       for m in spec.methods}
             emit_trace(traces, spec.trace_path)

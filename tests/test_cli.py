@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -43,9 +44,46 @@ def test_builtin_problem_parses():
     assert spec.dim == 2
     assert isinstance(spec.set_a, d.Affine) and isinstance(spec.set_b, d.Orthant)
     assert spec.methods == [d.MethodKind.DRA, d.MethodKind.MAP, d.MethodKind.MRP]
-    assert spec.grid == cli.GridSpec(-100.0, 100.0, 41)
+    assert spec.start == {"grid": {"lo": -100.0, "hi": 100.0, "steps": 41}}
+    assert all(type(v) is float for v in (spec.start["grid"]["lo"], spec.start["grid"]["hi"]))
     assert spec.tol == 1e-4 and spec.eta == 1e-14 and spec.max_iter == 100000
     assert spec.record_at == [5, 10]
+
+
+def test_starts_are_one_read_only_stack(tmp_path):
+    # each start form is parsed once into a read-only C-contiguous float64
+    # (N, dim) stack; the shipped grid's rows are the reference CSV's z0
+    # columns in its row order (x outer), and to_dict hands out a copy of the
+    # start section, so editing it leaves the spec as it was
+    path = cli.builtin_problem_path("line_orthant.json")
+    out = tmp_path / "ref.csv"
+    assert cli.main(["--problem", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
+    z0 = np.array([line.split(",")[:2] for line in out.read_text().splitlines()[1::3]],
+                  dtype=float)
+    assert len(z0) == 41 * 41
+    lifted = oracle_problems(tmp_path)["lifted"]
+    lifted["start"] = {"point": [7.5, -3.25]}
+    point3 = small_problem(tmp_path, dim=3, start={"point": [1, -0.0, 2.5]},
+                           set_a={"type": "hyperplane", "normal": [1, 1, 1], "offset": 1},
+                           set_b={"type": "orthant", "dim": 3})
+    cases = [(path.read_text(), z0), (json.dumps(lifted), [[7.5, -3.25]]),
+             (json.dumps(point3), [[1.0, -0.0, 2.5]])]
+    for text, expected in cases:
+        spec = cli.parse_problem(text)
+        starts = spec.starts
+        assert type(starts) is np.ndarray and starts.dtype == np.float64
+        assert starts.shape == (len(expected), spec.dim) and starts.flags.c_contiguous
+        assert np.array_equal(starts.view(np.int64), np.array(expected).view(np.int64))
+        assert not starts.flags.writeable
+        with pytest.raises(ValueError):
+            starts[0, 0] = 1.0
+        before, text_before = spec.to_dict()["start"], cli.serialize_problem(spec)
+        doc = spec.to_dict()
+        for value in doc["start"].values():
+            value.clear()
+        doc["start"].clear()
+        assert spec.start == before and cli.serialize_problem(spec) == text_before
 
 
 def test_zero_matrix_is_validation_error(tmp_path):
@@ -333,10 +371,11 @@ def reference_sweep(spec):
     else:
         set_a, set_b = spec.set_a, spec.set_b
         embed = restrict = np.asarray
-    if spec.grid is None:
-        starts = [spec.start_point]
+    if "point" in spec.start:
+        starts = [spec.starts[0]]
     else:
-        axis = np.linspace(spec.grid.lo, spec.grid.hi, spec.grid.steps)
+        grid = spec.start["grid"]
+        axis = np.linspace(grid["lo"], grid["hi"], grid["steps"])
         starts = [np.array([x, y]) for x in axis for y in axis]
     rows = []
     for z0 in starts:
@@ -451,7 +490,7 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, name):
     spec = cli.parse_problem(json.dumps(doc))
     rows = cli.sweep(spec)
     by_start = len(spec.methods)
-    for k, z0 in enumerate(cli._starts(spec)):
+    for k, z0 in enumerate(spec.starts):
         doc["start"] = {"point": z0.tolist()}
         alone = cli.sweep(cli.parse_problem(json.dumps(doc)))
         assert_rows_match(rows[k * by_start : (k + 1) * by_start], alone, rtol=0)
@@ -535,7 +574,7 @@ def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monitor):
                            d.MaxIter(30)],
     }
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=["DRA", "MAP"])))
-    rows = plan_rows(spec.set_a, spec.set_b, rules, cli._starts(spec))
+    rows = plan_rows(spec.set_a, spec.set_b, rules, spec.starts)
     assert {r.reason for r in rows} == set(d.Reason)
     for row in rows:
         tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, rules[row.method])
@@ -659,7 +698,7 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path):
     # cap with the flag of its last step
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, methods=ALL_METHODS)))
     plans = dict.fromkeys(spec.methods, [d.MaxIter(4)])
-    for row in plan_rows(spec.set_a, spec.set_b, plans, cli._starts(spec)):
+    for row in plan_rows(spec.set_a, spec.set_b, plans, spec.starts):
         tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, [d.MaxIter(4)])
         t = tr.termination
         assert (row.iterations, row.exact, row.reason) == (4, t.exact, d.Reason.MAX_ITER)
@@ -685,7 +724,7 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path):
                                            list(d.Monitor)[rng.integers(2)]))
             plan[method] = [rules[k] for k in rng.permutation(len(rules))]
         spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=3, methods=methods)))
-        for row in plan_rows(spec.set_a, spec.set_b, plan, cli._starts(spec), [0, 3, 9]):
+        for row in plan_rows(spec.set_a, spec.set_b, plan, spec.starts, [0, 3, 9]):
             tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method])
             t = tr.termination
             assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
@@ -711,7 +750,7 @@ def test_run_rows_equals_run_to_the_bit(name):
         doc["start"]["grid"]["steps"] = 5
     spec = cli.parse_problem(json.dumps(doc))
     set_a, set_b, embed, _ = cli._resolve_sets(spec)
-    Z = embed(cli._starts(spec))
+    Z = embed(spec.starts)
     plans = {m: cli._rules_for(m, spec) for m in spec.methods}
     res = d.run_rows(set_a, set_b, plans, Z)
     for i, (z0, method) in enumerate(itertools.product(Z, plans)):
@@ -740,7 +779,7 @@ def test_sweep_rejects_an_unknown_method(tmp_path):
     # first step, rather than stepping by some other rule
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path)))
     with pytest.raises(ValueError, match="unknown method"):
-        d.run_rows(spec.set_a, spec.set_b, {"DRA": None}, cli._starts(spec))
+        d.run_rows(spec.set_a, spec.set_b, {"DRA": None}, spec.starts)
 
 
 def test_sweep_rows_keep_their_fields_and_types(tmp_path):
@@ -778,6 +817,25 @@ def test_benchmark_hooks_exist():
     with tracing.Tracer().instrument():
         pass
     assert cli.run is d.methods.run
+
+
+def test_specs_have_what_the_benchmark_reads():
+    # perfbench/ reads these attributes of a spec parsed from the shipped
+    # problem and from its two problem files; the spec's fields are pinned,
+    # so that a refactor of the spec cannot silently break a workload or
+    # the traced pass
+    root = Path(__file__).resolve().parents[1]
+    paths = [cli.builtin_problem_path("line_orthant.json"),
+             *sorted((root / "perfbench" / "problems").glob("*.json"))]
+    assert [p.name for p in paths] == ["line_orthant.json", "epigraph.json", "lifted.json"]
+    for path in paths:
+        spec = cli.load_problem(path)
+        for name in ("set_a", "set_b", "lift_sets", "methods", "record_at", "eta", "tol",
+                     "monitor", "max_iter"):
+            assert hasattr(spec, name), (path.name, name)
+    assert [f.name for f in dataclasses.fields(cli.ProblemSpec)] == [
+        "dim", "methods", "set_a", "set_b", "lift_sets", "start", "starts", "eta", "tol",
+        "monitor", "max_iter", "csv_path", "trace_path", "record_at"]
 
 
 def test_run_rows_is_the_one_row_driver():
@@ -831,7 +889,7 @@ def test_csv_deterministic(tmp_path):
 
 def test_full_grid_cardinality(tmp_path):
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=41)))
-    assert len(cli._starts(spec)) == 41 * 41
+    assert len(spec.starts) == 41 * 41
     # 41 x 41 x 3 = 5043 data rows for the shipped experiment
 
 
@@ -940,7 +998,7 @@ def test_emit_trace_matches_per_cell_writer(tmp_path, name):
     doc["start"] = {"point": [100.0, -100.0] if name == "line" else [7.5, -3.25]}
     spec = cli.parse_problem(json.dumps(doc))
     set_a, set_b, embed, _ = cli._resolve_sets(spec)
-    z0 = embed(spec.start_point)
+    z0 = embed(spec.starts[0])
     traces = {m: d.run(set_a, set_b, m, z0, cli._rules_for(m, spec))
               for m in (d.MethodKind.DRA, d.MethodKind.MAP, d.MethodKind.MRP)}
     out = tmp_path / "trace.csv"
@@ -1346,15 +1404,17 @@ def test_main_rejects_malformed_problems_with_their_message(tmp_path, capsys, ed
     assert not (tmp_path / "out.csv").exists()
 
 
+# SHA-256 of the 5,043-row CSV of the shipped reference problem (recorded on
+# x86_64 with numpy 2.4); refactors must keep it byte-identical, and a change
+# that moves it names every changed cell
+REFERENCE_CSV_SHA256 = "45071547f81a729afcb6089daffe1f67cf1a744ca3265cef5e91ffb22c751901"
+
+
 def test_reference_sweep_csv_is_golden(tmp_path):
-    # SHA-256 of the 5,043-row CSV of the shipped reference problem
-    # (recorded on x86_64 with numpy 2.4); refactors must keep it
-    # byte-identical, and a change that moves it names every changed cell
     out = tmp_path / "ref.csv"
     path = cli.builtin_problem_path("line_orthant.json")
     assert cli.main(["--problem", str(path), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "45071547f81a729afcb6089daffe1f67cf1a744ca3265cef5e91ffb22c751901"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
 
 
 def test_batched_restriction_equals_restrict(tmp_path):
@@ -1369,7 +1429,7 @@ def test_batched_restriction_equals_restrict(tmp_path):
     lp = d.lift(cli.parse_problem(json.dumps(doc)).lift_sets)
     for spec in map(cli.parse_problem, map(json.dumps, (doc, capped))):
         rows = cli.sweep(spec)
-        Z = np.array([lp.embed(z0) for z0 in cli._starts(spec)])
+        Z = np.array([lp.embed(z0) for z0 in spec.starts])
         for k, method in enumerate(spec.methods):
             plan = {method: cli._rules_for(method, spec)}
             final = d.run_rows(lp.set_a, lp.set_b, plan, Z, spec.record_at)["final"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import drsplit as d
+from drsplit import cli
 from drsplit.methods import _BLOCK
 from drsplit.trace import DEFAULT_ETA, DEFAULT_MAX_ITER, _exact_step, normalize_rules
 from conftest import (
@@ -951,3 +952,72 @@ def test_linear_rates_on_two_subspaces_are_the_friedrichs_cosine():
             assert abs(steps[k] / steps[k - 1] - rate) <= 1e-3
             cases += 1
     assert cases >= 40
+
+
+# ---------------------------------------------------------------------------
+# oracles: the infeasible affine case and a small step without Slater
+
+
+def _step_ratio(tr):
+    """The last step norm of a trace over the one before it."""
+    steps = np.linalg.norm(np.diff(np.asarray(tr.z), axis=0), axis=1)
+    return steps[-1] / steps[-2]
+
+
+def test_dra_shadow_of_the_infeasible_line_is_its_nearest_point():
+    # A = {x + 5y = -6} misses the orthant; with A affine and the gap
+    # attained, the DRA shadows P_A z_n converge to the point of A nearest B
+    # (Bauschke, Dao & Moursi 2016), here -(3/13, 15/13), although z_n
+    # itself runs off.  Ten steps give it; run on to a cap, the shadow drifts
+    # away again as z_n grows, so an early stop keeps the digits
+    set_a, set_b = infeasible_line()
+    rng = np.random.default_rng(2020)
+    for z0 in ([7.0, -3.0], [100.0, -100.0], rng.uniform(-100, 100, 2)):
+        tr = d.run(set_a, set_b, d.MethodKind.DRA, z0, d.MaxIter(20_000))
+        assert tr.iterations == 20_000
+        early, late = (np.linalg.norm(tr.a[n] + FIX) for n in (10, -1))
+        assert early <= 1e-9
+        assert early < late <= 1e-10
+
+
+def test_dra_shadow_of_an_infeasible_hyperplane_is_its_nearest_point():
+    # {l.x = c} with l > 0 and c < 0 misses the orthant of R^n; the one pair
+    # of nearest points is (c l / |l|^2, 0), so the DRA shadows converge to
+    # c l / |l|^2, computed here in rationals
+    rng = np.random.default_rng(2021)
+    for n in (2, 3, 5, 8, 13, 20):
+        for _ in range(3):
+            normal, offset = rng.uniform(0.1, 2, n), -rng.uniform(0.1, 5)
+            scale = Fraction(offset) / sum(Fraction(v) ** 2 for v in normal)
+            nearest = np.array([float(scale * Fraction(v)) for v in normal])
+            tr = d.run(d.Hyperplane(normal, offset), d.Orthant(n), d.MethodKind.DRA,
+                       rng.uniform(-10, 10, n), d.MaxIter(60))
+            assert np.linalg.norm(tr.a[-1] - nearest) <= 1e-12 * np.linalg.norm(nearest)
+
+
+def test_dra_without_a_slater_point_ends_on_a_small_step_at_a_linear_rate():
+    # y = 1 touches the unit disc only at (0, 1): no Slater point.  DRA from
+    # (3, 4) still ends exact_fixed_point, but on a small step of a linear
+    # rate (the last two steps' ratio about 0.6908 at every eta), with the
+    # shadow about 3 eta from the solution: a small step is no proof of a
+    # fixed point
+    set_a, set_b = d.Hyperplane([0.0, 1.0], 1.0), d.Ball([0.0, 0.0], 1.0)
+    for eta, iterations in ((1e-6, 36), (1e-10, 61), (1e-14, 86)):
+        tr = d.run(set_a, set_b, d.MethodKind.DRA, [3.0, 4.0],
+                   [d.ExactFixedPoint(eta), d.MaxIter(100_000)])
+        assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT
+        assert tr.iterations == iterations
+        assert abs(_step_ratio(tr) - 0.6908) <= 0.01
+        assert 2 * eta <= np.linalg.norm(tr.a[-1] - [0.0, 1.0]) <= 5 * eta
+
+
+def test_dra_under_slater_ends_on_a_drop_to_rounding():
+    # finite convergence shows as the last step falling far below the one
+    # before it: on every start of the shipped 41 x 41 line/orthant grid the
+    # ratio stays below 1e-2 (at most 9.9e-4 measured), against 0.69 above
+    spec = cli.load_problem(cli.builtin_problem_path("line_orthant.json"))
+    rules = cli._rules_for(d.MethodKind.DRA, spec)
+    for z0 in spec.starts:
+        tr = d.run(spec.set_a, spec.set_b, d.MethodKind.DRA, z0, rules)
+        assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT
+        assert _step_ratio(tr) < 1e-2
