@@ -235,6 +235,17 @@ def _finite(value, fieldname: str) -> float:
     return float(value)
 
 
+def _known(obj: dict, keys, section=None) -> dict:
+    """Return obj if it has no key beyond ``keys``; a misspelt or unread
+    key raises ParseError naming its section, None for the top level."""
+    for key in obj:
+        if key not in keys:
+            where = "the problem" if section is None else repr(section)
+            raise ParseError(f"unknown key in {where}",
+                             fieldname=key if section is None else f"{section}.{key}")
+    return obj
+
+
 def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -263,6 +274,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
             raise ParseError("missing required field", fieldname=key)
         return obj[key]
 
+    _known(doc, ("dim", "set_a", "set_b", "sets", "lift", "methods", "start", "stopping",
+                 "outputs"))
     dim = _checked(need("dim"), int, "dim")
     if dim < 1:
         raise ValidationError("'dim' must be a positive integer")
@@ -307,7 +320,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         except InvalidSubspaceError as e:
             raise ValidationError(str(e)) from e
 
-    start = _checked(need("start"), dict, "start")
+    start = _known(_checked(need("start"), dict, "start"), ("point", "grid"), "start")
     if "grid" in start and "point" in start:
         raise ValidationError("give either 'point' or 'grid' in 'start', not both")
     if "grid" in start:
@@ -338,7 +351,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raise ParseError("start must contain 'point' or 'grid'", fieldname="start")
     starts.flags.writeable = False
 
-    stopping = _checked(doc.get("stopping", {}), dict, "stopping")
+    stopping = _known(_checked(doc.get("stopping", {}), dict, "stopping"),
+                      ("eta", "tol", "monitor", "max_iter"), "stopping")
     eta = _finite(stopping.get("eta", DEFAULT_ETA), "stopping.eta")
     tol = _finite(stopping.get("tol", 1e-4), "stopping.tol")
     max_iter = _checked(stopping.get("max_iter", DEFAULT_MAX_ITER), int,
@@ -350,7 +364,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
     if not (eta > 0 and tol > 0 and max_iter >= 1):
         raise ValidationError("stopping parameters must be positive")
 
-    outputs = _checked(doc.get("outputs", {}), dict, "outputs")
+    outputs = _known(_checked(doc.get("outputs", {}), dict, "outputs"),
+                     ("record_at", "csv_path", "trace_path"), "outputs")
     record_at = _checked(outputs.get("record_at", [5, 10]), list, "outputs.record_at")
     record_at = [_checked(n, int, "outputs.record_at") for n in record_at]
     if any(n < 0 for n in record_at):

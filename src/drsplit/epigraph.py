@@ -6,14 +6,14 @@ projection lives here whole: its kernels, ``project_epigraph`` and the
 descriptor ``Epigraph1D``.  The DR step here is a closed-form case analysis
 on the region of the input point; it agrees with the generic two-set step.
 Full runs (``run_epi``) go through ``methods.run`` from the x-axis built at
-import, and their region tags are computed from the trace.
+import, and their region tags are derived from the trace on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -311,30 +311,43 @@ def dr_step_epi(f: ConvexFunction1D, z) -> Tuple[EpiPoint, Region]:
     return EpiPoint(p, rho + fp), region
 
 
+class EpiTrace(IterationTrace):
+    """A ``run_epi`` trace: an IterationTrace whose ``cases``, the region
+    tag of each record, is ``classify_region`` of each row of ``z`` against
+    ``set_b.f``, computed on first read and then kept, as the other
+    derived columns are."""
+
+    @cached_property
+    def cases(self) -> tuple:
+        f = self.set_b.f
+        return tuple(classify_region(f, z) for z in self.z.tolist())
+
+
 def run_epi(
     f: ConvexFunction1D,
     z0,
     eta: float = DEFAULT_ETA,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> IterationTrace:
+) -> EpiTrace:
     """Iterate DR on (x-axis, epi f) until an exact fixed point.
 
     Requires inf f < 0 (the epigraph then meets the open lower halfplane,
     which makes the iteration finitely convergent).  The run goes through
     ``methods.run`` on (Hyperplane([0, 1], 0), Epigraph1D(f)), whose step
     is the closed form of ``dr_step_epi``; every run shares the x-axis built
-    at import, and the region tags come from the trace by ``classify_region``.
+    at import.  The trace is an ``EpiTrace``, whose region tags ``cases``
+    are classified on first read.
     """
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
-    trace = run(
+    return run(
         _X_AXIS,
         Epigraph1D(f),
         MethodKind.DRA,
         z0,
         [ExactFixedPoint(eta), MaxIter(max_iter)],
+        trace_type=EpiTrace,
     )
-    return replace(trace, cases=tuple(classify_region(f, z) for z in trace.z.tolist()))
 
 
 def _fix_segment_distance(pt: EpiPoint) -> float:

@@ -166,6 +166,7 @@ def run(
     method: MethodKind,
     z0,
     stop=None,
+    trace_type=None,
 ) -> IterationTrace:
     """Iterate the chosen method from z0 until a stopping rule fires.
 
@@ -183,8 +184,10 @@ def run(
     MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
     iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
     and P_B(a_n), and either one P_A of its point where d_B < tol.  The
-    trace stores the iterates alone, as one read-only (records, dim) array,
-    and derives the shadows from them, as it derives P_B r_n.
+    trace stores the iterates alone, as one read-only (records, dim) array
+    that owns its data, and derives the shadows from them, as it derives
+    P_B r_n.  The trace is an IterationTrace, or of the subclass
+    ``trace_type`` when one is given.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -252,8 +255,10 @@ def run(
     if eta is None and n:   # the flag no rule read, from the last step alone
         residual = _norm(z - z_prev)
         hit = _exact_step(residual, 1.0 + _norm(z_prev), None)
-    return IterationTrace(
-        z=_read_only(np.concatenate(z_list).reshape(-1, set_a.dim)),
+    z = np.empty((n + 1, set_a.dim))
+    np.concatenate(z_list, out=z.reshape(-1))   # into z's own buffer: z.base is None
+    return (trace_type or IterationTrace)(
+        z=_read_only(z),
         set_a=set_a,
         set_b=set_b,
         termination=Termination(reason=reason, exact=hit, step_residual=residual),

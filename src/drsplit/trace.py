@@ -61,11 +61,12 @@ class Reason(Enum):
     MAX_ITER = "max_iter"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Termination:
     """The run's decision: why it stopped, the last step's exactness flag
     and that step's residual ||z_n - z_{n-1}||.  The step count and the
-    final point are the trace's own: ``len(z) - 1`` and ``z[-1]``."""
+    final point are the trace's own: ``len(z) - 1`` and ``z[-1]``.  Slotted:
+    a kept trace holds one, with no instance dict."""
 
     reason: Reason
     exact: bool
@@ -88,15 +89,15 @@ class IterationTrace:
     projectors that ``run`` calls (see ``sets``), so ``a`` holds the
     shadows that ``run`` computed.  Every column is one read-only float
     array, (iterations + 1, dim) for the points and (iterations + 1,) for
-    the distances; ``iterations`` is len(z) - 1 and ``final_point`` the
-    read-only view z[-1].
+    the distances; ``run`` builds ``z`` as one C-contiguous array that owns
+    its data (no base array kept alive).  ``iterations`` is len(z) - 1 and
+    ``final_point`` the read-only view z[-1].
     """
 
     z: np.ndarray
     set_a: ConvexSet
     set_b: ConvexSet
     termination: Termination
-    cases: Optional[tuple] = None
     translation: Optional[np.ndarray] = None
 
     @cached_property

@@ -144,6 +144,29 @@ def test_missing_field_is_parse_error(tmp_path):
     assert "methods" in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    (None, "stoping", {"max_iter": 5}),
+    ("start", "points", [[1, 2], [3, 4]]),
+    ("stopping", "maxiter", 5),
+    ("outputs", "trace", "t.csv"),
+])
+def test_unknown_keys_are_parse_errors(tmp_path, capsys, section, key, value):
+    # a misspelt section, or a start form beside the one that is read, was
+    # silently ignored: the shipped grid ran with max_iter 100,000
+    doc = json.loads(cli.builtin_problem_path("line_orthant.json").read_text())
+    (doc if section is None else doc[section])[key] = value
+    field = key if section is None else f"{section}.{key}"
+    with pytest.raises(cli.ParseError, match="unknown key") as exc:
+        cli.parse_problem(json.dumps(doc))
+    assert exc.value.fieldname == field
+    assert (section or "the problem") in str(exc.value) and repr(field) in str(exc.value)
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bad_json_reports_line():
     with pytest.raises(cli.ParseError) as exc:
         cli.parse_problem('{\n  "dim": 2,\n  bad\n}')

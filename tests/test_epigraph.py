@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import drsplit as d
+from drsplit import epigraph
 from drsplit.epigraph import Region, WitnessFamily
 
 QUAD = d.quadratic(1.0, 0.0, -1.0)
@@ -452,6 +453,29 @@ def test_run_epi_case_automaton():
                 elif z[1] >= 0:
                     # outside B' with rho >= 0: next point is in the epigraph
                     assert f(z_next[0]) <= z_next[1] + 1e-12
+
+
+def test_run_epi_classifies_nothing_until_cases_is_read(monkeypatch):
+    # the region tags are a derived column: no classify_region call while
+    # the run steps, one per record on the first read of cases, none after
+    calls = []
+
+    def counted(f, z):
+        calls.append(z)
+        return classify(f, z)
+
+    classify = epigraph.classify_region
+    monkeypatch.setattr(epigraph, "classify_region", counted)
+    for f, z0 in ((QUAD, (5.0, 3.0)), (ABS, (-7.0, -2.0)), (QUAD, (0.0, -0.5))):
+        calls.clear()
+        tr = d.run_epi(f, z0)
+        assert calls == [] and "cases" not in vars(tr)
+        cases = tr.cases
+        assert len(calls) == len(tr.z) and len(cases) == len(tr.z)
+        assert tr.cases is cases and len(calls) == len(tr.z)
+        assert cases == tuple(classify(f, z) for z in tr.z)
+        plain = d.run(tr.set_a, tr.set_b, d.MethodKind.DRA, z0, d.ExactFixedPoint())
+        assert not hasattr(plain, "cases") and len(calls) == len(tr.z)
 
 
 def _plw(x):  # piecewise-linear, minimum -1 at x = 1

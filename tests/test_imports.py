@@ -2,13 +2,15 @@
 hides inside a function."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "drsplit"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
@@ -79,3 +81,16 @@ def test_the_module_graph_is_acyclic():
         order += ready
     assert order.index("sets") < order.index("methods") < order.index("epigraph")
     assert order[-1] == "cli"
+
+
+def test_every_module_parses_at_the_least_python_it_claims():
+    # requires-python is ">=3.10": every module's syntax must be 3.10's.
+    # ast checks syntax only, not API; the API the package leans on at that
+    # version includes dataclass(slots=True), new in 3.10 (Termination)
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    least = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    version = (int(least[1]), int(least[2]))
+    assert version == (3, 10)
+    for name in ["__init__", *MODULES]:
+        path = PACKAGE / f"{name}.py"
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
