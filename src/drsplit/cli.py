@@ -106,14 +106,16 @@ _DESCRIPTORS = {
 }
 
 
-def set_from_config(cfg: dict, ambient_dim: Optional[int] = None) -> ConvexSet:
-    """Build a descriptor from its tagged dict form."""
+def set_from_config(cfg: dict, ambient_dim: Optional[int] = None, where=None) -> ConvexSet:
+    """Build a descriptor from its tagged dict form; errors name it ``where`` or its type."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ParseError("set descriptor must be an object with a 'type' tag")
     kind = cfg["type"]
     if not isinstance(kind, str) or kind not in _DESCRIPTORS:
         raise ValidationError(f"unknown set type {kind!r}")
     cls, fields = _DESCRIPTORS[kind]
+    where = where or kind
+    _known(cfg, ("type", *fields), where)
     if kind == "orthant":
         cfg = {**cfg, "dim": cfg.get("dim", ambient_dim)}
         if cfg["dim"] is None:
@@ -126,9 +128,10 @@ def set_from_config(cfg: dict, ambient_dim: Optional[int] = None) -> ConvexSet:
     elif kind == "product":
         # block dims differ from the ambient dim, so components must
         # spell out their own dimensions
-        args = [[set_from_config(c, None) for c in cfg["components"]]]
+        args = [[set_from_config(c, None, f"{where}.components.{i}")
+                 for i, c in enumerate(cfg["components"])]]
     else:
-        args = [cfg[key] for key in fields]
+        args = [_numbers(cfg[key], f"{where}.{key}") for key in fields]
     return cls(*args)
 
 
@@ -227,6 +230,16 @@ def _checked(value, kinds, fieldname: str):
     return value
 
 
+def _numbers(value, fieldname: str):
+    """Return value if it is a number or a list of numbers and such lists;
+    any other leaf raises ``_checked``'s ParseError."""
+    if not isinstance(value, list):
+        return _checked(value, (int, float), fieldname)
+    for leaf in value:
+        _numbers(leaf, fieldname)
+    return value
+
+
 def _finite(value, fieldname: str) -> float:
     """Return a JSON number as a finite float; an integer beyond the float
     range fails, since int-float comparison is exact."""
@@ -289,13 +302,13 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raw_sets = doc["sets"]
         if not isinstance(raw_sets, list) or not raw_sets:
             raise ParseError("'sets' must be a nonempty list", fieldname="sets")
-        configs = [("lifted set", c) for c in raw_sets]
+        configs = [(f"sets.{i}", c) for i, c in enumerate(raw_sets)]
     else:
         configs = [("set_a", need("set_a")), ("set_b", need("set_b"))]
     sets = []
     for name, cfg in configs:
         try:
-            s = set_from_config(cfg, dim)
+            s = set_from_config(cfg, dim, name)
         except (ParseError, ValidationError):
             raise
         except (ValueError, TypeError, OverflowError) as e:
@@ -338,8 +351,8 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         axis = np.linspace(lo, hi, steps)
         starts = np.column_stack((np.repeat(axis, steps), np.tile(axis, steps)))
     elif "point" in start:
-        try:
-            point = np.array(start["point"], dtype=float)
+        try:   # _numbers's ParseError is a ValueError too, so it gets this message
+            point = np.array(_numbers(start["point"], "start.point"), dtype=float)
         except (TypeError, ValueError, OverflowError) as e:
             raise ParseError("start point must be a numeric list",
                              fieldname="start.point") from e

@@ -157,7 +157,7 @@ class _Spingarn:
         return self.a - self.b if self.shift is None else self.a - self.b + self.shift
 
 
-_BLOCK = 1024   # records that ``run`` gathers into one flat block of a column
+_ROWS = 16   # rows of a run's first iterate array: every epigraph run fits
 
 
 def run(
@@ -183,11 +183,11 @@ def run(
     update and the active rules read: DRA's P_A z_n and P_B(2 P_A z_n - z_n),
     MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
     iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
-    and P_B(a_n), and either one P_A of its point where d_B < tol.  The
-    trace stores the iterates alone, as one read-only (records, dim) array
-    that owns its data, and derives the shadows from them, as it derives
-    P_B r_n.  The trace is an IterationTrace, or of the subclass
-    ``trace_type`` when one is given.
+    and P_B(a_n), and either one P_A of its point where d_B < tol.  Each
+    iterate is written once, into one float (rows, dim) array that doubles
+    when full and is trimmed at the stop; the trace keeps it read-only,
+    owning its data, and derives the shadows from it, as it derives P_B
+    r_n.  The trace is an IterationTrace, or a ``trace_type`` if given.
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatchError(
@@ -204,7 +204,8 @@ def run(
     # otherwise project it when they step
     shadow_rule = feas is not None and feas.monitor is Monitor.SHADOW
     needs_a = method is MethodKind.DRA or shadow_rule
-    z_list = []
+    # resized in place with refcheck=False: no view of it exists before it is returned
+    z_all = np.empty((_ROWS, set_a.dim))
     n = 0
     hit = False
     residual = None
@@ -228,13 +229,11 @@ def run(
             reason = Reason.MAX_ITER
         else:
             reason = None
-        z_list.append(z)
+        if n == len(z_all):
+            z_all.resize((2 * n, set_a.dim), refcheck=False)
+        z_all[n] = z
         if reason is not None:
             break
-        if (n + 1) % _BLOCK == 0:
-            # the last _BLOCK iterates become one flat block, so that a long
-            # run keeps 8 bytes per coordinate, not a numpy object per vector
-            z_list[-_BLOCK:] = [np.concatenate(z_list[-_BLOCK:])]
 
         z_next = pair.step() if pair else _step(method, project_a, project_b, z, a, pbz)
 
@@ -249,16 +248,15 @@ def run(
             finite = math.isfinite(z_next.dot(z_next))
         if not finite and not np.isfinite(z_next).all():
             raise ValueError("vector coordinates must be finite")
-        z_prev, z = z, z_next
+        z = z_next
         n += 1
 
     if eta is None and n:   # the flag no rule read, from the last step alone
-        residual = _norm(z - z_prev)
-        hit = _exact_step(residual, 1.0 + _norm(z_prev), None)
-    z = np.empty((n + 1, set_a.dim))
-    np.concatenate(z_list, out=z.reshape(-1))   # into z's own buffer: z.base is None
+        residual = _norm(z - z_all[n - 1])
+        hit = _exact_step(residual, 1.0 + _norm(z_all[n - 1]), None)
+    z_all.resize((n + 1, set_a.dim), refcheck=False)
     return (trace_type or IterationTrace)(
-        z=_read_only(z),
+        z=_read_only(z_all),
         set_a=set_a,
         set_b=set_b,
         termination=Termination(reason=reason, exact=hit, step_residual=residual),

@@ -149,6 +149,7 @@ def test_missing_field_is_parse_error(tmp_path):
     ("start", "points", [[1, 2], [3, 4]]),
     ("stopping", "maxiter", 5),
     ("outputs", "trace", "t.csv"),
+    ("set_b", "extra", 1),
 ])
 def test_unknown_keys_are_parse_errors(tmp_path, capsys, section, key, value):
     # a misspelt section, or a start form beside the one that is read, was
@@ -164,6 +165,37 @@ def test_unknown_keys_are_parse_errors(tmp_path, capsys, section, key, value):
     path.write_text(json.dumps(doc))
     assert cli.main(["--problem", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("edit, field, message", [
+    pytest.param({"start": {"point": [1, True]}}, "start.point", "numeric list",
+                 id="point-bool"),
+    pytest.param({"start": {"point": [1, "2"]}}, "start.point", "numeric list",
+                 id="point-string"),
+    pytest.param({"set_a": {"type": "affine", "L": [[1, True]], "a": [6]}}, "set_a.L",
+                 "wrong type bool", id="affine-L-bool"),
+    pytest.param({"set_b": {"type": "ball", "center": [0, 0], "radius": True}},
+                 "set_b.radius", "wrong type bool", id="ball-radius-bool"),
+    pytest.param({"set_b": {"type": "ball", "center": [0, 0], "radius": "3"}},
+                 "set_b.radius", "wrong type str", id="ball-radius-string"),
+    pytest.param({"set_a": {"type": "hyperplane", "normal": [1, 5], "offset": "6"}},
+                 "set_a.offset", "wrong type str", id="hyperplane-offset-string"),
+    pytest.param({"set_b": {"type": "product", "components": [
+        {"type": "orthant", "dim": 1}, {"type": "box", "lo": [0], "hi": [True]}]}},
+        "set_b.components.1.hi", "wrong type bool", id="product-box-hi-bool"),
+])
+def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, edit, field, message):
+    # true was read as 1 and "2" as 2, in a start point and in a set's numbers
+    doc = small_problem(tmp_path, start={"point": [1.0, 2.0]})
+    doc.update(edit)
+    with pytest.raises(cli.ParseError, match=message) as exc:
+        cli.parse_problem(json.dumps(doc))
+    assert exc.value.fieldname == field
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--problem", str(path)]) == 2
+    assert repr(field) in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
