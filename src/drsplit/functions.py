@@ -48,10 +48,12 @@ class ConvexFunction1D:
         return float(self.fn(self.minimizer))
 
     def spec_name(self) -> str:
-        """Problem-file name of a builtin, e.g. ``quadratic(1,0,-1)``."""
+        """Problem-file name of a builtin, e.g. ``quadratic(1,0,-1)``: each
+        parameter in ``g`` format where that reads back whole, else its repr."""
         if self.kind is FunctionKind.CUSTOM:
             raise ValueError("custom functions have no problem-file name")
-        args = ",".join(format(p, "g") for p in self.params)
+        texts = (format(p, "g") for p in self.params)
+        args = ",".join(t if float(t) == p else repr(p) for t, p in zip(texts, self.params))
         return f"{self.kind.value}({args})"
 
 

@@ -138,7 +138,7 @@ class ConvexSet:
 
     def _project_rows(self, X: np.ndarray) -> np.ndarray:
         # row by row: the row form of any subclass that defines only
-        # ``_project``, and of an epigraph of a custom function
+        # ``_project``, and of an epigraph of any function but a quadratic
         out = np.empty((X.shape[0], self.dim))
         for i, x in enumerate(X):
             out[i] = self._project(x)
@@ -355,6 +355,8 @@ class Ball(_Immutable):
         self.radius = float(radius)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        if not self.radius < math.inf:
+            raise ValueError("radius must be finite")
         self.dim = self.center.shape[0]
 
     def _project(self, x: np.ndarray) -> np.ndarray:

@@ -180,6 +180,6 @@ def _positive(x) -> bool:
 def _exact_step(residual, scale, eta):
     """A step's exactness flag, on floats or row arrays: residual <= eta *
     scale, with scale = 1 + ||z_n|| and eta the rule's or DEFAULT_ETA.  A
-    bound that is not finite (||z_n|| overflows) certifies nothing."""
+    scale that is not finite (||z_n|| overflows) certifies nothing at any eta."""
     bound = (DEFAULT_ETA if eta is None else eta) * scale
-    return (residual <= bound) & (bound < math.inf)
+    return (residual <= bound) & (scale < math.inf)

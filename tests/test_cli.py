@@ -199,6 +199,20 @@ def test_numeric_fields_refuse_booleans_and_strings(tmp_path, capsys, edit, fiel
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_an_infinite_radius_is_refused(tmp_path, capsys):
+    # 1e400 reads as inf: a ball that sends every point to itself, and that
+    # serialize_problem would write back as Infinity, which is not JSON
+    doc = small_problem(tmp_path, set_b={"type": "ball", "center": [0, 0], "radius": 7})
+    text = json.dumps(doc).replace('"radius": 7', '"radius": 1e400')
+    with pytest.raises(cli.ValidationError, match="radius must be finite"):
+        cli.parse_problem(text)
+    path = tmp_path / "prob.json"
+    path.write_text(text)
+    assert cli.main(["--problem", str(path)]) == 2
+    assert "radius must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bad_json_reports_line():
     with pytest.raises(cli.ParseError) as exc:
         cli.parse_problem('{\n  "dim": 2,\n  bad\n}')
@@ -258,6 +272,12 @@ def test_roundtrip_serialize_parse(tmp_path):
         spec = cli.parse_problem(text)
         again = cli.parse_problem(cli.serialize_problem(spec))
         assert again == spec
+    # a builtin's parameters read back whole, not to six significant digits
+    epigraph = oracle_problems(tmp_path)["epigraph"]
+    epigraph["set_b"]["f"] = "quadratic(0.1234567,0,-1.0000001)"
+    spec = cli.parse_problem(json.dumps(epigraph))
+    again = cli.parse_problem(cli.serialize_problem(spec))
+    assert again.set_b.f.params == spec.set_b.f.params == (0.1234567, 0.0, -1.0000001)
     # the trace path, which only a point problem takes, is written and read back
     spec = cli.parse_problem(json.dumps(traced))
     assert spec.to_dict()["outputs"]["trace_path"] == traced["outputs"]["trace_path"]

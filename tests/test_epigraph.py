@@ -619,6 +619,28 @@ def test_scalar_projections_go_through_the_module_hook(monkeypatch):
     assert calls == [QUAD] * tr.iterations
 
 
+@pytest.mark.parametrize("n", [1, 7, 21])
+def test_only_the_quadratic_has_a_row_kernel(monkeypatch, n):
+    # the swept quadratic projects a stack in one vectorised pass; an
+    # absshift stack goes row by row through the scalar projector, so its
+    # rows have the one closed form's bits by construction
+    calls = []
+    unwrapped = d.epigraph.project_epigraph
+
+    def counting(f, z):
+        calls.append(f)
+        return unwrapped(f, z)
+
+    monkeypatch.setattr(d.epigraph, "project_epigraph", counting)
+    X = np.random.default_rng(34).uniform(-5, 5, (n, 2))
+    for f, per_row in ((ABS, 1), (QUAD, 0)):
+        calls.clear()
+        rows = d.Epigraph1D(f).project_rows(X)
+        assert calls == [f] * (per_row * n)
+        for x, row in zip(X, rows):
+            assert row.tolist() == list(unwrapped(f, x))
+
+
 @pytest.mark.parametrize(
     "eta, max_iter", [(float("nan"), 100), (-1.0, 100), (1e-14, 0)]
 )

@@ -52,7 +52,10 @@ def test_custom_wraps_callables():
 
 
 def test_function_from_name_roundtrip():
-    for text in ("quadratic(1,0,-1)", "absshift(2,-0.5)", "quadratic(0.5, 1, 2)"):
+    # a parameter that six significant digits do not hold reads back whole
+    for text in ("quadratic(1,0,-1)", "absshift(2,-0.5)", "quadratic(0.5, 1, 2)",
+                 "quadratic(0.1234567,0,-1.0000001)", "quadratic(0.3333333333333333,0,-1)",
+                 "absshift(123456789,-0.1)"):
         f = d.function_from_name(text)
         assert d.function_from_name(f.spec_name()).params == f.params
 

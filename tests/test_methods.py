@@ -412,6 +412,21 @@ def test_run_certifies_nothing_on_an_infinite_bound(line_orthant, method):
     assert tr.termination.step_residual == math.inf
 
 
+@pytest.mark.parametrize("eta", [1.0, 1e300, math.inf])
+def test_a_larger_eta_never_certifies_less(line_orthant, eta):
+    # DRA's first step from (100, -100) is 79.6 against a scale 1 + ||z_0||
+    # of 142.4, so every eta >= 1 ends the run exact after one step; an
+    # infinite eta, whose bound is inf on a finite scale, ran to the cap
+    set_a, set_b = line_orthant
+    stop = [d.ExactFixedPoint(eta), d.MaxIter(50)]
+    tr = d.run(set_a, set_b, d.MethodKind.DRA, [100.0, -100.0], stop)
+    assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT and tr.termination.exact
+    assert tr.iterations == 1
+    rows = d.run_rows(set_a, set_b, {d.MethodKind.DRA: stop}, np.array([[100.0, -100.0]]))
+    assert rows["reason"].tolist() == [d.Reason.EXACT_FIXED_POINT]
+    assert rows["exact"].tolist() == [True] and rows["iterations"].tolist() == [1]
+
+
 def test_run_shadow_monitor(line_orthant):
     set_a, set_b = line_orthant
     tr = d.run(
@@ -1063,6 +1078,66 @@ def test_dra_shadow_of_an_infeasible_hyperplane_is_its_nearest_point():
             tr = d.run(d.Hyperplane(normal, offset), d.Orthant(n), d.MethodKind.DRA,
                        rng.uniform(-10, 10, n), d.MaxIter(60))
             assert np.linalg.norm(tr.a[-1] - nearest) <= 1e-12 * np.linalg.norm(nearest)
+
+
+def _solve_fractions(M, b):
+    """The solution of M x = b for a square nonsingular M of Fractions, by
+    Gauss-Jordan elimination in exact arithmetic."""
+    rows = [list(r) + [v] for r, v in zip(M, b)]
+    for c in range(len(rows)):
+        pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [r[-1] for r in rows]
+
+
+def _orthant_gap(L, a, shadow):
+    """The gap vector v = P_cl(B - A)(0) of A = {Lx = a} and the orthant B,
+    in rationals: x minimizes 1/2 ||min(x, 0)||^2 on A, whose KKT system is
+    x_S = (L^T mu)_S, (L^T mu)_P = 0, Lx = a on the sign pattern S (x < 0),
+    P (x > 0) read from a DRA shadow, and v = -min(x, 0)."""
+    m, n = L.shape
+    S = [i for i in range(n) if shadow[i] < -1e-7]
+    P = [i for i in range(n) if shadow[i] > 1e-7]
+    assert len(S) + len(P) == n, "a shadow entry is too near 0 to read its sign"
+    Lq = [[Fraction(v) for v in row] for row in L.tolist()]
+    # unknowns (mu, x_P), with x_S = (L^T mu)_S put into Lx = a
+    M = [[Lq[j][i] for j in range(m)] + [Fraction(0)] * len(P) for i in P]
+    M += [[sum(Lq[k][i] * Lq[j][i] for i in S) for j in range(m)] + [Lq[k][i] for i in P]
+          for k in range(m)]
+    solution = _solve_fractions(M, [Fraction(0)] * len(P) + [Fraction(v) for v in a.tolist()])
+    mu, x_p = solution[:m], solution[m:]
+    x_s = [sum(Lq[j][i] * mu[j] for j in range(m)) for i in S]
+    assert all(v < 0 for v in x_s) and all(v > 0 for v in x_p)
+    v = np.zeros(n)
+    v[S] = [float(-x) for x in x_s]
+    return v
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 5, 10) for n in (12, 20)])
+def test_dra_steps_of_an_infeasible_system_converge_to_the_gap_vector(m, n):
+    # row 0 of L is positive and a_0 < 0, so e_0 is a Farkas certificate that
+    # A = {Lx = a} misses the orthant; with A affine, z_{N} - z_{N-1} and
+    # P_B a_N - a_N (a_N = P_A z_N, the shadow) both converge to the gap
+    # vector v, which is unique although the nearest points may not be
+    # (Bauschke, Dao & Moursi 2016).  Some draws are still 8e-4 off at 5,000
+    # steps, so the run takes 10,000
+    rng = np.random.default_rng([2034, m, n])
+    L = rng.standard_normal((m, n))
+    L[0] = rng.uniform(0.1, 2, n)
+    a = rng.standard_normal(m)
+    a[0] = -rng.uniform(0.1, 5)
+    tr = d.run(d.Affine(L, a), d.Orthant(n), d.MethodKind.DRA, rng.uniform(-10, 10, n),
+               d.MaxIter(10_000))
+    assert tr.iterations == 10_000
+    shadow = tr.a[-1]
+    v = _orthant_gap(L, a, shadow)
+    bound = 1e-10 * (1 + np.linalg.norm(v))
+    assert np.linalg.norm(tr.z[-1] - tr.z[-2] - v) <= bound
+    assert np.linalg.norm(np.maximum(shadow, 0.0) - shadow - v) <= bound
 
 
 def test_dra_without_a_slater_point_ends_on_a_small_step_at_a_linear_rate():

@@ -236,8 +236,8 @@ def test_vectors_must_be_finite():
 
 def test_degenerate_inputs_are_refused():
     # each check with its own message: a stack is no vector, a normal must
-    # be nonzero, a box's bounds ordered, a radius positive and a product
-    # nonempty
+    # be nonzero, a box's bounds ordered, a radius positive and finite and a
+    # product nonempty
     with pytest.raises(ValueError, match=r"^expected a vector, got array of shape \(2, 2\)$"):
         d.sets.as_vector(np.zeros((2, 2)))
     for kind in (d.Hyperplane, d.Halfspace):
@@ -248,6 +248,8 @@ def test_degenerate_inputs_are_refused():
     for radius in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^radius must be positive$"):
             d.Ball([0.0, 0.0], radius)
+    with pytest.raises(ValueError, match="^radius must be finite$"):
+        d.Ball([0.0, 0.0], math.inf)
     with pytest.raises(ValueError, match="^product needs at least one component$"):
         d.Product([])
 
