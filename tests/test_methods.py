@@ -415,8 +415,8 @@ def test_run_certifies_nothing_on_an_infinite_bound(line_orthant, method):
 @pytest.mark.parametrize("eta", [1.0, 1e300, math.inf])
 def test_a_larger_eta_never_certifies_less(line_orthant, eta):
     # DRA's first step from (100, -100) is 79.6 against a scale 1 + ||z_0||
-    # of 142.4, so every eta >= 1 ends the run exact after one step; an
-    # infinite eta, whose bound is inf on a finite scale, ran to the cap
+    # of 142.4, so every eta >= 1 ends the run exact after one step, the
+    # infinite eta too: its bound is inf, but the scale is finite
     set_a, set_b = line_orthant
     stop = [d.ExactFixedPoint(eta), d.MaxIter(50)]
     tr = d.run(set_a, set_b, d.MethodKind.DRA, [100.0, -100.0], stop)
