@@ -56,7 +56,6 @@ from .trace import (
     MaxIter,
     Monitor,
     Reason,
-    StoppingRule,
     Termination,
 )
 

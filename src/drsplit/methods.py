@@ -101,16 +101,6 @@ class SpingarnState:
     a: np.ndarray
     b: np.ndarray
 
-    def validate(self, set_a: ConvexSet, tol: float = 1e-10) -> None:
-        na = _norm(self.a)
-        nb = _norm(self.b)
-        if abs(float(self.a @ self.b)) > tol * max(na * nb, 1.0):
-            raise ValueError("state components are not orthogonal")
-        if _norm(set_a.project(self.a) - self.a) > tol * (1.0 + na):
-            raise ValueError("first component is not in the subspace")
-        if _norm(set_a.project(self.b)) > tol * (1.0 + nb):
-            raise ValueError("second component is not in the orthogonal complement")
-
 
 def spingarn_step(
     set_a: ConvexSet, set_b: ConvexSet, state: SpingarnState
@@ -178,9 +168,10 @@ def run(
     exactness and exactness over the cap, which is recorded as the reason,
     not raised.  ``exact`` is the last step's ``_exact_step`` flag, taken at
     the stop from the last two iterates unless an ExactFixedPoint rule reads
-    it at every step.  z0 is checked once; an iterate that is not finite (an
-    overflow) raises ValueError.  A step makes only the projections its
-    update and the active rules read: DRA's P_A z_n and P_B(2 P_A z_n - z_n),
+    it at every step.  z0 is checked once; an iterate that is not finite
+    raises ValueError, and an error that a projector raises on the way
+    propagates as it is.  A step makes only the projections its update and
+    the active rules read: DRA's P_A z_n and P_B(2 P_A z_n - z_n),
     MAP's and MRP's P_B z_n and P_A, SPINGARN's pair update; a rule on the
     iterate adds P_B z_n (the step reuses it), a rule on the shadow P_A z_n
     and P_B(a_n), and either one P_A of its point where d_B < tol.  Each
@@ -295,10 +286,13 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     of the rows that stop; as in ``run``, d_B(w) at the monitored point w,
     then d_A(w) only where d_B(w) < tol, which a nan never passes.  No set
     is projected on zero rows, and zero rows give empty columns.  Sets of
-    different dimensions raise DimensionMismatchError, and a key that is no
-    MethodKind or a plan that ``normalize_rules`` refuses raises ValueError,
-    before any projection; Z is checked once, so, as in ``run``, an overflow
-    shows up in the next Z and raises ValueError.
+    different dimensions raise DimensionMismatchError, and an empty
+    ``plans``, a key that is no MethodKind or a plan that
+    ``normalize_rules`` refuses raises ValueError, before any projection.
+    Z is checked once; as in ``run``, an iterate that is not finite raises
+    ValueError and an error that a projector raises on the way propagates
+    as it is, but the two drivers need not meet an overflow at the same
+    call (``run_rows`` projects each shadow onto B for d_B before it steps).
 
     Returns per-row arrays iterations, exact, final, d_b_at (a column per
     record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
@@ -307,6 +301,8 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     if set_a.dim != set_b.dim:   # as run refuses the pair
         raise DimensionMismatchError(f"sets have dimensions {set_a.dim} and {set_b.dim}")
     Z = as_rows(Z, set_a.dim)
+    if not plans:
+        raise ValueError("plans must name at least one method")
     for method in plans:
         if method not in _BLOCKS:
             raise ValueError(f"unknown method {method!r}")

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class Feasibility:
 @dataclass(frozen=True)
 class MaxIter:
     n_max: int = DEFAULT_MAX_ITER
-
-
-StoppingRule = Union[ExactFixedPoint, Feasibility, MaxIter]
 
 
 class Reason(Enum):
