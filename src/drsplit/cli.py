@@ -329,7 +329,7 @@ def _spec_from_document(doc: dict) -> ProblemSpec:
         raise ValidationError("'methods' must name each method once")
     if MethodKind.SPINGARN in methods and set_a is not None:
         try:
-            _linearize(set_a, set_b)
+            _linearize(set_a)
         except InvalidSubspaceError as e:
             raise ValidationError(str(e)) from e
 

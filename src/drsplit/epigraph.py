@@ -34,6 +34,7 @@ _BISECT_TOL = 1e-12
 _BISECT_MAX_STEPS = 1100
 
 _X_AXIS = Hyperplane([0.0, 1.0], 0.0)  # run_epi's first set, shared by every run
+_LAST_EPIGRAPH = [None]  # the last run_epi's second set, shared by runs on its f
 
 
 class NoConvergenceError(RuntimeError):
@@ -323,14 +324,18 @@ def run_epi(
     which makes the iteration finitely convergent).  The run goes through
     ``methods.run`` on (Hyperplane([0, 1], 0), Epigraph1D(f)), whose step
     is the closed form of ``dr_step_epi``; every run shares the x-axis built
-    at import.  The trace is an ``EpiTrace``, whose region tags ``cases``
-    are classified on first read.
+    at import, and consecutive runs on one f share its epigraph (only the
+    last f's is kept).  The trace is an ``EpiTrace``, whose region tags
+    ``cases`` are classified on first read.
     """
     if not f.inf_value < 0:
         raise PreconditionViolatedError("run_epi requires inf f < 0")
+    epi = _LAST_EPIGRAPH[0]
+    if epi is None or epi.f is not f:
+        epi = _LAST_EPIGRAPH[0] = Epigraph1D(f)
     return run(
         _X_AXIS,
-        Epigraph1D(f),
+        epi,
         MethodKind.DRA,
         z0,
         [ExactFixedPoint(eta), MaxIter(max_iter)],

@@ -22,18 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .sets import (
-    Affine,
-    ConvexSet,
-    DimensionMismatchError,
-    Hyperplane,
-    Shifted,
-    _norm,
-    _norms,
-    _read_only,
-    as_rows,
-    as_vector,
-)
+from .sets import ConvexSet, DimensionMismatchError, _norm, _norms, _read_only, as_rows, as_vector
 from .trace import IterationTrace, Monitor, Reason, Termination, _exact_step, normalize_rules
 
 
@@ -61,14 +50,16 @@ def _step(method, project_a, project_b, z, a=None, pbz=None):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _pair_step(project_a, project_b, a, b):
+def _pair_step(project_a, project_b, a, b, shift=None):
     """Spingarn's partial-inverse update of the pair (a, b):
 
         a' = P_B(a + b),  b' = a + b - a'
         a+ = P_A(a'),     b+ = b' - P_A(b')
+
+    with B moved by -shift when a shift is given: P_B(y + shift) - shift.
     """
     s = a + b
-    a_mid = project_b(s)
+    a_mid = project_b(s) if shift is None else project_b(s + shift) - shift
     b_mid = s - a_mid
     return project_a(a_mid), b_mid - project_a(b_mid)
 
@@ -113,37 +104,34 @@ def spingarn_step(
     return SpingarnState(*_pair_step(set_a.project, set_b.project, state.a, state.b))
 
 
-def _linearize(set_a: ConvexSet, set_b: ConvexSet):
-    """Reduce an affine first set to a linear subspace by translating both
-    sets by a point of A; returns (lin_a, shifted_b, shift or None)."""
+def _linearize(set_a: ConvexSet):
+    """Spingarn's first set through the origin: (A, None) for a linear A,
+    else the subspace and the shift s = P_A 0 that an affine set keeps."""
     if set_a.is_linear():
-        return set_a, set_b, None
-    if isinstance(set_a, Affine):
-        shift = set_a.project(np.zeros(set_a.dim))
-        return Affine(set_a.L, np.zeros(set_a.L.shape[0])), Shifted(set_b, shift), shift
-    if isinstance(set_a, Hyperplane):
-        shift = set_a.project(np.zeros(set_a.dim))
-        return Hyperplane(set_a.normal, 0.0), Shifted(set_b, shift), shift
-    raise InvalidSubspaceError(
-        "Spingarn's method requires the first set to be a linear or affine subspace"
-    )
+        return set_a, None
+    if set_a._through_origin is None:
+        raise InvalidSubspaceError(
+            "Spingarn's method requires the first set to be a linear or affine subspace"
+        )
+    return set_a._through_origin
 
 
 class _Spingarn:
     """Spingarn's pair (a, b) of one point z or of each row of a stack, on
-    the linearized sets, from a = P_A w and b = a - w with w = z - shift."""
+    the first set through the origin and B - shift, from a = P_A w and
+    b = a - w with w = z - shift."""
 
     def __init__(self, set_a: ConvexSet, set_b: ConvexSet, z: np.ndarray):
-        lin_a, lin_b, self.shift = _linearize(set_a, set_b)
-        self.project_a, self.project_b = ((lin_a._project_rows, lin_b._project_rows)
-                                          if z.ndim == 2 else (lin_a._project, lin_b._project))
+        lin_a, self.shift = _linearize(set_a)
+        self.project_a, self.project_b = ((lin_a._project_rows, set_b._project_rows)
+                                          if z.ndim == 2 else (lin_a._project, set_b._project))
         w = z - self.shift if self.shift is not None else z
         self.a = self.project_a(w)
         self.b = self.a - w
 
     def step(self):
         """Step the pair by ``_pair_step``; return the iterate a - b + shift."""
-        self.a, self.b = _pair_step(self.project_a, self.project_b, self.a, self.b)
+        self.a, self.b = _pair_step(self.project_a, self.project_b, self.a, self.b, self.shift)
         return self.a - self.b if self.shift is None else self.a - self.b + self.shift
 
 
@@ -251,7 +239,7 @@ def run(
         set_a=set_a,
         set_b=set_b,
         termination=Termination(reason=reason, exact=hit, step_residual=residual),
-        translation=None if pair is None or pair.shift is None else _read_only(pair.shift),
+        translation=pair.shift if pair else None,
     )
 
 

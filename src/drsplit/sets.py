@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,9 @@ class ConvexSet:
     """Base class: a closed convex subset of R^dim with a nearest-point map."""
 
     dim: int
+    # an affine set's (subspace through the origin, shift s = P_A 0), for
+    # Spingarn's method: Affine and Hyperplane build the pair once and keep it
+    _through_origin = None
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -263,6 +267,10 @@ class Affine(_Immutable):
     def is_linear(self) -> bool:
         return bool(np.all(self.a == 0.0))
 
+    @cached_property
+    def _through_origin(self):
+        return Affine(self.L, np.zeros(self.L.shape[0])), _read_only(self.project(np.zeros(self.dim)))
+
 
 class _NormalSet(_Immutable):
     """Hyperplane's and Halfspace's constructor: ``normal`` and ``offset``
@@ -294,6 +302,10 @@ class Hyperplane(_NormalSet):
 
     def is_linear(self) -> bool:
         return self.offset == 0.0
+
+    @cached_property
+    def _through_origin(self):
+        return Hyperplane(self.normal, 0.0), _read_only(self.project(np.zeros(self.dim)))
 
 
 class Halfspace(_NormalSet):
@@ -517,11 +529,8 @@ class Product(_Immutable):
 
 
 class Shifted(_Immutable):
-    """base - shift, i.e. {y : y + shift in base}.
-
-    Used to reduce affine-subspace problems to linear-subspace ones; the
-    projector is P(y) = P_base(y + shift) - shift.
-    """
+    """base - shift, i.e. {y : y + shift in base}, projected by
+    P(y) = P_base(y + shift) - shift; a stack goes row by row."""
 
     def __init__(self, base: ConvexSet, shift):
         self.base = base
@@ -530,6 +539,3 @@ class Shifted(_Immutable):
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return self.base._project(x + self.shift) - self.shift
-
-    def _project_rows(self, X: np.ndarray) -> np.ndarray:
-        return self.base._project_rows(X + self.shift) - self.shift

@@ -23,11 +23,37 @@ def line_orthant():
     return d.Affine(LINE_L, LINE_A), d.Orthant(2)
 
 
-def affine_line_oracle(x):
-    """Exact rational projection onto {x + 5y = 6}: x - L^T (Lx - 6) / 26."""
+def affine_line_oracle(x, c=6):
+    """Exact rational projection onto {x + 5y = c}: x - L^T (Lx - c) / 26."""
     x = [Fraction(v) for v in x]
-    w = (x[0] + 5 * x[1] - 6) / 26
+    w = (x[0] + 5 * x[1] - c) / 26
     return (x[0] - w, x[1] - 5 * w)
+
+
+def orthant_oracle(x):
+    """Exact rational projection onto the nonnegative orthant."""
+    return tuple(Fraction(max(v, 0)) for v in x)
+
+
+def dra_line_orthant_oracle(z, c=6):
+    """One DRA step in Fractions on ({x + 5y = c}, orthant):
+    z - P_A z + P_B(2 P_A z - z)."""
+    a = affine_line_oracle(z, c)
+    pbr = orthant_oracle([2 * ak - zk for ak, zk in zip(a, z)])
+    return tuple(zk - ak + pk for zk, ak, pk in zip(z, a, pbr))
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The classes of the Affine, Hyperplane and Shifted descriptors built
+    while the test runs, in order."""
+    built = []
+    for cls in (d.Affine, d.Hyperplane, d.Shifted):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
 
 
 def descriptor_zoo():

@@ -1262,6 +1262,34 @@ def test_main_point_run_with_trace(tmp_path):
     assert first[0] == "0" and float(first[2]) == 100.0
 
 
+@pytest.mark.parametrize("set_a", [{"type": "affine", "L": [[1, 5]], "a": [6]},
+                                   {"type": "hyperplane", "normal": [1, 5], "offset": 6}],
+                         ids=["affine", "hyperplane"])
+def test_a_spingarn_problem_builds_its_subspace_at_parse_time(tmp_path, monkeypatch,
+                                                              set_a, constructions):
+    # parse_problem's check builds the first set's subspace through the
+    # origin; the sweep and the --trace run reuse it and build no descriptor
+    doc = small_problem(tmp_path, start={"point": [100.0, -100.0]},
+                        methods=["DRA", "SPINGARN"], set_a=set_a)
+    doc["outputs"]["trace_path"] = str(tmp_path / "trace.csv")
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(doc))
+    parsed = []
+
+    def parse(doc, _parse=cli._spec_from_document):
+        spec = _parse(doc)
+        parsed.append(list(constructions))
+        constructions.clear()
+        return spec
+
+    monkeypatch.setattr(cli, "_spec_from_document", parse)
+    assert cli.main(["--problem", str(path)]) == 0
+    kind = {"affine": d.Affine, "hyperplane": d.Hyperplane}[set_a["type"]]
+    assert parsed == [[kind, kind]] and constructions == []
+    methods = {line.split(",")[1] for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]}
+    assert methods == {"DRA", "SPINGARN"}
+
+
 def test_main_grid_override_with_file_trace_rejected(tmp_path):
     doc = small_problem(tmp_path, start={"point": [100.0, -100.0]})
     doc["outputs"]["trace_path"] = str(tmp_path / "trace.csv")

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import struct
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -639,6 +641,35 @@ def test_only_the_quadratic_has_a_row_kernel(monkeypatch, n):
         assert calls == [f] * (per_row * n)
         for x, row in zip(X, rows):
             assert row.tolist() == list(unwrapped(f, x))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_quadratic_stack_refuses_a_non_finite_point_as_the_scalar_path_does(bad, k):
+    # project_rows checks its stack before the kernel does; the kernel's
+    # own check is the one that a caller of _project_rows, as run_rows is,
+    # meets
+    X = np.array([[0.5, -2.0], [1.0, 1.0], [-3.0, 0.0]])
+    X[1, k] = bad
+    message = "epigraph points must have finite coordinates"
+    with pytest.raises(ValueError, match=message):
+        d.project_epigraph(QUAD, X[1].tolist())
+    with pytest.raises(ValueError, match=message):
+        d.Epigraph1D(QUAD)._project_rows(X)
+
+
+def test_consecutive_run_epi_calls_share_one_epigraph():
+    # as every run shares the x-axis, runs on one f share its epigraph, and
+    # only the last function's is kept
+    first = d.run_epi(QUAD, (5.0, 3.0))
+    second = d.run_epi(QUAD, (-4.0, 1.0))
+    assert second.set_b is first.set_b and first.set_b.f is QUAD
+    kept = weakref.ref(first.set_b)
+    del first, second
+    other = d.run_epi(ABS, (7.0, -2.0))
+    assert other.set_b.f is ABS
+    gc.collect()
+    assert kept() is None
 
 
 @pytest.mark.parametrize(

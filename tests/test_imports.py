@@ -2,6 +2,7 @@
 hides inside a function."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -69,6 +70,18 @@ def test_sets_imports_no_package_module_and_trace_only_sets():
     # and trace derives its columns with them
     assert _package_imports("sets") == set()
     assert _package_imports("trace") == {"sets"}
+
+
+def test_methods_imports_no_set_descriptor():
+    # Spingarn's affine reduction belongs to the descriptors that own it:
+    # methods reads the subspace and shift an affine set keeps, and names
+    # no ConvexSet subclass
+    sets = importlib.import_module("drsplit.sets")
+    names = {a.name for node in _tree("methods").body if isinstance(node, ast.ImportFrom)
+             and node.level == 1 and node.module == "sets" for a in node.names}
+    assert "ConvexSet" in names
+    assert [n for n in sorted(names) if isinstance(getattr(sets, n), type)
+            and issubclass(getattr(sets, n), sets.ConvexSet)] == ["ConvexSet"]
 
 
 def test_the_module_graph_is_acyclic():

@@ -685,10 +685,11 @@ def test_a_run_peaks_near_the_bytes_it_keeps(method, records):
     # each iterate is written once into the run's own array, with no numpy
     # object per record held until the stop: peak traced bytes per record.
     # Measured 27.8-30.3 B at 100 records and 17.2-17.4 B at 1,000 for DRA,
-    # MAP and MRP, 75.5-76.0 B and 19.4-19.5 B for SPINGARN, whose run
-    # builds the linearized sets; the bounds leave about 25% headroom.  A
-    # run that kept a list of records peaked at 170-195 B at both lengths
-    bound = {100: 96 if method is d.MethodKind.SPINGARN else 38, 1_000: 24}[records]
+    # MAP and MRP, 37.8-38.5 B and 18.1-18.2 B for SPINGARN, whose pair
+    # adds two arrays (75.5-76.0 B when each run built the linearized
+    # sets); the bounds leave about 25% headroom.  A run that kept a list
+    # of records peaked at 170-195 B at both lengths
+    bound = {100: 48 if method is d.MethodKind.SPINGARN else 38, 1_000: 24}[records]
     set_a, set_b = infeasible_line()
     d.run(set_a, set_b, method, [100.0, -100.0], d.MaxIter(5))
     tracemalloc.start()
@@ -809,6 +810,24 @@ def test_spingarn_translation_is_read_only(set_a):
     with pytest.raises(ValueError, match="read-only"):
         tr.translation[0] = 5.0
     assert np.array_equal(bits(tr.translation), bits(shift))
+
+
+@pytest.mark.parametrize("set_a", [d.Affine(LINE_L, LINE_A), d.Hyperplane([1.0, 5.0], 6.0)],
+                         ids=["affine", "hyperplane"])
+def test_spingarn_builds_the_subspace_once_per_set(set_a, constructions):
+    # the subspace through the origin and the shift are the set's own: the
+    # first run builds them, and later runs and row batches on the set
+    # construct no descriptor and share the one read-only shift
+    set_b, z0 = d.Orthant(2), [37.0, -11.0]
+    first = d.run(set_a, set_b, d.MethodKind.SPINGARN, z0, d.MaxIter(5))
+    assert constructions == [type(set_a)]
+    constructions.clear()
+    again = d.run(set_a, set_b, d.MethodKind.SPINGARN, z0, d.MaxIter(5))
+    out = d.run_rows(set_a, set_b, {d.MethodKind.SPINGARN: d.MaxIter(5)}, [z0, [1.0, 2.0]])
+    assert constructions == []
+    assert again.translation is first.translation
+    assert np.array_equal(bits(again.z), bits(first.z))
+    assert np.array_equal(bits(out["final"][0]), bits(first.final_point))
 
 
 # ---------------------------------------------------------------------------
