@@ -34,7 +34,7 @@ _BISECT_TOL = 1e-12
 _BISECT_MAX_STEPS = 1100
 
 _X_AXIS = Hyperplane([0.0, 1.0], 0.0)  # run_epi's first set, shared by every run
-_LAST_EPIGRAPH = [None]  # the last run_epi's second set, shared by runs on its f
+_LAST_EPIGRAPH = [None]  # the last run_epi's epigraph, reused while f is the same object
 
 
 class NoConvergenceError(RuntimeError):

@@ -812,13 +812,15 @@ def test_spingarn_translation_is_read_only(set_a):
     assert np.array_equal(bits(tr.translation), bits(shift))
 
 
-@pytest.mark.parametrize("set_a", [d.Affine(LINE_L, LINE_A), d.Hyperplane([1.0, 5.0], 6.0)],
+@pytest.mark.parametrize("make", [lambda: d.Affine(LINE_L, LINE_A),
+                                  lambda: d.Hyperplane([1.0, 5.0], 6.0)],
                          ids=["affine", "hyperplane"])
-def test_spingarn_builds_the_subspace_once_per_set(set_a, constructions):
+def test_spingarn_builds_the_subspace_once_per_set(make, constructions):
     # the subspace through the origin and the shift are the set's own: the
     # first run builds them, and later runs and row batches on the set
     # construct no descriptor and share the one read-only shift
-    set_b, z0 = d.Orthant(2), [37.0, -11.0]
+    set_a, set_b, z0 = make(), d.Orthant(2), [37.0, -11.0]
+    constructions.clear()
     first = d.run(set_a, set_b, d.MethodKind.SPINGARN, z0, d.MaxIter(5))
     assert constructions == [type(set_a)]
     constructions.clear()
