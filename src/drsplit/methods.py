@@ -243,16 +243,18 @@ def run(
     )
 
 
-FIRST_N_TOLS = (1e-2, 1e-4)
+FIRST_N_TOLS = (1e-2, 1e-4)   # decreasing: a row that reaches the last one has reached all
 NOT_REACHED = -1
 _SHADOW_METHODS = (MethodKind.DRA, MethodKind.SPINGARN)  # their point is P_A z_n
 _BLOCKS = (*_SHADOW_METHODS, MethodKind.MAP, MethodKind.MRP)  # the batch's block order
+_NO_ROWS = np.arange(0)
 
 
 def _exact_rows(Z, Z_prev, i, eta) -> np.ndarray:
-    """The exactness flag of the last step of the rows i of Z."""
-    Zp = Z_prev.take(i, axis=0)
-    return _exact_step(_norms(Z.take(i, axis=0) - Zp), 1.0 + _norms(Zp), eta)
+    """The exactness flag of the last step of the rows i of Z, read as a slice where they are one range."""
+    i = slice(i[0], i[-1] + 1) if i[-1] - i[0] < i.size else i
+    Zi, Zp = (Z[i], Z_prev[i]) if type(i) is slice else (Z.take(i, axis=0), Z_prev.take(i, axis=0))
+    return _exact_step(_norms(Zi - Zp), 1.0 + _norms(Zp), eta if eta is None else eta[i])
 
 
 def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -> dict:
@@ -272,15 +274,18 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     on the running rows that carry it, and computes only what it reads: the
     exactness flag of the running rows under an ExactFixedPoint rule, else
     of the rows that stop; as in ``run``, d_B(w) at the monitored point w,
-    then d_A(w) only where d_B(w) < tol, which a nan never passes.  No set
-    is projected on zero rows, and zero rows give empty columns.  Sets of
-    different dimensions raise DimensionMismatchError, and an empty
-    ``plans``, a key that is no MethodKind or a plan that
-    ``normalize_rules`` refuses raises ValueError, before any projection.
-    Z is checked once; as in ``run``, an iterate that is not finite raises
-    ValueError and an error that a projector raises on the way propagates
-    as it is, but the two drivers need not meet an overflow at the same
-    call (``run_rows`` projects each shadow onto B for d_B before it steps).
+    then d_A(w) only where d_B(w) < tol, which a nan never passes.  A rule
+    that no block with rows left carries, and a cap or record index that no
+    row has reached, cost a step nothing.  No set is projected on zero rows,
+    and zero rows give empty columns.  Sets of different dimensions raise
+    DimensionMismatchError, and an empty ``plans``, a key that is no
+    MethodKind, a plan that ``normalize_rules`` refuses or a ``record_at``
+    entry that is no integer of at least 0 (a bool is none) raise
+    ValueError, before any projection.  Z is checked once; as in ``run``, an
+    iterate that is not finite raises ValueError and an error that a
+    projector raises on the way propagates as it is, but the two drivers
+    need not meet an overflow at the same call (``run_rows`` projects each
+    shadow onto B for d_B before it steps).
 
     Returns per-row arrays iterations, exact, final, d_b_at (a column per
     record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
@@ -294,37 +299,42 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     for method in plans:
         if method not in _BLOCKS:
             raise ValueError(f"unknown method {method!r}")
+    if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0 for m in record_at):
+        raise ValueError(f"record_at must hold integers of at least 0, got {record_at!r}")
     count, width = Z.shape[0], len(plans)
     # per block: each row's output index, the block's end in the batch, and
     # its (cap, last record, eta, tol at its method's point, tol at the
     # other point), with nan for a rule that its plan does not give
-    rows, rules, bounds = [], [], [0]
-    for kind in _BLOCKS:
+    rows, rules, bounds = [], {}, [0]
+    for b, kind in enumerate(_BLOCKS):
         if kind in plans:
             eta, feas, cap = normalize_rules(plans[kind])
             tol = [math.nan, math.nan]
             if feas is not None:
                 tol[(feas.monitor is Monitor.SHADOW) != (kind in _SHADOW_METHODS)] = feas.tol
-            rules.append((cap, max((n for n in record_at if n <= cap), default=0),
-                          math.nan if eta is None else eta, *tol))
+            rules[b] = (cap, max((n for n in record_at if n <= cap), default=0),
+                        math.nan if eta is None else eta, *tol)
             rows.append(np.arange(count) * width + list(plans).index(kind))
         bounds.append(bounds[-1] + count * (kind in plans))
     _, s1, s2, s3, s4 = bounds           # DRA | SPINGARN | MAP | MRP rows
-    rows = np.concatenate(rows)
-    cap, last, eta, tol, tol_other = rule = np.repeat(np.array(rules).T, count, axis=1)
+    cap, last, eta, tol, tol_other = rule = np.repeat(np.array([*rules.values()]).T, count, axis=1)
+    ids = np.vstack([np.concatenate(rows)] + [np.full(s4, NOT_REACHED)] * len(FIRST_N_TOLS))  # row, first_n
     Z = np.concatenate([Z] * width)
-    tols = np.array(FIRST_N_TOLS)
+    tols = np.array(FIRST_N_TOLS)[:, None]
     out = {"iterations": np.zeros(s4, dtype=int), "exact": np.zeros(s4, dtype=bool),
            "reason": np.empty(s4, dtype=object), "final": np.empty_like(Z),
            "d_b_at": np.full((s4, len(record_at)), np.nan),
-           "first_n": np.full((s4, len(tols)), NOT_REACHED)}
-    running = np.ones(s4, dtype=bool)
-    n_running = s4
+           "first_n": np.full((s4, len(FIRST_N_TOLS)), NOT_REACHED)}
+    running, n_running = np.ones(s4, dtype=bool), s4
     Z_prev = Z                           # the last iterate (Z at n = 0)
-    first = out["first_n"].copy()
     pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
-    n = 0
+    n, layout = 0, True
     while s4:
+        if layout:   # what the rules of the blocks with rows ask of a step
+            live = [r for b, r in rules.items() if bounds[b + 1] > bounds[b]]
+            least_cap, last_rec = min(r[0] for r in live), max(r[1] for r in live)
+            has_eta, has_tol, has_other = (any(r[k] > 0 for r in live) for k in (2, 3, 4))
+            rows, first, layout = ids[0], ids[1:], False
         point = Z                        # P_A z_n on the DRA and SPINGARN rows, else z_n
         if s2:
             point = set_a._project_rows(Z[:s2])
@@ -335,53 +345,61 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
         for j, m in enumerate(record_at):
             if m == n:
                 out["d_b_at"][rows, j] = d
-        first = np.where((first == NOT_REACHED) & (d[:, None] < tols), n, first)
+        first[(first == NOT_REACHED) & (d < tols)] = n
 
-        if n_running:
-            feasible, fixed = np.zeros((2, s4), dtype=bool)
-            i = (running & (d < tol)).nonzero()[0]    # w is the point: d_B(w) is d
-            W, t = point.take(i, axis=0), tol[i]
-            j = (running & (tol_other > 0)).nonzero()[0]
+        if n_running:   # a mask is built only once some row can pass its test
+            feasible = fixed = False
+            capped = running & (n >= cap) if n >= least_cap else False
+            i = (running & (d < tol)).nonzero()[0] if has_tol else _NO_ROWS   # w is the point
+            W, t = (point.take(i, axis=0), tol[i]) if i.size else (None, None)
+            j = (running & (tol_other > 0)).nonzero()[0] if has_other else _NO_ROWS
             if j.size:                   # w is z_n on DRA and SPINGARN rows, else P_A z_n
                 Wj, k = Z.take(j, axis=0), j.searchsorted(s2)
                 if k < j.size:
                     Wj[k:] = set_a._project_rows(Wj[k:])
                 k = (_norms(Wj - set_b._project_rows(Wj)) < tol_other[j]).nonzero()[0]
-                i, W, t = (np.concatenate(p) for p in
-                           ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]])))
+                i, W, t = ((j[k], Wj[k], tol_other[j[k]]) if W is None else
+                           (np.concatenate(p) for p in ((i, j[k]), (W, Wj[k]), (t, tol_other[j[k]]))))
             if i.size:
+                feasible = np.zeros(s4, dtype=bool)
                 feasible[i] = _norms(W - set_a._project_rows(W)) < t
-            i = (running & (eta > 0)).nonzero()[0]
-            if n and i.size:
-                fixed[i] = _exact_rows(Z, Z_prev, i, eta[i])
-            i = (feasible | fixed | (running & (n >= cap))).nonzero()[0]
-            if i.size:
+            i = (running & (eta > 0)).nonzero()[0] if has_eta and n else _NO_ROWS
+            if i.size and (ok := _exact_rows(Z, Z_prev, i, eta)).any():
+                fixed = np.zeros(s4, dtype=bool)
+                fixed[i] = ok
+            i = feasible | fixed | capped
+            if i is not False and (i := i.nonzero()[0]).size:
                 out_i = rows[i]
                 out["iterations"][out_i] = n
-                if n:
-                    out["exact"][out_i] = fixed[i]
-                    off = i[np.isnan(eta[i])]    # rows with no eta rule take the flag here
-                    if off.size:
-                        out["exact"][rows[off]] = _exact_rows(Z, Z_prev, off, None)
                 out["reason"][out_i] = Reason.MAX_ITER   # later lines win: feasibility > exact > cap
-                out["reason"][out_i[fixed[i]]] = Reason.EXACT_FIXED_POINT
-                out["reason"][out_i[feasible[i]]] = Reason.FEASIBILITY
+                if fixed is not False:
+                    out["exact"][out_i] = fixed[i]
+                    out["reason"][out_i[fixed[i]]] = Reason.EXACT_FIXED_POINT
+                off = i[np.isnan(eta[i])] if n else _NO_ROWS   # rows with no eta rule take the flag here
+                if off.size:
+                    out["exact"][rows[off]] = _exact_rows(Z, Z_prev, off, None)
+                if feasible is not False:
+                    out["reason"][out_i[feasible[i]]] = Reason.FEASIBILITY
                 out["final"][out_i] = Z.take(i, axis=0)
                 running[i] = False
                 n_running -= i.size
-        if n_running < s4:
-            done = ~running & ((n >= cap) | ((n >= last) & (first != NOT_REACHED).all(axis=1)))
-            if done.any():
-                i = done.nonzero()[0]
-                out["first_n"][rows[i]] = first.take(i, axis=0)
+        if n_running < s4:   # the cap and record tests only once some row can pass them
+            done = ~running & (first[-1] != NOT_REACHED)
+            if n < last_rec:
+                done &= n >= last
+            if n >= least_cap:   # no running row has reached its cap
+                done |= n >= cap
+            if (i := done.nonzero()[0]).size:
+                out["first_n"][rows[i]] = first[:, i].T
                 if pair:
-                    i = (~done[s1:s2]).nonzero()[0]
-                    pair.a, pair.b = pair.a.take(i, axis=0), pair.b.take(i, axis=0)
+                    k = (~done[s1:s2]).nonzero()[0]
+                    pair.a, pair.b = pair.a.take(k, axis=0), pair.b.take(k, axis=0)
                 keep = (~done).nonzero()[0]     # take, not a mask: far cheaper on 2-D rows
                 _, s1, s2, s3, s4 = bounds = keep.searchsorted(bounds).tolist()
-                rows, running, first, Z, Z_prev, point, PB = (
-                    v.take(keep, axis=0) for v in (rows, running, first, Z, Z_prev, point, PB))
+                running, Z, Z_prev, point, PB = (
+                    v.take(keep, axis=0) for v in (running, Z, Z_prev, point, PB))
                 cap, last, eta, tol, tol_other = rule = rule.take(keep, axis=1)
+                ids, layout = ids.take(keep, axis=1), True
                 if not s4:
                     return out
 
@@ -394,7 +412,8 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                  for kind, lo, hi in ((MethodKind.MAP, s2, s3), (MethodKind.MRP, s3, s4)) if lo < hi]
             parts.append(set_a._project_rows(np.concatenate(X) if len(X) > 1 else X[0]))
         Z_next = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        if not np.isfinite(Z_next).all():
+        v = Z_next.ravel()   # as in run: Z is finite, so a finite squared norm means a finite Z_next
+        if not math.isfinite(v.dot(v)) and not np.isfinite(Z_next).all():
             raise ValueError("vector coordinates must be finite")
         Z_prev, Z = Z, Z_next
         n += 1

@@ -81,8 +81,14 @@ def _dots(X: np.ndarray, W) -> np.ndarray:
 
 
 def _norms(D: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a stack."""
-    return np.sqrt(_dots(D, D))
+    """Euclidean norm of each row of a stack, with the bits of sqrt(_dots(D, D)):
+    below 8 columns the sum starts from the first square, which is never -0.0."""
+    if D.shape[1] >= 8:
+        return np.sqrt(_dots(D, D))
+    acc = D[:, 0] * D[:, 0]
+    for k in range(1, D.shape[1]):
+        acc += D[:, k] * D[:, k]
+    return np.sqrt(acc)
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:

@@ -692,6 +692,70 @@ def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, s
     assert counts == {"a": a_rows, "norms": norm_rows}
 
 
+def _numpy_call(fn):
+    """A C function or method of numpy: np.zeros, ndarray.take, ufunc.reduce."""
+    module = getattr(fn, "__module__", None) or type(getattr(fn, "__self__", None)).__module__
+    return module.split(".")[0] == "numpy"
+
+
+def _step_counts(kinds, ruled, cap):
+    """Calls onto A and B, calls to _norms and numpy C calls that
+    sys.setprofile sees while run_rows runs one start of the line problem
+    under _rules_for's plans or a cap alone, to the cap."""
+    doc = {"dim": 2, **LINE_GRID, "methods": list(kinds), "start": {"point": [100.0, -100.0]},
+           "stopping": {"eta": 1e-14, "tol": 1e-4, "monitor": "iterate", "max_iter": cap},
+           "outputs": {"record_at": [5, 10]}}
+    spec = cli.parse_problem(json.dumps(doc))
+    plans = {m: cli._rules_for(m, spec) if ruled else d.MaxIter(cap) for m in spec.methods}
+    counts = dict.fromkeys(("a", "b", "norms", "numpy"), 0)
+
+    def counted(name, f):
+        def wrapper(X):
+            counts[name] += 1
+            return f(X)
+        return wrapper
+
+    def profile(frame, event, fn):
+        if event == "c_call" and _numpy_call(fn):
+            counts["numpy"] += 1
+
+    set_a, set_b, norms = spec.set_a, spec.set_b, d.methods._norms
+    set_a._project_rows = counted("a", set_a._project_rows)
+    set_b._project_rows = counted("b", set_b._project_rows)
+    d.methods._norms = counted("norms", norms)
+    sys.setprofile(profile)
+    try:
+        res = d.run_rows(set_a, set_b, plans, spec.starts, spec.record_at)
+    finally:
+        sys.setprofile(None)
+        d.methods._norms = norms
+    assert (res["iterations"] == cap).all()     # no rule stops the start before the cap
+    return counts
+
+
+@pytest.mark.parametrize("kinds, ruled, a, b, norms, numpy_calls", [
+    pytest.param(("DRA",), True, 1, 2, 3, 5, id="DRA-rules"),
+    pytest.param(("DRA",), False, 1, 2, 1, 2, id="DRA-cap"),
+    pytest.param(("MAP",), True, 1, 1, 1, 4, id="MAP-rules"),
+    pytest.param(("MAP",), False, 1, 1, 1, 3, id="MAP-cap"),
+    pytest.param(("DRA", "MAP", "MRP"), True, 2, 2, 3, 8, id="DRA-MAP-MRP-rules"),
+    pytest.param(("DRA", "MAP", "MRP"), False, 2, 2, 1, 4, id="DRA-MAP-MRP-cap"),
+    pytest.param(("SPINGARN", "MRP"), True, 2, 2, 3, 7, id="SPINGARN-MRP-rules"),
+    pytest.param(("SPINGARN", "MRP"), False, 2, 2, 1, 3, id="SPINGARN-MRP-cap"),
+])
+def test_a_row_step_pays_only_for_its_blocks_and_rules(kinds, ruled, a, b, norms, numpy_calls):
+    # one step of a batch of one start (the counts to cap 4 less those to
+    # cap 3): a rule that no block carries, a cap that no row has reached
+    # and a record index past every record cost it no numpy call.  The
+    # profiler sees numpy's functions and methods, not its ufuncs or array
+    # operators.  Each step took 13, 9, 10, 10, 15, 11, 14 and 10 numpy
+    # calls in the order above when every step built every rule's mask;
+    # the projections and norms are unchanged
+    step = {k: v4 - v3 for (k, v4), v3 in zip(_step_counts(kinds, ruled, 4).items(),
+                                              _step_counts(kinds, ruled, 3).values())}
+    assert step == {"a": a, "b": b, "norms": norms, "numpy": numpy_calls}
+
+
 def test_sweep_exact_matches_run_where_map_and_mrp_stop(tmp_path):
     # MAP and MRP take the exactness test only at their stopping record:
     # there is none at n = 0 (a start in A and B), and at the cap the
@@ -780,13 +844,25 @@ def test_sweep_with_a_cap_alone_matches_run(tmp_path):
         assert np.array_equal(row.final.view(np.int64), tr.final_point.view(np.int64))
 
 
-def test_sweep_matches_run_under_random_rule_plans(tmp_path):
+def test_sweep_matches_run_under_random_rule_plans(tmp_path, monkeypatch):
     # each row is tested by the rules its method carries, whatever rules
     # the other methods in the batch carry: seeded plans of an optional
     # exactness rule, an optional feasibility rule on either monitor and a
-    # cap, for random method subsets and orders
+    # cap, for random method subsets and orders.  A row steps on past its
+    # stop until it knows first_n and has passed its last record, or to its
+    # cap, so its records match a run to that cap with no other rule: d_B
+    # at the method's point (the shadow for DRA and SPINGARN, the iterate
+    # for MAP and MRP), nan at an index past the cap
     rng = np.random.default_rng(2004)
-    seen = set()
+    record_at = [0, 3, 9, 25, 61]          # 61: past every cap
+    seen, pair_rows, past_stop = set(), [], 0
+    step = d.methods._Spingarn.step
+
+    def logged(pair):                      # SPINGARN's row count at each step
+        pair_rows[-1].append(len(pair.a))
+        return step(pair)
+
+    monkeypatch.setattr(d.methods._Spingarn, "step", logged)
     for _ in range(30):
         methods = rng.permutation(ALL_METHODS)[:rng.integers(1, 5)].tolist()
         plan = {}
@@ -799,14 +875,28 @@ def test_sweep_matches_run_under_random_rule_plans(tmp_path):
                                            list(d.Monitor)[rng.integers(2)]))
             plan[method] = [rules[k] for k in rng.permutation(len(rules))]
         spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=3, methods=methods)))
-        for row in plan_rows(spec.set_a, spec.set_b, plan, spec.starts, [0, 3, 9]):
+        pair_rows.append([])
+        for row in plan_rows(spec.set_a, spec.set_b, plan, spec.starts, record_at):
             tr = d.run(spec.set_a, spec.set_b, row.method, row.z0, plan[row.method])
             t = tr.termination
             assert (row.iterations, row.exact, row.reason) == (tr.iterations, t.exact, t.reason)
             assert np.array_equal(row.final.view(np.int64), tr.final_point.view(np.int64))
             seen.add((row.reason, row.exact))
+            cap = d.trace.normalize_rules(plan[row.method])[2]
+            full = d.run(spec.set_a, spec.set_b, row.method, row.z0, d.MaxIter(cap))
+            point = full.a if row.method in d.methods._SHADOW_METHODS else full.z
+            d_b = d.methods._norms(point - spec.set_b._project_rows(point))
+            want = [d_b[m] if m <= cap else np.nan for m in record_at]
+            past_stop += sum(row.iterations < m <= cap for m in record_at)
+            assert np.array_equal(row.d_b_at, want, equal_nan=True), (row.z0, row.method)
+            assert row.first_n.tolist() == [int(np.argmax(below)) if below.any() else d.methods.NOT_REACHED
+                                            for below in (d_b[:, None] < d.methods.FIRST_N_TOLS).T]
     assert {(d.Reason.FEASIBILITY, False), (d.Reason.EXACT_FIXED_POINT, True),
             (d.Reason.MAX_ITER, False), (d.Reason.MAX_ITER, True)} <= seen
+    # records past a row's stop, and SPINGARN rows that leave the batch
+    # while other SPINGARN rows step on
+    assert past_stop > 0
+    assert any(0 < b < a for rows in pair_rows for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("name", ["line", "epigraph", "lifted"])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -631,10 +632,11 @@ def test_a_trace_keeps_one_array_and_a_slotted_decision(method, records):
 def test_a_kept_short_trace_costs_little_beyond_its_iterates():
     # 200 kept traces of the epigraph case, each run or run_epi of at most
     # 12 records on quadratic(1, 0, -1): traced bytes per trace beyond
-    # z.nbytes.  Measured 435-444 B (112 B of z per trace); 630-640 B when z
-    # was a reshape view of a second array, Termination had an instance
-    # dict and run_epi stored its region tags.  The bound leaves about 15%
-    # headroom over the measured value.
+    # z.nbytes.  Measured 384-385 B (112 B of z per trace); 435-444 B when
+    # each run_epi call built its own Epigraph1D, and 630-640 B when z was a
+    # reshape view of a second array, Termination had an instance dict and
+    # run_epi stored its region tags.  The bound leaves about 15% headroom
+    # over the measured value.
     f = d.quadratic(1.0, 0.0, -1.0)
     axis, epi = d.Hyperplane([0.0, 1.0], 0.0), d.Epigraph1D(f)
     rules = [d.ExactFixedPoint(), d.MaxIter(11)]
@@ -654,7 +656,7 @@ def test_a_kept_short_trace_costs_little_beyond_its_iterates():
     finally:
         tracemalloc.stop()
     assert max(len(tr) for tr in kept) <= 12
-    assert (total - sum(tr.z.nbytes for tr in kept)) / len(kept) <= 510
+    assert (total - sum(tr.z.nbytes for tr in kept)) / len(kept) <= 445
 
 
 @pytest.mark.parametrize("method, retained, peak", [
@@ -878,6 +880,101 @@ def test_run_rows_refuses_an_empty_plan_dict(line_orthant, monkeypatch):
         with pytest.raises(ValueError, match="^plans must name at least one method$"):
             d.run_rows(set_a, set_b, {}, Z)
     assert calls == []
+
+
+@pytest.mark.parametrize("record_at", [[-1], [2.5], [True], [5, np.bool_(False)], (0, -3)],
+                         ids=["negative", "fraction", "bool", "numpy-bool", "tuple"])
+def test_run_rows_refuses_a_record_index_that_is_no_count(line_orthant, monkeypatch, record_at):
+    # an index below 0 or a fraction gave a silent all-nan d_b_at column and
+    # True recorded at n = 1; each is refused, as normalize_rules refuses
+    # such a cap, before any set is projected
+    set_a, set_b = line_orthant
+    Z = np.ones((3, 2))
+    refuse_projections(monkeypatch, set_a, set_b)
+    for methods in [[m] for m in d.MethodKind] + [list(d.MethodKind)]:
+        with pytest.raises(ValueError, match="^record_at must hold integers of at least 0, got "):
+            d.run_rows(set_a, set_b, dict.fromkeys(methods, d.MaxIter(4)), Z, record_at)
+
+
+def test_run_rows_records_at_numpy_integers_as_at_ints(line_orthant):
+    set_a, set_b = line_orthant
+    Z = np.random.default_rng(2102).uniform(-100, 100, (4, 2))
+    plans = dict.fromkeys(d.MethodKind, d.MaxIter(6))
+    ints = d.run_rows(set_a, set_b, plans, Z, [0, 2, 6])
+    numpy_ints = d.run_rows(set_a, set_b, plans, Z, np.array([0, 2, 6]))
+    np.testing.assert_array_equal(ints["d_b_at"], numpy_ints["d_b_at"])
+    assert not np.isnan(ints["d_b_at"]).any()
+
+
+def assert_rows_are_runs(set_a, set_b, plans, Z, res):
+    """Row i * len(plans) + k of run_rows' columns ends as run from start i
+    under the k-th plan: iterations, reason, exact and the final point's bits."""
+    for i, (z0, method) in enumerate(itertools.product(Z, plans)):
+        tr = d.run(set_a, set_b, method, z0, plans[method])
+        t = tr.termination
+        got = (res["iterations"][i], res["reason"][i], res["exact"][i])
+        assert got == (tr.iterations, t.reason, t.exact), (z0, method)
+        assert np.array_equal(res["final"][i].view(np.int64), tr.final_point.view(np.int64))
+
+
+def test_run_rows_drops_the_exactness_test_with_its_last_block(line_orthant, monkeypatch):
+    # the DRA block carries the batch's only eta and its rows leave by n = 3,
+    # while the capped MAP rows step on to n = 12: from then on no step
+    # takes the exactness test, and every row still ends as run ends
+    set_a, set_b = line_orthant
+    dra = [d.ExactFixedPoint(1e-14), d.MaxIter(100)]
+    Z = np.random.default_rng(2103).uniform(-10, 10, (120, 2))
+    Z = np.array([z for z in Z if d.run(set_a, set_b, d.MethodKind.DRA, z, dra).iterations <= 3])
+    assert len(Z) >= 10
+    plans = {d.MethodKind.MAP: d.MaxIter(12), d.MethodKind.DRA: dra}
+    ruled = []
+    exact_rows = d.methods._exact_rows
+
+    def counted(Z, Z_prev, i, eta):
+        ruled.append(eta is not None)
+        return exact_rows(Z, Z_prev, i, eta)
+
+    monkeypatch.setattr(d.methods, "_exact_rows", counted)
+    res = d.run_rows(set_a, set_b, plans, Z, (0, 2))
+    assert set(res["iterations"][::2]) == {12} and max(res["iterations"][1::2]) <= 3
+    assert 1 <= ruled.count(True) <= 3     # the eta test at n = 1, ..., 3 at most
+    assert_rows_are_runs(set_a, set_b, plans, Z, res)
+
+
+def test_run_rows_tests_each_block_by_its_own_cap(line_orthant):
+    # a cap per block: MAP's 2, DRA's 100 and SPINGARN's 50, SPINGARN under
+    # a feasibility rule on its iterate (the point other than its shadow);
+    # the least cap stops only the MAP rows, and the rows it leaves end as
+    # run ends
+    set_a, set_b = line_orthant
+    plans = {d.MethodKind.MAP: d.MaxIter(2),
+             d.MethodKind.DRA: [d.ExactFixedPoint(1e-14), d.MaxIter(100)],
+             d.MethodKind.SPINGARN: [d.Feasibility(1e-6, d.Monitor.ITERATE), d.MaxIter(50)]}
+    Z = np.random.default_rng(2104).uniform(-100, 100, (12, 2))
+    res = d.run_rows(set_a, set_b, plans, Z, (0, 5))
+    assert set(res["iterations"][::3]) == {2}
+    assert max(res["iterations"][1::3]) > 2 and max(res["iterations"][2::3]) > 2
+    assert_rows_are_runs(set_a, set_b, plans, Z, res)
+
+
+def test_run_rows_steps_a_row_on_until_it_knows_each_first_index(line_orthant):
+    # MAP and MRP rows stop where d_B < 1e-3, before d_B falls below 1e-4:
+    # each steps on past its stop and its last record until it reaches
+    # each of FIRST_N_TOLS, as a run to its cap finds them
+    set_a, set_b = line_orthant
+    plans = dict.fromkeys((d.MethodKind.MAP, d.MethodKind.MRP),
+                          [d.Feasibility(1e-3), d.MaxIter(1000)])
+    Z = np.random.default_rng(2105).uniform(-10, 10, (10, 2))
+    res = d.run_rows(set_a, set_b, plans, Z, (0, 1))
+    stepped_on = 0
+    for i, (z0, method) in enumerate(itertools.product(Z, plans)):
+        d_b = d.run(set_a, set_b, method, z0, d.MaxIter(1000)).d_b
+        first = [int(np.argmax(d_b < tol)) for tol in d.methods.FIRST_N_TOLS]
+        assert min(d_b) < min(d.methods.FIRST_N_TOLS)
+        assert res["first_n"][i].tolist() == first, (z0, method)
+        stepped_on += bool(first[0] <= res["iterations"][i] < first[1])
+    assert stepped_on >= 6
+    assert_rows_are_runs(set_a, set_b, plans, Z, res)
 
 
 def test_run_rows_reads_each_plan_as_run_reads_stop(line_orthant, monkeypatch):
