@@ -243,7 +243,7 @@ def run(
     )
 
 
-FIRST_N_TOLS = (1e-2, 1e-4)   # decreasing: a row that reaches the last one has reached all
+FIRST_N_TOLS = (1e-2, 1e-4)   # decreasing: a row below the last one is below all
 NOT_REACHED = -1
 _SHADOW_METHODS = (MethodKind.DRA, MethodKind.SPINGARN)  # their point is P_A z_n
 _BLOCKS = (*_SHADOW_METHODS, MethodKind.MAP, MethodKind.MRP)  # the batch's block order

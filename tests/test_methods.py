@@ -897,6 +897,7 @@ def test_run_rows_refuses_a_record_index_that_is_no_count(line_orthant, monkeypa
 
 
 def test_run_rows_records_at_numpy_integers_as_at_ints(line_orthant):
+    # the check lets numpy integers through, as normalize_rules lets a cap
     set_a, set_b = line_orthant
     Z = np.random.default_rng(2102).uniform(-100, 100, (4, 2))
     plans = dict.fromkeys(d.MethodKind, d.MaxIter(6))
@@ -917,7 +918,7 @@ def assert_rows_are_runs(set_a, set_b, plans, Z, res):
         assert np.array_equal(res["final"][i].view(np.int64), tr.final_point.view(np.int64))
 
 
-def test_run_rows_drops_the_exactness_test_with_its_last_block(line_orthant, monkeypatch):
+def test_run_rows_ends_as_run_after_its_only_eta_block_leaves(line_orthant, monkeypatch):
     # the DRA block carries the batch's only eta and its rows leave by n = 3,
     # while the capped MAP rows step on to n = 12: from then on no step
     # takes the exactness test, and every row still ends as run ends
