@@ -251,10 +251,9 @@ _NO_ROWS = np.arange(0)
 
 
 def _exact_rows(Z, Z_prev, i, eta) -> np.ndarray:
-    """The exactness flag of the last step of the rows i of Z, read as a slice where they are one range."""
-    i = slice(i[0], i[-1] + 1) if i[-1] - i[0] < i.size else i
-    Zi, Zp = (Z[i], Z_prev[i]) if type(i) is slice else (Z.take(i, axis=0), Z_prev.take(i, axis=0))
-    return _exact_step(_norms(Zi - Zp), 1.0 + _norms(Zp), eta if eta is None else eta[i])
+    """The exactness flag of the last step of the rows i of Z."""
+    Zp = Z_prev.take(i, axis=0)
+    return _exact_step(_norms(Z.take(i, axis=0) - Zp), 1.0 + _norms(Zp), eta)
 
 
 def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -> dict:
@@ -364,7 +363,7 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                 feasible = np.zeros(s4, dtype=bool)
                 feasible[i] = _norms(W - set_a._project_rows(W)) < t
             i = (running & (eta > 0)).nonzero()[0] if has_eta and n else _NO_ROWS
-            if i.size and (ok := _exact_rows(Z, Z_prev, i, eta)).any():
+            if i.size and (ok := _exact_rows(Z, Z_prev, i, eta[i])).any():
                 fixed = np.zeros(s4, dtype=bool)
                 fixed[i] = ok
             i = feasible | fixed | capped

@@ -82,8 +82,8 @@ def _dots(X: np.ndarray, W) -> np.ndarray:
 
 def _norms(D: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a stack, with the bits of sqrt(_dots(D, D)):
-    below 8 columns the sum starts from the first square, which is never -0.0."""
-    if D.shape[1] >= 8:
+    from 1 to 7 columns the sum starts from the first square, which is never -0.0."""
+    if D.shape[1] >= 8 or not D.shape[1]:
         return np.sqrt(_dots(D, D))
     acc = D[:, 0] * D[:, 0]
     for k in range(1, D.shape[1]):

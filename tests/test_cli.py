@@ -734,13 +734,13 @@ def _step_counts(kinds, ruled, cap):
 
 
 @pytest.mark.parametrize("kinds, ruled, a, b, norms, numpy_calls", [
-    pytest.param(("DRA",), True, 1, 2, 3, 5, id="DRA-rules"),
+    pytest.param(("DRA",), True, 1, 2, 3, 7, id="DRA-rules"),
     pytest.param(("DRA",), False, 1, 2, 1, 2, id="DRA-cap"),
     pytest.param(("MAP",), True, 1, 1, 1, 4, id="MAP-rules"),
     pytest.param(("MAP",), False, 1, 1, 1, 3, id="MAP-cap"),
-    pytest.param(("DRA", "MAP", "MRP"), True, 2, 2, 3, 8, id="DRA-MAP-MRP-rules"),
+    pytest.param(("DRA", "MAP", "MRP"), True, 2, 2, 3, 10, id="DRA-MAP-MRP-rules"),
     pytest.param(("DRA", "MAP", "MRP"), False, 2, 2, 1, 4, id="DRA-MAP-MRP-cap"),
-    pytest.param(("SPINGARN", "MRP"), True, 2, 2, 3, 7, id="SPINGARN-MRP-rules"),
+    pytest.param(("SPINGARN", "MRP"), True, 2, 2, 3, 9, id="SPINGARN-MRP-rules"),
     pytest.param(("SPINGARN", "MRP"), False, 2, 2, 1, 3, id="SPINGARN-MRP-cap"),
 ])
 def test_a_row_step_pays_only_for_its_blocks_and_rules(kinds, ruled, a, b, norms, numpy_calls):

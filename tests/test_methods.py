@@ -9,6 +9,7 @@ import pytest
 
 import drsplit as d
 from drsplit import cli
+from drsplit.sets import _norms
 from drsplit.trace import DEFAULT_ETA, DEFAULT_MAX_ITER, _exact_step, normalize_rules
 from conftest import (
     LINE_A,
@@ -905,6 +906,22 @@ def test_run_rows_records_at_numpy_integers_as_at_ints(line_orthant):
     numpy_ints = d.run_rows(set_a, set_b, plans, Z, np.array([0, 2, 6]))
     np.testing.assert_array_equal(ints["d_b_at"], numpy_ints["d_b_at"])
     assert not np.isnan(ints["d_b_at"]).any()
+
+
+def test_run_rows_and_run_give_zero_distances_on_a_zero_dimensional_pair():
+    # Box([], []) is a set of R^0: every distance on it is 0, in the row
+    # columns and in a trace's d_a and d_b, and no norm reads a column
+    box = d.Box([], [])
+    np.testing.assert_array_equal(_norms(np.zeros((3, 0))), np.zeros(3))
+    plans = dict.fromkeys((d.MethodKind.DRA, d.MethodKind.MAP, d.MethodKind.MRP), d.MaxIter(3))
+    res = d.run_rows(box, box, plans, np.zeros((2, 0)), [0, 1])
+    np.testing.assert_array_equal(res["d_b_at"], np.zeros((6, 2)))
+    np.testing.assert_array_equal(res["first_n"], np.zeros((6, 2), dtype=int))
+    assert res["iterations"].tolist() == [3] * 6 and res["final"].shape == (6, 0)
+    for method in plans:
+        tr = d.run(box, box, method, [], d.MaxIter(3))
+        np.testing.assert_array_equal(tr.d_a, np.zeros(4))
+        np.testing.assert_array_equal(tr.d_b, np.zeros(4))
 
 
 def assert_rows_are_runs(set_a, set_b, plans, Z, res):
