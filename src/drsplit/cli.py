@@ -502,7 +502,7 @@ def csv_header(dim: int, record_at: Sequence[int]) -> str:
     cols += ["method", "iterations", "exact"]
     cols += _coord_names("final", dim)
     cols += [f"dB_at_{n}" for n in record_at]
-    cols += ["first_n_tol_1e2", "first_n_tol_1e4", "reason"]
+    cols += [f"first_n_tol_1e{round(-math.log10(t))}" for t in FIRST_N_TOLS] + ["reason"]
     return ",".join(cols)
 
 
@@ -576,18 +576,8 @@ def _apply_overrides(doc: dict, args) -> dict:
     """Write the command-line overrides into a problem document, so that
     parsing checks the combined problem exactly as it checks a file."""
     doc = dict(doc)
-
-    def put(section, key, value):
-        # a section that is no object is left for parsing to reject
-        if isinstance(doc.get(section, {}), dict):
-            doc[section] = {**doc.get(section, {}), key: value}
-
     if args.method is not None:
         doc["methods"] = args.method.split(",")
-    if args.tol is not None:
-        put("stopping", "tol", args.tol)
-    if args.max_iter is not None:
-        put("stopping", "max_iter", args.max_iter)
     if args.grid is not None:
         try:
             lo, hi, steps = args.grid.split(",")
@@ -595,22 +585,25 @@ def _apply_overrides(doc: dict, args) -> dict:
         except ValueError as e:
             raise ValidationError("--grid expects lo,hi,steps") from e
         doc["start"] = {"grid": grid}
-    if args.record_at is not None:
+    record_at = args.record_at
+    if record_at is not None:
         try:  # "" is the empty list, as a file writes it
-            record_at = [int(n) for n in args.record_at.split(",") if args.record_at]
+            record_at = [int(n) for n in record_at.split(",") if record_at]
         except ValueError as e:
             raise ValidationError("--record-at expects integers") from e
-        put("outputs", "record_at", record_at)
-    if args.out is not None:
-        put("outputs", "csv_path", args.out)
-    if args.trace is not None:
-        put("outputs", "trace_path", args.trace)
+    for section, key, value in (
+            ("stopping", "tol", args.tol), ("stopping", "max_iter", args.max_iter),
+            ("outputs", "record_at", record_at), ("outputs", "csv_path", args.out),
+            ("outputs", "trace_path", args.trace)):
+        # a section that is no object is left for parsing to reject
+        if value is not None and isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), key: value}
     return doc
 
 
 def _run_witness(args) -> int:
-    for name in ("problem", "method", "tol", "max_iter", "grid", "record_at", "trace"):
-        if getattr(args, name) is not None:
+    for name, value in vars(args).items():
+        if value is not None and name not in ("witness", "eps", "out"):
             raise ValidationError(f"--witness does not take --{name.replace('_', '-')}")
     family = WitnessFamily(args.witness)
     lines = ["family,eps,step_residual,fix_distance"]

@@ -65,6 +65,11 @@ class WitnessFamily(Enum):
     QUADRATIC = "quadratic"
 
 
+# family -> (f, sign of the witness point's second coordinate)
+_WITNESSES = {WitnessFamily.ABS_SHIFT: (absshift(1.0, -1.0), 1.0),
+              WitnessFamily.QUADRATIC: (quadratic(1.0, 0.0, -1.0), -1.0)}
+
+
 def _as_point(z) -> Tuple[float, float]:
     x, rho = z
     x, rho = float(x), float(rho)
@@ -361,14 +366,10 @@ def luque_witness(family: WitnessFamily, eps: float) -> Tuple[float, float]:
     eps = float(eps)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if family is WitnessFamily.ABS_SHIFT:
-        f = absshift(1.0, -1.0)
-        z = EpiPoint(1.0 + eps, eps)
-    elif family is WitnessFamily.QUADRATIC:
-        f = quadratic(1.0, 0.0, -1.0)
-        z = EpiPoint(1.0 + eps, -eps)
-    else:
+    if not isinstance(family, WitnessFamily):
         raise ValueError(f"unknown witness family {family!r}")
+    f, sign = _WITNESSES[family]
+    z = EpiPoint(1.0 + eps, sign * eps)
     z_next, _ = dr_step_epi(f, z)
     step_residual = math.hypot(z_next.x - z.x, z_next.rho - z.rho)
     return step_residual, _fix_segment_distance(z_next)

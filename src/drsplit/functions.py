@@ -114,6 +114,7 @@ def custom(
 
 
 _CALL_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
+_BUILTINS = {FunctionKind.QUADRATIC: (quadratic, 3), FunctionKind.ABS_SHIFT: (absshift, 2)}
 
 
 def function_from_name(text: str) -> ConvexFunction1D:
@@ -129,15 +130,13 @@ def function_from_name(text: str) -> ConvexFunction1D:
         args = [float(a) for a in raw_args.split(",")] if raw_args.strip() else []
     except ValueError as e:
         raise ValueError(f"bad numeric argument in {text!r}") from e
-    if name == "quadratic":
-        if len(args) != 3:
-            raise ValueError("quadratic takes exactly 3 arguments")
-        return quadratic(*args)
-    if name == "absshift":
-        if len(args) != 2:
-            raise ValueError("absshift takes exactly 2 arguments")
-        return absshift(*args)
-    raise ValueError(f"unknown function {name!r}")
+    try:
+        build, arity = _BUILTINS[FunctionKind(name)]
+    except (ValueError, KeyError):
+        raise ValueError(f"unknown function {name!r}") from None
+    if len(args) != arity:
+        raise ValueError(f"{name} takes exactly {arity} arguments")
+    return build(*args)
 
 
 def check_convexity(

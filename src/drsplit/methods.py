@@ -308,6 +308,7 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     for b, kind in enumerate(_BLOCKS):
         if kind in plans:
             eta, feas, cap = normalize_rules(plans[kind])
+            cap = min(cap, 2**53)   # a count no row reaches, which packs as an exact float
             tol = [math.nan, math.nan]
             if feas is not None:
                 tol[(feas.monitor is Monitor.SHADOW) != (kind in _SHADOW_METHODS)] = feas.tol

@@ -129,7 +129,7 @@ def _own(v: np.ndarray) -> np.ndarray:
 
 
 def _size(value, name: str) -> int:
-    """A set size: a positive Python or numpy integer, and not a bool."""
+    """A size or a count: a positive Python or numpy integer, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return operator.index(value)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sets import ConvexSet, _norms, _read_only
+from .sets import ConvexSet, _norms, _read_only, _size
 
 DEFAULT_ETA = 1e-14
 DEFAULT_MAX_ITER = 100_000
@@ -140,7 +140,7 @@ def normalize_rules(stop) -> tuple:
     the first two kinds can decide a run; a second one raises ValueError,
     as do an entry that is no rule, an eta or tol that is no real number
     above 0, a monitor that is no Monitor member and a cap that is no
-    integer of at least 1 (a bool is neither number)."""
+    positive integer (a bool is neither number)."""
     try:
         rules = () if stop is None else (stop,) if isinstance(stop, (ExactFixedPoint, Feasibility, MaxIter)) else tuple(stop)
     except TypeError:
@@ -159,10 +159,7 @@ def normalize_rules(stop) -> tuple:
                 raise ValueError(f"Feasibility.monitor must be a Monitor, got {rule.monitor!r}")
             feas = rule
         elif isinstance(rule, MaxIter):
-            n = rule.n_max
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"MaxIter.n_max must be an integer of at least 1, got {n!r}")
-            caps.append(n)
+            caps.append(_size(rule.n_max, "MaxIter.n_max"))
         else:
             raise ValueError(f"not a stopping rule: {rule!r}")
     return eta, feas, min(caps, default=DEFAULT_MAX_ITER)

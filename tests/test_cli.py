@@ -1316,11 +1316,14 @@ def test_main_empty_record_at_is_the_empty_list(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--problem", "prob.json"], ["--method", "DRA"], ["--tol", "1e-3"], ["--max-iter", "5"],
     ["--grid=-1,1,3"], ["--record-at", "3"], ["--trace", "trace.csv"],
+    # beside the flags a witness takes, naming the --out file
+    ["--eps", "0.1", "--trace", "witness.csv"],
 ])
 def test_main_witness_rejects_problem_flags(tmp_path, monkeypatch, capsys, argv):
+    flag = next(a for a in argv if a.startswith("--") and a != "--eps").split("=")[0]
     argv = ["--witness", "quadratic", "--out", "witness.csv", *argv]
     assert _main_in(tmp_path, monkeypatch, argv) == 2
-    assert f"--witness does not take {argv[4].split('=')[0]}" in capsys.readouterr().err
+    assert f"--witness does not take {flag}" in capsys.readouterr().err
 
 
 def test_main_problem_run_rejects_eps(tmp_path, monkeypatch, capsys):
@@ -1572,6 +1575,12 @@ _DROP = object()   # an edit that removes its field
                      id="record-at-flag-words"),
         pytest.param({}, ["--grid", "1,2"], "--grid expects lo,hi,steps",
                      id="grid-flag-two-fields"),
+        # a flag that overrides a field of a section that is no object
+        # leaves the section for its type check
+        pytest.param({"stopping": [1]}, ["--tol", "1e-3"], "wrong type list",
+                     id="tol-flag-on-a-stopping-list"),
+        pytest.param({"outputs": "out.csv"}, ["--out", "a.csv"], "wrong type str",
+                     id="out-flag-on-an-outputs-string"),
     ],
 )
 def test_main_rejects_malformed_problems_with_their_message(tmp_path, capsys, edits,
@@ -1608,6 +1617,17 @@ def test_reference_sweep_csv_is_golden(tmp_path):
     path = cli.builtin_problem_path("line_orthant.json")
     assert cli.main(["--problem", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
+
+
+def test_reference_sweep_takes_a_cap_beyond_int64(tmp_path):
+    # the cap 2^64 once made the row driver raise; every row of the reference
+    # problem ends before 100,000 steps, so it writes that cap's bytes
+    outs = [tmp_path / "big.csv", tmp_path / "ref.csv"]
+    path = cli.builtin_problem_path("line_orthant.json")
+    for out, cap in zip(outs, ("18446744073709551616", "100000")):
+        assert cli.main(["--problem", str(path), "--out", str(out), "--max-iter", cap]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert hashlib.sha256(outs[0].read_bytes()).hexdigest() == REFERENCE_CSV_SHA256
 
 
 def test_batched_restriction_equals_restrict(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -60,12 +61,20 @@ def test_function_from_name_roundtrip():
         assert d.function_from_name(f.spec_name()).params == f.params
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["quadratic", "quadratic(1,2)", "absshift(1,2,3)", "cubic(1,2,3)", "quadratic(a,b,c)"],
-)
-def test_function_from_name_rejects(bad):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("bad, message", [pytest.param(bad, message, id=bad) for bad, message in [
+    ("quadratic", "cannot parse function descriptor 'quadratic'"),
+    ("quadratic(1,2)", "quadratic takes exactly 3 arguments"),
+    ("quadratic()", "quadratic takes exactly 3 arguments"),
+    ("absshift(1,2,3)", "absshift takes exactly 2 arguments"),
+    ("cubic(1,2,3)", "unknown function 'cubic'"),
+    # a kind with no problem-file name is no builtin
+    ("custom(1)", "unknown function 'custom'"),
+    # the arguments are read before the name
+    ("quadratic(a,b,c)", "bad numeric argument in 'quadratic(a,b,c)'"),
+    ("cubic(a)", "bad numeric argument in 'cubic(a)'"),
+]])
+def test_function_from_name_rejects(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         d.function_from_name(bad)
 
 

@@ -1018,6 +1018,24 @@ def test_run_rows_reads_each_plan_as_run_reads_stop(line_orthant, monkeypatch):
             assert str(from_rows.value) == str(from_run.value)
 
 
+@pytest.mark.parametrize("cap", [2**64, 10**400], ids=["2^64", "10^400"])
+def test_run_rows_takes_every_cap_that_run_takes(line_orthant, cap):
+    # a cap beyond the int64 and uint64 range packed the block rules as an
+    # object array, on which run_rows raised TypeError; every row on the
+    # line grid ends before 100,000 steps, so the rows are those of that cap
+    set_a, set_b = line_orthant
+    axis = np.linspace(-100.0, 100.0, 6)
+    Z = np.array(list(itertools.product(axis, axis)))
+    def plans(n):
+        return {m: [d.ExactFixedPoint() if m in (d.MethodKind.DRA, d.MethodKind.SPINGARN)
+                    else d.Feasibility(1e-4), d.MaxIter(n)] for m in d.MethodKind}
+    res = d.run_rows(set_a, set_b, plans(cap), Z, (5, 10))
+    ref = d.run_rows(set_a, set_b, plans(100_000), Z, (5, 10))
+    for key in res:
+        np.testing.assert_array_equal(res[key], ref[key])
+    assert_rows_are_runs(set_a, set_b, plans(cap), Z, res)
+
+
 @pytest.mark.parametrize("m, n", [(1, 4), (3, 8), (5, 12), (10, 20)])
 def test_dra_rows_end_exact_on_affine_polyhedral_slater_instances(m, n):
     # the paper's affine-polyhedral case: A = {L x = b} with
