@@ -1620,8 +1620,8 @@ def test_reference_sweep_csv_is_golden(tmp_path):
 
 
 def test_reference_sweep_takes_a_cap_beyond_int64(tmp_path):
-    # the cap 2^64 once made the row driver raise; every row of the reference
-    # problem ends before 100,000 steps, so it writes that cap's bytes
+    # --max-iter takes any positive integer, 2^64 too; every row of the
+    # reference problem ends before 100,000 steps, so it writes that cap's bytes
     outs = [tmp_path / "big.csv", tmp_path / "ref.csv"]
     path = cli.builtin_problem_path("line_orthant.json")
     for out, cap in zip(outs, ("18446744073709551616", "100000")):

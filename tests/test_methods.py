@@ -1020,9 +1020,9 @@ def test_run_rows_reads_each_plan_as_run_reads_stop(line_orthant, monkeypatch):
 
 @pytest.mark.parametrize("cap", [2**64, 10**400], ids=["2^64", "10^400"])
 def test_run_rows_takes_every_cap_that_run_takes(line_orthant, cap):
-    # a cap beyond the int64 and uint64 range packed the block rules as an
-    # object array, on which run_rows raised TypeError; every row on the
-    # line grid ends before 100,000 steps, so the rows are those of that cap
+    # a cap beyond the uint64 range must not reach the packed block rules,
+    # which would become an object array; every row on the line grid ends
+    # before 100,000 steps, so the rows are those of that cap
     set_a, set_b = line_orthant
     axis = np.linspace(-100.0, 100.0, 6)
     Z = np.array(list(itertools.product(axis, axis)))
