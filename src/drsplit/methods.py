@@ -250,6 +250,11 @@ _BLOCKS = (*_SHADOW_METHODS, MethodKind.MAP, MethodKind.MRP)  # the batch's bloc
 _NO_ROWS = np.arange(0)
 
 
+def _finite(X) -> bool:
+    """As ``run`` tests iterates stepped from finite ones: by their squared norm, else np.isfinite."""
+    return math.isfinite(np.vdot(X, X)) or np.isfinite(X).all()
+
+
 def _exact_rows(Z, Z_prev, i, eta) -> np.ndarray:
     """The exactness flag of the last step of the rows i of Z."""
     Zp = Z_prev.take(i, axis=0)
@@ -266,11 +271,15 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     and SPINGARN, z_n for MAP and MRP) at each index in ``record_at`` and
     the first index where it falls below each of FIRST_N_TOLS; it steps on
     after its rules fire until both are known or n reaches its cap.  A step
-    projects onto each set once per stage: P_A z_n of the DRA and SPINGARN
-    rows; P_B of every row's point; d_A(w) of the feasibility test; the
-    update, P_B(2 P_A z_n - z_n) on the DRA rows and P_A on the MAP and MRP
-    rows (SPINGARN steps its own pair).  Each rule is tested at every step
-    on the running rows that carry it, and computes only what it reads: the
+    makes one call onto B, on every row's point and the DRA rows'
+    reflections 2 P_A z_n - z_n, and one onto A, the update's: P_A of the
+    MAP and MRP rows and of the next DRA and SPINGARN iterates, which gives
+    the shadows of the next step (the first ones are taken before the
+    loop).  So a DRA row that stops at n has its reflection projected once,
+    where ``run`` does not project it.  The feasibility test adds d_A(w),
+    and d_B and d_A of the other point where a rule monitors it; SPINGARN's
+    pair update makes its own calls.  Each rule is tested at every step on
+    the running rows that carry it, and computes only what it reads: the
     exactness flag of the running rows under an ExactFixedPoint rule, else
     of the rows that stop; as in ``run``, d_B(w) at the monitored point w,
     then d_A(w) only where d_B(w) < tol, which a nan never passes.  A rule
@@ -281,10 +290,9 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     MethodKind, a plan that ``normalize_rules`` refuses or a ``record_at``
     entry that is no integer of at least 0 (a bool is none) raise
     ValueError, before any projection.  Z is checked once; as in ``run``, an
-    iterate that is not finite raises ValueError and an error that a
-    projector raises on the way propagates as it is, but the two drivers
-    need not meet an overflow at the same call (``run_rows`` projects each
-    shadow onto B for d_B before it steps).
+    iterate that is not finite raises ValueError (a DRA or SPINGARN one
+    before it goes onto A) and an error that a projector raises on the way
+    propagates as it is.
 
     Returns per-row arrays iterations, exact, final, d_b_at (a column per
     record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
@@ -328,6 +336,8 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     running, n_running = np.ones(s4, dtype=bool), s4
     Z_prev = Z                           # the last iterate (Z at n = 0)
     pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
+    # P_A z_n on the DRA and SPINGARN rows, else z_n; later steps take it from the update
+    point = np.concatenate((set_a._project_rows(Z[:s2]), Z[s2:])) if s2 else Z
     n, layout = 0, True
     while s4:
         if layout:   # what the rules of the blocks with rows ask of a step
@@ -335,12 +345,9 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
             least_cap, last_rec = min(r[0] for r in live), max(r[1] for r in live)
             has_eta, has_tol, has_other = (any(r[k] > 0 for r in live) for k in (2, 3, 4))
             rows, first, layout = ids[0], ids[1:], False
-        point = Z                        # P_A z_n on the DRA and SPINGARN rows, else z_n
-        if s2:
-            point = set_a._project_rows(Z[:s2])
-            if s2 < s4:
-                point = np.concatenate((point, Z[s2:]))
-        PB = set_b._project_rows(point)
+        # one call onto B: every row's point, then the DRA rows' reflections
+        PB = set_b._project_rows(np.concatenate((point, 2.0 * point[:s1] - Z[:s1])) if s1 else point)
+        PB, PBR = PB[:s4], PB[s4:]
         d = _norms(point - PB)
         for j, m in enumerate(record_at):
             if m == n:
@@ -398,23 +405,29 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                 _, s1, s2, s3, s4 = bounds = keep.searchsorted(bounds).tolist()
                 running, Z, Z_prev, point, PB = (
                     v.take(keep, axis=0) for v in (running, Z, Z_prev, point, PB))
+                PBR = PBR.take(keep[:s1], axis=0)
                 cap, last, eta, tol, tol_other = rule = rule.take(keep, axis=1)
                 ids, layout = ids.take(keep, axis=1), True
                 if not s4:
                     return out
 
-        parts = [_step(MethodKind.DRA, None, set_b._project_rows, Z[:s1], point[:s1])] if s1 else []
+        # the next DRA and SPINGARN iterates, then the MAP and MRP rows before
+        # their P_A: with np.asarray, an identity on arrays, in its place, _step
+        # gives them, and one call onto A ends these and gives the next shadows
+        X = [_step(MethodKind.DRA, None, lambda _: PBR, Z[:s1], point[:s1])] if s1 else []
         if s2 > s1:
-            parts.append(pair.step())
-        if s4 > s2:   # MAP and MRP end in P_A; with np.asarray, an identity on arrays,
-            # in its place, _step gives the rows of their one call onto A
-            X = [_step(kind, np.asarray, None, Z[lo:hi], pbz=PB[lo:hi])
-                 for kind, lo, hi in ((MethodKind.MAP, s2, s3), (MethodKind.MRP, s3, s4)) if lo < hi]
-            parts.append(set_a._project_rows(np.concatenate(X) if len(X) > 1 else X[0]))
-        Z_next = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        v = Z_next.ravel()   # as in run: Z is finite, so a finite squared norm means a finite Z_next
-        if not math.isfinite(v.dot(v)) and not np.isfinite(Z_next).all():
+            X.append(pair.step())
+        X += [_step(kind, np.asarray, None, Z[lo:hi], pbz=PB[lo:hi])
+              for kind, lo, hi in ((MethodKind.MAP, s2, s3), (MethodKind.MRP, s3, s4)) if lo < hi]
+        X = np.concatenate(X) if len(X) > 1 else X[0]
+        finite = not s2 or _finite(X[:s2])   # the DRA and SPINGARN iterates, before A sees them
+        if finite:
+            point = set_a._project_rows(X)
+            finite = s2 == s4 or _finite(point[s2:])   # the MAP and MRP iterates
+        if not finite:
             raise ValueError("vector coordinates must be finite")
-        Z_prev, Z = Z, Z_next
+        if 0 < s2 < s4:
+            X[s2:] = point[s2:]          # X is the concatenate's own array
+        Z_prev, Z = Z, X if s2 else point
         n += 1
     return out

@@ -587,9 +587,9 @@ def test_sweep_rows_do_not_depend_on_the_other_methods(tmp_path, name):
 def test_sweep_steps_all_methods_in_one_loop(tmp_path, monkeypatch):
     # DRA, MAP and MRP on the 11 x 11 line grid: the loop runs as many
     # iterations as the longest method, not their sum, and each iteration
-    # projects onto B at most twice (the distances, DRA's update) and onto A
-    # at most three times (DRA's shadow, the feasibility test, and the
-    # update of MAP and MRP together)
+    # projects onto B once (every row's point and DRA's reflections) and onto
+    # A at most twice (the feasibility test, and the update of all methods
+    # together, which gives the next shadows; the first ones precede the loop)
     spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=11)))
     events = []
 
@@ -608,8 +608,33 @@ def test_sweep_steps_all_methods_in_one_loop(tmp_path, monkeypatch):
     # an iteration starts with P_B of every row's point and the distances
     loops = sum(pair == ("b", "norms") for pair in zip(events, events[1:]))
     assert loops == max(steps) + 1          # n = 0, ..., 310; one loop per method took 580
-    assert events.count("b") <= 2 * loops and events.count("a") <= 3 * loops
-    assert (events.count("a"), events.count("b")) == (478, 425)   # 633 and 694 then
+    assert events.count("b") == loops and events.count("a") <= 2 * loops
+    # 478 and 425 with DRA's own calls for its shadows and reflections,
+    # 633 and 694 with one loop per method
+    assert (events.count("a"), events.count("b")) == (364, 311)
+
+
+def test_sweep_runs_the_newton_kernel_once_per_step(monkeypatch):
+    # the benchmark's 21 x 21 epigraph sweep (DRA, MAP and MRP): the one
+    # call onto B of a loop iteration holds the DRA reflections beside every
+    # row's point, so the quadratic's Newton kernel runs once per iteration;
+    # it ran 25 times in the 13 iterations while DRA projected its own
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "epigraph.json"
+    spec = cli.load_problem(path)
+    events = []
+
+    def logged(name, f):
+        def wrapper(*args):
+            events.append(name)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(d.epigraph, "_quadratic_projection_rows",
+                        logged("kernel", d.epigraph._quadratic_projection_rows))
+    monkeypatch.setattr(d.methods, "_norms", logged("norms", d.methods._norms))
+    cli.sweep(spec)
+    loops = sum(pair == ("kernel", "norms") for pair in zip(events, events[1:]))
+    assert events.count("kernel") == loops == 13
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -734,23 +759,27 @@ def _step_counts(kinds, ruled, cap):
 
 
 @pytest.mark.parametrize("kinds, ruled, a, b, norms, numpy_calls", [
-    pytest.param(("DRA",), True, 1, 2, 3, 7, id="DRA-rules"),
-    pytest.param(("DRA",), False, 1, 2, 1, 2, id="DRA-cap"),
-    pytest.param(("MAP",), True, 1, 1, 1, 4, id="MAP-rules"),
-    pytest.param(("MAP",), False, 1, 1, 1, 3, id="MAP-cap"),
-    pytest.param(("DRA", "MAP", "MRP"), True, 2, 2, 3, 10, id="DRA-MAP-MRP-rules"),
-    pytest.param(("DRA", "MAP", "MRP"), False, 2, 2, 1, 4, id="DRA-MAP-MRP-cap"),
-    pytest.param(("SPINGARN", "MRP"), True, 2, 2, 3, 9, id="SPINGARN-MRP-rules"),
-    pytest.param(("SPINGARN", "MRP"), False, 2, 2, 1, 3, id="SPINGARN-MRP-cap"),
+    pytest.param(("DRA",), True, 1, 1, 3, 5, id="DRA-rules"),
+    pytest.param(("DRA",), False, 1, 1, 1, 0, id="DRA-cap"),
+    pytest.param(("MAP",), True, 1, 1, 1, 2, id="MAP-rules"),
+    pytest.param(("MAP",), False, 1, 1, 1, 1, id="MAP-cap"),
+    pytest.param(("DRA", "MAP", "MRP"), True, 1, 1, 3, 8, id="DRA-MAP-MRP-rules"),
+    pytest.param(("DRA", "MAP", "MRP"), False, 1, 1, 1, 2, id="DRA-MAP-MRP-cap"),
+    pytest.param(("SPINGARN", "MRP"), True, 1, 2, 3, 7, id="SPINGARN-MRP-rules"),
+    pytest.param(("SPINGARN", "MRP"), False, 1, 2, 1, 1, id="SPINGARN-MRP-cap"),
 ])
 def test_a_row_step_pays_only_for_its_blocks_and_rules(kinds, ruled, a, b, norms, numpy_calls):
     # one step of a batch of one start (the counts to cap 4 less those to
     # cap 3): a rule that no block carries, a cap that no row has reached
     # and a record index past every record cost it no numpy call.  The
-    # profiler sees numpy's functions and methods, not its ufuncs or array
-    # operators.  Each step took 13, 9, 10, 10, 15, 11, 14 and 10 numpy
-    # calls in the order above when every step built every rule's mask;
-    # the projections and norms are unchanged
+    # profiler sees numpy's functions and methods, not its ufuncs, its array
+    # operators or the functions that dispatch through __array_function__
+    # (np.concatenate, and np.vdot, the one call of each finite check).  Each
+    # step took 13, 9, 10, 10, 15, 11, 14 and 10 numpy calls in the order
+    # above when every step built every rule's mask; then 7, 2, 4, 3, 10, 4,
+    # 9 and 3, with ravel and dot in the one finite check, while DRA
+    # projected its own shadows and reflections (a and b were 2 and 2 on
+    # DRA-MAP-MRP, 2 and 2 on SPINGARN-MRP, and b was 2 on DRA)
     step = {k: v4 - v3 for (k, v4), v3 in zip(_step_counts(kinds, ruled, 4).items(),
                                               _step_counts(kinds, ruled, 3).values())}
     assert step == {"a": a, "b": b, "norms": norms, "numpy": numpy_calls}

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import math
+import re
 import struct
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -273,19 +275,36 @@ def test_invalid_subgradient_selection_raises():
 
 @pytest.mark.parametrize("f, error, message", [
     (ABS, ValueError, "^epigraph points must have finite coordinates$"),
-    (QUAD, OverflowError, r"^projecting \(1\.5e\+308, 0\.0\) overflows$"),
+    (QUAD, ValueError, "^epigraph points must have finite coordinates$"),
 ])
 def test_dra_from_the_edge_of_the_float_range_fails_loudly(f, error, message):
-    # DRA from (1.5e308, 0) on the x-axis: the absshift step overflows into
-    # a point that the row projector refuses, while the quadratic's record
-    # point already overflows its projection; run refuses the overflowed
-    # point in the scalar projector's input check
+    # DRA from (1.5e308, 0) on the x-axis: the reflection 2 P_A z - z
+    # overflows into a point that the row projector refuses (the quadratic's
+    # in the record call, with the record point whose projection overflows);
+    # run refuses the overflowed point in the scalar projector's input check
     axis, epi, z0 = d.Hyperplane([0.0, 1.0], 0.0), d.Epigraph1D(f), (1.5e308, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(error, match=message):
             d.run_rows(axis, epi, {d.MethodKind.DRA: None}, np.array([z0]))
         with pytest.raises(ValueError, match="^epigraph points must have finite coordinates$"):
             d.run(axis, epi, d.MethodKind.DRA, z0)
+
+
+@pytest.mark.parametrize("quiet", [True, False], ids=["errstate", "warnings-as-errors"])
+@pytest.mark.parametrize("z0", [(1e308, 0.0), (1.5e308, 0.0)], ids=["1e308", "1.5e308"])
+@pytest.mark.parametrize("method", list(d.MethodKind), ids=lambda m: m.value)
+def test_both_drivers_fail_alike_at_the_edge_of_the_float_range(method, z0, quiet):
+    # the x-axis against epi(x^2 - 1) from a start whose reflection or
+    # projection overflows: run_rows raises what run raises from the same
+    # start, with overflows silent or with every numpy warning an error
+    axis, epi = d.Hyperplane([0.0, 1.0], 0.0), d.Epigraph1D(QUAD)
+    with warnings.catch_warnings(), np.errstate(**dict.fromkeys(
+            ("over", "invalid"), "ignore" if quiet else "warn")):
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as expected:
+            d.run(axis, epi, method, z0)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            d.run_rows(axis, epi, {method: None}, np.array([z0]))
 
 
 @pytest.mark.parametrize("x", [1e100, 1e120])
