@@ -412,8 +412,8 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                     return out
 
         # the next DRA and SPINGARN iterates, then the MAP and MRP rows before
-        # their P_A: with np.asarray, an identity on arrays, in its place, _step
-        # gives them, and one call onto A ends these and gives the next shadows
+        # their last P_A (np.asarray, an identity on arrays, stands in for it in
+        # _step); one call onto A ends MAP and MRP and gives the next shadows
         X = [_step(MethodKind.DRA, None, lambda _: PBR, Z[:s1], point[:s1])] if s1 else []
         if s2 > s1:
             X.append(pair.step())

@@ -774,12 +774,10 @@ def test_a_row_step_pays_only_for_its_blocks_and_rules(kinds, ruled, a, b, norms
     # and a record index past every record cost it no numpy call.  The
     # profiler sees numpy's functions and methods, not its ufuncs, its array
     # operators or the functions that dispatch through __array_function__
-    # (np.concatenate, and np.vdot, the one call of each finite check).  Each
-    # step took 13, 9, 10, 10, 15, 11, 14 and 10 numpy calls in the order
-    # above when every step built every rule's mask; then 7, 2, 4, 3, 10, 4,
-    # 9 and 3, with ravel and dot in the one finite check, while DRA
-    # projected its own shadows and reflections (a and b were 2 and 2 on
-    # DRA-MAP-MRP, 2 and 2 on SPINGARN-MRP, and b was 2 on DRA)
+    # (np.concatenate, and np.vdot, the one call of each finite check);
+    # counting those too, the steps make 7, 2, 3, 2, 12, 6, 10 and 4 calls in
+    # the order above.  Each step took 13, 9, 10, 10, 15, 11, 14 and 10 seen
+    # calls when every step built every rule's mask
     step = {k: v4 - v3 for (k, v4), v3 in zip(_step_counts(kinds, ruled, 4).items(),
                                               _step_counts(kinds, ruled, 3).values())}
     assert step == {"a": a, "b": b, "norms": norms, "numpy": numpy_calls}
