@@ -37,12 +37,13 @@ class InvalidSubspaceError(ValueError):
     """Spingarn's method needs a linear (or translatable affine) subspace."""
 
 
-def _step(method, project_a, project_b, z, a=None, pbz=None):
-    """The next DRA, MAP or MRP iterate from z, given a = P_A z for DRA and,
-    for MAP and MRP, pbz = P_B z or None to project it here.  Callers pass
-    their own projectors, on one point or on a stack of rows."""
+def _step(method, project_a, project_b, z, a=None, pbz=None, pbr=None):
+    """The next DRA, MAP or MRP iterate from z, given a = P_A z for DRA and
+    pbr = P_B(2a - z) or None to project it here, and for MAP and MRP
+    pbz = P_B z or None.  Callers pass their own projectors, on one point or
+    on a stack of rows."""
     if method is MethodKind.DRA:
-        return z - a + project_b(2.0 * a - z)
+        return z - a + (project_b(2.0 * a - z) if pbr is None else pbr)
     if method is MethodKind.MAP:
         return project_a(project_b(z) if pbz is None else pbz)
     if method is MethodKind.MRP:
@@ -71,7 +72,7 @@ def dra_step(set_a: ConvexSet, set_b: ConvexSet, z) -> Tuple[np.ndarray, ...]:
     a = set_a._project(z)
     r = 2.0 * a - z
     pbr = set_b.project(r)
-    return _step(MethodKind.DRA, set_a._project, lambda _: pbr, z, a), a, r, pbr
+    return _step(MethodKind.DRA, None, None, z, a, pbr=pbr), a, r, pbr
 
 
 def map_step(set_a: ConvexSet, set_b: ConvexSet, z) -> np.ndarray:
@@ -270,29 +271,32 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     of _BLOCKS.  Each row records d_B of its method's point (P_A z_n for DRA
     and SPINGARN, z_n for MAP and MRP) at each index in ``record_at`` and
     the first index where it falls below each of FIRST_N_TOLS; it steps on
-    after its rules fire until both are known or n reaches its cap.  A step
-    makes one call onto B, on every row's point and the DRA rows'
-    reflections 2 P_A z_n - z_n, and one onto A, the update's: P_A of the
-    MAP and MRP rows and of the next DRA and SPINGARN iterates, which gives
-    the shadows of the next step (the first ones are taken before the
-    loop).  So a DRA row that stops at n has its reflection projected once,
-    where ``run`` does not project it.  The feasibility test adds d_A(w),
-    and d_B and d_A of the other point where a rule monitors it; SPINGARN's
-    pair update makes its own calls.  Each rule is tested at every step on
-    the running rows that carry it, and computes only what it reads: the
-    exactness flag of the running rows under an ExactFixedPoint rule, else
-    of the rows that stop; as in ``run``, d_B(w) at the monitored point w,
-    then d_A(w) only where d_B(w) < tol, which a nan never passes.  A rule
-    that no block with rows left carries, and a cap or record index that no
-    row has reached, cost a step nothing.  No set is projected on zero rows,
-    and zero rows give empty columns.  Sets of different dimensions raise
-    DimensionMismatchError, and an empty ``plans``, a key that is no
-    MethodKind, a plan that ``normalize_rules`` refuses or a ``record_at``
-    entry that is no integer of at least 0 (a bool is none) raise
-    ValueError, before any projection.  Z is checked once; as in ``run``, an
-    iterate that is not finite raises ValueError (a DRA or SPINGARN one
-    before it goes onto A) and an error that a projector raises on the way
-    propagates as it is.
+    after its rules fire until both are known or n reaches its cap.  A row
+    so finished then steps on until the next removal, never tested, recorded
+    or written again; a removal drops all finished rows once they are an
+    eighth of the batch or n reaches the least cap of the blocks with rows,
+    so a capped row never waits.  A step makes one call onto B, on every
+    row's point and the DRA rows' reflections 2 P_A z_n - z_n, and one onto
+    A, the update's: P_A of the MAP and MRP rows and of the next DRA and
+    SPINGARN iterates, which gives the shadows of the next step (the first
+    ones are taken before the loop).  So a DRA row that stops at n has its
+    reflection projected once, where ``run`` does not project it.  The
+    feasibility test adds d_A(w), and d_B and d_A of the other point where a
+    rule monitors it; SPINGARN's pair update makes its own calls.  Each rule
+    is tested at every step on the running rows that carry it, and computes
+    only what it reads: the exactness flag of the running rows under an
+    ExactFixedPoint rule, else of the rows that stop; as in ``run``, d_B(w)
+    at the monitored point w, then d_A(w) only where d_B(w) < tol, which a
+    nan never passes.  A rule that no block with rows left carries, and a
+    cap or record index that no row has reached, cost a step nothing.  No
+    set is projected on zero rows, and zero rows give empty columns.  Sets
+    of different dimensions raise DimensionMismatchError, and an empty
+    ``plans``, a key that is no MethodKind, a plan that ``normalize_rules``
+    refuses or a ``record_at`` entry that is no integer of at least 0 (a
+    bool is none) raise ValueError, before any projection.  Z is checked
+    once; as in ``run``, an iterate that is not finite raises ValueError (a
+    DRA or SPINGARN one before it goes onto A) and an error that a projector
+    raises on the way propagates as it is.
 
     Returns per-row arrays iterations, exact, final, d_b_at (a column per
     record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
@@ -338,7 +342,7 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     pair = _Spingarn(set_a, set_b, Z[s1:s2]) if s2 > s1 else None
     # P_A z_n on the DRA and SPINGARN rows, else z_n; later steps take it from the update
     point = np.concatenate((set_a._project_rows(Z[:s2]), Z[s2:])) if s2 else Z
-    n, layout = 0, True
+    n, layout, n_done = 0, True, 0       # n_done: finished rows still in the batch
     while s4:
         if layout:   # what the rules of the blocks with rows ask of a step
             live = [r for b, r in rules.items() if bounds[b + 1] > bounds[b]]
@@ -390,13 +394,18 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                 out["final"][out_i] = Z.take(i, axis=0)
                 running[i] = False
                 n_running -= i.size
-        if n_running < s4:   # the cap and record tests only once some row can pass them
+        # the finished rows change only where a row stopped, a stopped row
+        # waits for a first index or a record, or n reaches the least cap
+        if s4 - n_running > n_done or n >= least_cap:
             done = ~running & (first[-1] != NOT_REACHED)
             if n < last_rec:
                 done &= n >= last
             if n >= least_cap:   # no running row has reached its cap
                 done |= n >= cap
-            if (i := done.nonzero()[0]).size:
+            n_done = (i := done.nonzero()[0]).size
+            # they step on until they are an eighth of the batch or n reaches
+            # the least cap, where a capped row leaves at once
+            if n_done and (8 * n_done >= s4 or n >= least_cap):
                 out["first_n"][rows[i]] = first[:, i].T
                 if pair:
                     k = (~done[s1:s2]).nonzero()[0]
@@ -407,14 +416,14 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                     v.take(keep, axis=0) for v in (running, Z, Z_prev, point, PB))
                 PBR = PBR.take(keep[:s1], axis=0)
                 cap, last, eta, tol, tol_other = rule = rule.take(keep, axis=1)
-                ids, layout = ids.take(keep, axis=1), True
+                ids, layout, n_done = ids.take(keep, axis=1), True, 0
                 if not s4:
                     return out
 
         # the next DRA and SPINGARN iterates, then the MAP and MRP rows before
         # their last P_A (np.asarray, an identity on arrays, stands in for it in
         # _step); one call onto A ends MAP and MRP and gives the next shadows
-        X = [_step(MethodKind.DRA, None, lambda _: PBR, Z[:s1], point[:s1])] if s1 else []
+        X = [_step(MethodKind.DRA, None, None, Z[:s1], point[:s1], pbr=PBR)] if s1 else []
         if s2 > s1:
             X.append(pair.step())
         X += [_step(kind, np.asarray, None, Z[lo:hi], pbz=PB[lo:hi])

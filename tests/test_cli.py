@@ -614,6 +614,29 @@ def test_sweep_steps_all_methods_in_one_loop(tmp_path, monkeypatch):
     assert (events.count("a"), events.count("b")) == (364, 311)
 
 
+def test_sweep_removes_finished_rows_in_few_steps(tmp_path, monkeypatch):
+    # DRA, MAP and MRP on the 11 x 11 line grid: finished rows leave the
+    # batch together, once they are an eighth of it, so few loop iterations
+    # pay for a removal.  The one call onto B of an iteration takes every
+    # row and the DRA reflections, so its size falls exactly where the
+    # iteration before removed rows; the last iteration removes the rest.
+    # 111 of the 311 iterations removed rows when each row left at the step
+    # that finished it
+    spec = cli.parse_problem(json.dumps(small_problem(tmp_path, steps=11)))
+    sizes = []
+    project_b = spec.set_b._project_rows
+
+    def logged(X):
+        sizes.append(X.shape[0])
+        return project_b(X)
+
+    monkeypatch.setattr(spec.set_b, "_project_rows", logged, raising=False)
+    cli.sweep(spec)
+    assert len(sizes) == 311
+    removals = sum(b < a for a, b in zip(sizes, sizes[1:])) + 1
+    assert removals <= 25                   # 21
+
+
 def test_sweep_runs_the_newton_kernel_once_per_step(monkeypatch):
     # the benchmark's 21 x 21 epigraph sweep (DRA, MAP and MRP): the one
     # call onto B of a loop iteration holds the DRA reflections beside every
@@ -683,8 +706,8 @@ def test_sweep_stops_by_the_rules_of_rules_for(tmp_path, monitor):
 
 
 @pytest.mark.parametrize("monitor, steps, a_rows, norm_rows", [
-    pytest.param("iterate", (15468, 15275), 31646, 32372, id="iterate"),
-    pytest.param("shadow", (15463, 15269), 62548, 63254, id="shadow"),
+    pytest.param("iterate", (15468, 15275), 32388, 33114, id="iterate"),
+    pytest.param("shadow", (15463, 15269), 63290, 63996, id="shadow"),
 ])
 def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, steps,
                                                a_rows, norm_rows):
@@ -692,7 +715,10 @@ def test_sweep_computes_only_what_a_rule_reads(tmp_path, monkeypatch, monitor, s
     # d_B(w) < tol, and the exactness test only for the rows that stop, so
     # set A projects the steps' rows and few more (on the shadow, also
     # P_A z_n of the running rows), and few rows go through _norms besides
-    # the monitored distance
+    # the monitored distance.  Finished rows wait in the batch until they
+    # are an eighth of it, and each step projects and measures them too:
+    # 742 rows more than when each left at the step that finished it
+    # (31,646 and 32,372 on the iterate, 62,548 and 63,254 on the shadow)
     doc = small_problem(tmp_path, steps=11, methods=["MAP", "MRP"])
     doc["stopping"]["monitor"] = monitor
     spec = cli.parse_problem(json.dumps(doc))
