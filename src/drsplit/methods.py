@@ -274,8 +274,9 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     after its rules fire until both are known or n reaches its cap.  A row
     so finished then steps on until the next removal, never tested, recorded
     or written again; a removal drops all finished rows once they are an
-    eighth of the batch or n reaches the least cap of the blocks with rows,
-    so a capped row never waits.  A step makes one call onto B, on every
+    eighth of the batch, n reaches the least cap of the blocks with rows (so
+    a capped row never waits) or one of them nears the edge of the float
+    range.  A step makes one call onto B, on every
     row's point and the DRA rows' reflections 2 P_A z_n - z_n, and one onto
     A, the update's: P_A of the MAP and MRP rows and of the next DRA and
     SPINGARN iterates, which gives the shadows of the next step (the first
@@ -404,8 +405,10 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
                 done |= n >= cap
             n_done = (i := done.nonzero()[0]).size
             # they step on until they are an eighth of the batch or n reaches
-            # the least cap, where a capped row leaves at once
-            if n_done and (8 * n_done >= s4 or n >= least_cap):
+            # the least cap, where a capped row leaves at once; near the edge
+            # of the float range they leave at once, as a step could overflow
+            if n_done and (8 * n_done >= s4 or n >= least_cap
+                           or not math.isfinite(np.vdot(W := Z.take(i, axis=0), W))):
                 out["first_n"][rows[i]] = first[:, i].T
                 if pair:
                     k = (~done[s1:s2]).nonzero()[0]

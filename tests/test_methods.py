@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -993,6 +994,22 @@ def test_run_rows_steps_a_row_on_until_it_knows_each_first_index(line_orthant):
         stepped_on += bool(first[0] <= res["iterations"][i] < first[1])
     assert stepped_on >= 6
     assert_rows_are_runs(set_a, set_b, plans, Z, res)
+
+
+@pytest.mark.parametrize("quiet", [True, False], ids=["errstate", "warnings-as-errors"])
+def test_a_finished_row_at_the_edge_of_the_float_range_takes_no_step(quiet):
+    # (1.7e308, 0) lies in both sets, so its MAP and MRP rows finish at
+    # n = 0, where run stops; MRP's next step 2 P_B z - z would overflow.
+    # Finished rows wait in the batch while the 20 others step on, unless
+    # they lie near the edge of the float range: then they leave at once
+    set_a, set_b = d.Hyperplane([0.0, 1.0], 0.0), d.Orthant(2)
+    plans = dict.fromkeys((d.MethodKind.MAP, d.MethodKind.MRP), [d.Feasibility(1e-4), d.MaxIter(50)])
+    Z = np.vstack([[1.7e308, 0.0], np.random.default_rng(2106).uniform(-10, 10, (20, 2))])
+    with warnings.catch_warnings(), np.errstate(all="ignore" if quiet else "warn"):
+        warnings.simplefilter("error")
+        res = d.run_rows(set_a, set_b, plans, Z)
+        assert res["iterations"][:2].tolist() == [0, 0] and min(res["iterations"][2:]) > 0
+        assert_rows_are_runs(set_a, set_b, plans, Z, res)
 
 
 def test_run_rows_reads_each_plan_as_run_reads_stop(line_orthant, monkeypatch):
