@@ -276,28 +276,27 @@ def run_rows(set_a: ConvexSet, set_b: ConvexSet, plans: dict, Z, record_at=()) -
     or written again; a removal drops all finished rows once they are an
     eighth of the batch, n reaches the least cap of the blocks with rows (so
     a capped row never waits) or one of them nears the edge of the float
-    range.  A step makes one call onto B, on every
-    row's point and the DRA rows' reflections 2 P_A z_n - z_n, and one onto
-    A, the update's: P_A of the MAP and MRP rows and of the next DRA and
-    SPINGARN iterates, which gives the shadows of the next step (the first
-    ones are taken before the loop).  So a DRA row that stops at n has its
-    reflection projected once, where ``run`` does not project it.  The
-    feasibility test adds d_A(w), and d_B and d_A of the other point where a
-    rule monitors it; SPINGARN's pair update makes its own calls.  Each rule
-    is tested at every step on the running rows that carry it, and computes
-    only what it reads: the exactness flag of the running rows under an
-    ExactFixedPoint rule, else of the rows that stop; as in ``run``, d_B(w)
-    at the monitored point w, then d_A(w) only where d_B(w) < tol, which a
-    nan never passes.  A rule that no block with rows left carries, and a
-    cap or record index that no row has reached, cost a step nothing.  No
-    set is projected on zero rows, and zero rows give empty columns.  Sets
-    of different dimensions raise DimensionMismatchError, and an empty
-    ``plans``, a key that is no MethodKind, a plan that ``normalize_rules``
-    refuses or a ``record_at`` entry that is no integer of at least 0 (a
-    bool is none) raise ValueError, before any projection.  Z is checked
-    once; as in ``run``, an iterate that is not finite raises ValueError (a
-    DRA or SPINGARN one before it goes onto A) and an error that a projector
-    raises on the way propagates as it is.
+    range.  A step makes one call onto B, on every row's point and the DRA
+    rows' reflections 2 P_A z_n - z_n, and one onto A, the update's: P_A of
+    the MAP and MRP rows and of the next DRA and SPINGARN iterates, which
+    gives the shadows of the next step (the first ones are taken before the
+    loop).  So a DRA row that stops at n has its reflection projected once,
+    where ``run`` does not project it.  The feasibility test adds d_A(w), and
+    d_B and d_A of the other point where a rule monitors it; SPINGARN's pair
+    update makes its own calls.  Each rule is tested at every step on the
+    running rows that carry it, and computes only what it reads: the
+    exactness flag of the running rows under an ExactFixedPoint rule, else of
+    the rows that stop; as in ``run``, d_B(w) at the monitored point w, then
+    d_A(w) only where d_B(w) < tol, which a nan never passes.  A rule that no
+    block with rows left carries, and a cap or record index that no row has
+    reached, cost a step nothing.  No set is projected on zero rows, and zero
+    rows give empty columns.  Sets of different dimensions raise
+    DimensionMismatchError, and an empty ``plans``, a key that is no
+    MethodKind, a plan that ``normalize_rules`` refuses or a ``record_at``
+    entry that is no integer of at least 0 (a bool is none) raise ValueError,
+    before any projection.  Z is checked once; as in ``run``, an iterate that
+    is not finite raises ValueError (a DRA or SPINGARN one before it goes
+    onto A) and an error that a projector raises propagates as it is.
 
     Returns per-row arrays iterations, exact, final, d_b_at (a column per
     record_at index), first_n (per FIRST_N_TOLS) and reason (Reason
