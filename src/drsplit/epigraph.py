@@ -111,7 +111,7 @@ def _bisect_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
             raise NoConvergenceError(
                 f"bisection did not reach tolerance in {_BISECT_MAX_STEPS} steps"
             )
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         g_mid = _residual(f, x, rho, mid)
@@ -122,7 +122,7 @@ def _bisect_projection(f: ConvexFunction1D, x: float, rho: float) -> float:
         else:
             lo = mid
         steps += 1
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _quadratic_projection(f: ConvexFunction1D, x: float, rho: float) -> float:

@@ -14,8 +14,6 @@ from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 
 class FunctionKind(Enum):
     QUADRATIC = "quadratic"
@@ -107,8 +105,8 @@ def custom(
 ) -> ConvexFunction1D:
     """Wrap a user-supplied convex function.
 
-    Convexity is not verified here; see :func:`check_convexity` for a
-    randomized spot check.
+    Convexity is not verified: the caller vouches that ``fn`` is convex and
+    that ``subgrad`` selects a subgradient of it.
     """
     return ConvexFunction1D(fn=fn, subgrad=subgrad, minimizer=float(minimizer))
 
@@ -137,29 +135,3 @@ def function_from_name(text: str) -> ConvexFunction1D:
     if len(args) != arity:
         raise ValueError(f"{name} takes exactly {arity} arguments")
     return build(*args)
-
-
-def check_convexity(
-    f: ConvexFunction1D,
-    lo: float = -10.0,
-    hi: float = 10.0,
-    cases: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> None:
-    """Randomized convexity and subgradient-inequality spot check.
-
-    Raises ValueError on the first violated triple/pair.  Intended for
-    validating ``custom`` inputs and for test suites.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(cases):
-        x, y, z = np.sort(rng.uniform(lo, hi, size=3))
-        if x == z:
-            continue
-        chord = ((z - y) * f(x) + (y - x) * f(z)) / (z - x)
-        if f(y) > chord + tol:
-            raise ValueError(f"convexity violated at ({x}, {y}, {z})")
-        a, b = rng.uniform(lo, hi, size=2)
-        if f(b) < f(a) + f.subgrad(a) * (b - a) - tol:
-            raise ValueError(f"subgradient inequality violated at ({a}, {b})")

@@ -35,6 +35,31 @@ def orthant_oracle(x):
     return tuple(Fraction(max(v, 0)) for v in x)
 
 
+def affine_oracle(L, b, x):
+    """Exact rational projection onto {Lx = b}: x - L^T (L L^T)^{-1} (Lx - b),
+    with the Gram system solved by Gauss-Jordan in Fractions.  Floats are
+    read as the binary rationals they are.  Raises ValueError where L has
+    not full row rank."""
+    L = [[Fraction(v) for v in row] for row in L]
+    x = [Fraction(v) for v in x]
+    m = len(L)
+    # the augmented system [L L^T | L x - b]
+    rows = [[sum(p * q for p, q in zip(L[i], L[j])) for j in range(m)]
+            + [sum(p * q for p, q in zip(L[i], x)) - Fraction(b[i])] for i in range(m)]
+    for k in range(m):
+        pivot = next((i for i in range(k, m) if rows[i][k] != 0), None)
+        if pivot is None:
+            raise ValueError("L has not full row rank")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(m):
+            factor = rows[i][k]
+            if i != k and factor != 0:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[k])]
+    y = [row[m] for row in rows]
+    return tuple(xi - sum(L[j][i] * y[j] for j in range(m)) for i, xi in enumerate(x))
+
+
 def dra_line_orthant_oracle(z, c=6):
     """One DRA step in Fractions on ({x + 5y = c}, orthant):
     z - P_A z + P_B(2 P_A z - z)."""

@@ -317,6 +317,44 @@ def test_bisection_projection_of_huge_points(x):
     assert abs(p - p_newton) <= 1e-9 * (1 + abs(p_newton))
 
 
+def test_bisection_midpoint_stays_finite_at_the_top_of_the_float_range():
+    # f(x) = |x/2 - u/2| with u = -1.7e308: from (1.7e308, -1) both ends of
+    # the bracket pass 9e307 as it narrows, so lo + hi overflows; the root
+    # (x + u/4 - 1/2)/1.25 and f - rho there are finite
+    u = -1.7e308
+    f = d.custom(lambda x: abs(0.5 * x + 0.85e308),
+                 lambda x: 0.5 if x > u else -0.5 if x < u else 0.0, u)
+    z = (1.7e308, -1.0)
+    p, fp = d.project_epigraph(f, z)
+    assert p == 1.0199999999999999e308 and fp == f(p)
+    rows = d.Epigraph1D(f).project_rows(np.array([z]))
+    assert rows.tolist() == [[p, fp]]
+
+
+def test_bisection_exact_zero_ends_and_halving_bound(monkeypatch):
+    # f(x) = max(|x| - 1, 0) - 1 is flat on [-1, 1]: from below the flat
+    # part the residual is exactly 0 at x itself, the bracket's far end from
+    # the minimizer 0, so the sign test alone would raise on a valid input
+    flat = d.custom(lambda x: max(abs(x) - 1.0, 0.0) - 1.0,
+                    lambda x: 1.0 if x > 1 else -1.0 if x < -1 else 0.0, 0.0)
+    points = [(0.5, -5.0), (-0.5, -5.0)]  # g_hi == 0, then g_lo == 0
+    projected = [d.project_epigraph(flat, z) for z in points]
+    assert projected == [(0.5, -1.0), (-0.5, -1.0)]
+    assert d.Epigraph1D(flat).project_rows(np.array(points)).tolist() == \
+        [list(p) for p in projected]
+    # halving the widest bracket [-1.7e308, 0] down to _BISECT_TOL takes
+    # 1,064 midpoints, plus the two ends: below the step cap
+    u = -1.7e308
+    f = d.custom(lambda x: 1e-300 * abs(x / 2 - u / 2),
+                 lambda x: 5e-301 if x > u else -5e-301 if x < u else 0.0, u)
+    calls = []
+    residual = epigraph._residual
+    monkeypatch.setattr(epigraph, "_residual", lambda *a: calls.append(a) or residual(*a))
+    p, _ = d.project_epigraph(f, (0.0, -1.0))
+    assert len(calls) == 1066 < epigraph._BISECT_MAX_STEPS
+    assert abs(p) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # region classification
 

@@ -1334,6 +1334,24 @@ def test_dra_without_a_slater_point_ends_on_a_small_step_at_a_linear_rate():
         assert 2 * eta <= np.linalg.norm(tr.a[-1] - [0.0, 1.0]) <= 5 * eta
 
 
+@pytest.mark.parametrize("theta, iterations", [(0.3, (312, 514)), (0.7, (57, 92)),
+                                               (1.2, (17, 26))])
+def test_dra_on_two_lines_ends_on_a_small_step_at_the_cosine_rate(theta, iterations):
+    # two lines through the origin at angle theta: no Slater point in R^2,
+    # and A and B meet only at 0.  DRA still ends exact_fixed_point, on a
+    # small step whose rate is known from theory: on two subspaces it is the
+    # cosine of their Friedrichs angle (Bauschke, Bello Cruz, Nghia, Phan &
+    # Wang, J. Approx. Theory 2014)
+    set_a = d.Hyperplane([0.0, 1.0], 0.0)
+    set_b = d.Hyperplane([-math.sin(theta), math.cos(theta)], 0.0)
+    for eta, count in zip((1e-6, 1e-10), iterations):
+        tr = d.run(set_a, set_b, d.MethodKind.DRA, [3.0, 4.0],
+                   [d.ExactFixedPoint(eta), d.MaxIter(100_000)])
+        assert tr.termination.reason is d.Reason.EXACT_FIXED_POINT
+        assert tr.iterations == count
+        assert abs(_step_ratio(tr) - math.cos(theta)) <= 1e-6
+
+
 def test_dra_under_slater_ends_on_a_drop_to_rounding():
     # finite convergence shows as the last step falling far below the one
     # before it: on every start of the shipped 41 x 41 line/orthant grid the
